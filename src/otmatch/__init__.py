@@ -19,39 +19,31 @@ from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMat
                          ProfileSet, marginals, normalize_counts)
 from .errors import (DivergenceError, OtmatchError, ProjectionError,
                      RootFindingError, SinkhornConvergenceError, ValidationError)
-from .iot import IotFitResult, iot_fit, iot_gradient, iot_objective
-from .joint import (JointFitResult, grad_Cu_relaxation, grad_side_cost_relaxation,
-                    joint_fit, project_metric_simplex)
-from .kernels import KernelSpec, kernel_cost, kernel_cost_directional_grad
-from .riot import (InnerSolveResult, RiotFitResult, RiotState, dual_update_zw,
-                   inner_xi_eta_solve, predict_matching, riot_fit, riot_grad_A,
-                   riot_objective, theta_root_p, theta_root_q)
-from .sinkhorn import (DualPotentials, SinkhornResult, plan_entropy, rot_distance,
-                       rot_dual_value, sinkhorn)
+from .iot import IotFitResult, iot_fit
+from .joint import JointFitResult, joint_fit, project_metric_simplex
+from .kernels import KernelSpec, kernel_cost
+from .riot import RiotFitResult, RiotState, predict_matching, riot_fit
+from .sinkhorn import SinkhornResult, rot_distance, sinkhorn
 from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig,
                     SynthInstance, add_noise, cost_recovery_experiment,
-                    generate_instance, ground_truth_cost, robustness_sweep)
+                    generate_instance, ground_truth_cost, plan_comparison_experiment,
+                    robustness_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CostMatrix", "CostRecoveryResult", "CouplingMatrix",
-    "DivergenceError", "DualPotentials", "HyperParams", "InnerSolveResult",
-    "InteractionMatrix", "IotFitResult", "JointFitResult", "KernelSpec",
-    "MarginalPair", "MatchCounts", "MetricMatrix", "OtmatchError",
-    "ProbabilityVector", "ProfileSet", "ProjectionError", "RiotFitResult",
-    "RiotState", "RootFindingError", "SinkhornConvergenceError", "SinkhornResult",
-    "SweepRecord", "SweepResult", "SynthConfig", "SynthInstance",
-    "ValidationError", "add_noise", "align_shift", "best_shift",
-    "cost_error_bound_check", "cost_recovery_experiment", "cost_shift_distance",
-    "coupling_gap_lower_bound", "dual_update_zw", "eval_matching",
-    "generate_instance", "grad_Cu_relaxation", "grad_side_cost_relaxation",
-    "ground_truth_cost", "inner_xi_eta_solve", "iot_error_lower_bound",
-    "iot_fit", "iot_gradient", "iot_objective", "joint_fit", "kernel_cost",
-    "kernel_cost_directional_grad", "kl_divergence", "marginals",
-    "normalize_counts", "plan_entropy", "predict_matching",
-    "prediction_error_bound_check", "project_metric_simplex", "riot_fit",
-    "riot_grad_A", "riot_objective", "robustness_sweep", "rot_distance",
-    "rot_dual_value", "sinkhorn", "symmetric_cost_recovery", "theta_root_p",
-    "theta_root_q",
+    "DivergenceError", "HyperParams", "InteractionMatrix", "IotFitResult",
+    "JointFitResult", "KernelSpec", "MarginalPair", "MatchCounts", "MetricMatrix",
+    "OtmatchError", "ProbabilityVector", "ProfileSet",
+    "ProjectionError", "RiotFitResult", "RiotState", "RootFindingError",
+    "SinkhornConvergenceError", "SinkhornResult", "SweepRecord", "SweepResult",
+    "SynthConfig", "SynthInstance", "ValidationError", "add_noise", "align_shift",
+    "best_shift", "cost_error_bound_check", "cost_recovery_experiment",
+    "cost_shift_distance", "coupling_gap_lower_bound", "eval_matching",
+    "generate_instance", "ground_truth_cost", "iot_error_lower_bound", "iot_fit",
+    "joint_fit", "kernel_cost", "kl_divergence", "marginals", "normalize_counts",
+    "plan_comparison_experiment", "predict_matching", "prediction_error_bound_check",
+    "project_metric_simplex", "riot_fit", "robustness_sweep", "rot_distance",
+    "sinkhorn", "symmetric_cost_recovery",
 ]

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, MetricMatrix
+from .containers import CostMatrix, MetricMatrix, as_array
 from .errors import ValidationError
 from .sinkhorn import sinkhorn
-
-
-def _entries(x):
-    return x.entries if hasattr(x, "entries") else np.asarray(x, dtype=float)
 
 
 def kl_divergence(p, q):
@@ -33,8 +29,8 @@ def kl_divergence(p, q):
     ValidationError
         If q vanishes somewhere p does not; the message names the entry.
     """
-    p = _entries(p)
-    q = _entries(q)
+    p = as_array(p)
+    q = as_array(q)
     if p.shape != q.shape:
         raise ValidationError(f"shape mismatch: {p.shape} vs {q.shape}")
     bad = (p > 0) & (q <= 0)
@@ -48,8 +44,8 @@ def kl_divergence(p, q):
 def coupling_gap_lower_bound(mu1, nu1, mu2, nu2):
     """Smallest possible squared Frobenius gap between couplings of two
     marginal pairs: (m ||dmu||^2 + n ||dnu||^2) / (m n)."""
-    dmu = np.asarray(_vec(mu1)) - np.asarray(_vec(mu2))
-    dnu = np.asarray(_vec(nu1)) - np.asarray(_vec(nu2))
+    dmu = as_array(mu1) - as_array(mu2)
+    dnu = as_array(nu1) - as_array(nu2)
     m, n = dmu.size, dnu.size
     return float((m * (dmu @ dmu) + n * (dnu @ dnu)) / (m * n))
 
@@ -57,13 +53,9 @@ def coupling_gap_lower_bound(mu1, nu1, mu2, nu2):
 def iot_error_lower_bound(delta_mu, delta_nu, m, n):
     """Systematic l1 floor sqrt((||dmu||_1^2 + ||dnu||_1^2) / (m n)) on any
     pinned-marginal fit whose marginals are off by the given deltas."""
-    dmu = np.abs(np.asarray(delta_mu, dtype=float)).sum()
-    dnu = np.abs(np.asarray(delta_nu, dtype=float)).sum()
+    dmu = np.abs(as_array(delta_mu)).sum()
+    dnu = np.abs(as_array(delta_nu)).sum()
     return float(np.sqrt((dmu ** 2 + dnu ** 2) / (m * n)))
-
-
-def _vec(v):
-    return v.values if hasattr(v, "values") else np.asarray(v, dtype=float)
 
 
 def _shift_gram_solve(M):
@@ -71,7 +63,7 @@ def _shift_gram_solve(M):
 
     Returns (value, a, b) where (a, b) realize the best shift a 1' + 1 b'.
     """
-    M = np.asarray(M, dtype=float)
+    M = as_array(M)
     m, n = M.shape
     f = np.concatenate([M.sum(axis=1), M.sum(axis=0)])
     G = np.zeros((m + n, m + n))
@@ -97,7 +89,7 @@ def cost_shift_distance(C1, C2):
     evaluated as the residual norm at the solved shift, which avoids the
     cancellation the closed form suffers near zero.
     """
-    M = _entries(C2) - _entries(C1)
+    M = as_array(C2) - as_array(C1)
     if M.ndim != 2:
         raise ValidationError("cost matrices must be 2-d")
     _, a, b = _shift_gram_solve(M)
@@ -110,8 +102,8 @@ def align_shift(C_learned, C_target):
 
     Returns the minimizer D = C_learned + a 1' + 1 b' of ||D - C_target||_F.
     """
-    Cl = _entries(C_learned)
-    Ct = _entries(C_target)
+    Cl = as_array(C_learned)
+    Ct = as_array(C_target)
     a, b = best_shift(Ct - Cl)
     return CostMatrix(Cl + a[:, None] + b[None, :])
 
@@ -138,8 +130,8 @@ class BoundReport:
 
 
 def _log_ratio(p1, p2, what):
-    p1 = _entries(p1)
-    p2 = _entries(p2)
+    p1 = as_array(p1)
+    p2 = as_array(p2)
     if p1.shape != p2.shape:
         raise ValidationError(f"shape mismatch: {p1.shape} vs {p2.shape}")
     if np.any(p1 <= 0) or np.any(p2 <= 0):
@@ -153,7 +145,7 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     The bound is (||dlogpi||_F^2 - f' A+ f) / lam^2 with
     dlogpi = log pi0 - log pihat; both couplings must be strictly positive.
     """
-    dc = _entries(C0) - _entries(C_learned)
+    dc = as_array(C0) - as_array(C_learned)
     dlog = _log_ratio(pi0, pi_hat, "couplings")
     quad, _, _ = _shift_gram_solve(dlog)
     bound = ((dlog * dlog).sum() - quad) / lam ** 2
@@ -167,10 +159,10 @@ def prediction_error_bound_check(C0, C_learned, mu, nu, lam,
     Both plans are computed at the shared marginals; the bound is
     lam^2 (||dC||_F^2 - f' A+ f) with f built from dC = C0 - C_learned.
     """
-    plan0 = sinkhorn(_entries(C0), mu, nu, lam, tol=tol, max_iters=max_iters).plan
-    plan1 = sinkhorn(_entries(C_learned), mu, nu, lam, tol=tol, max_iters=max_iters).plan
+    plan0 = sinkhorn(as_array(C0), mu, nu, lam, tol=tol, max_iters=max_iters).plan
+    plan1 = sinkhorn(as_array(C_learned), mu, nu, lam, tol=tol, max_iters=max_iters).plan
     dlog = _log_ratio(plan0, plan1, "plans")
-    dc = _entries(C0) - _entries(C_learned)
+    dc = as_array(C0) - as_array(C_learned)
     quad, _, _ = _shift_gram_solve(dc)
     bound = lam ** 2 * ((dc * dc).sum() - quad)
     return BoundReport.check(bound, (dlog * dlog).sum())
@@ -195,7 +187,7 @@ def symmetric_cost_recovery(pi, lam, consistency_tol=1e-6):
         generated by a symmetric hollow cost) or the plan is not square and
         strictly positive.
     """
-    p = _entries(pi)
+    p = as_array(pi)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValidationError("recovery needs a square plan")
     if np.any(p <= 0):
@@ -222,8 +214,8 @@ def eval_matching(pi_pred, pi_test):
     KL(pi_test || pi_pred); the prediction must be positive wherever the
     reference is.
     """
-    p = _entries(pi_pred)
-    t = _entries(pi_test)
+    p = as_array(pi_pred)
+    t = as_array(pi_test)
     if p.shape != t.shape:
         raise ValidationError(f"shape mismatch: {p.shape} vs {t.shape}")
     diff = p - t

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .iot import iot_fit
 from .joint import joint_fit
 from .kernels import KernelSpec
 from .riot import predict_matching, riot_fit
-from .synth import (SynthConfig, add_noise, cost_recovery_experiment,
-                    generate_instance, robustness_sweep)
+from .synth import (SynthConfig, cost_recovery_experiment, plan_comparison_experiment,
+                    robustness_sweep)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -212,19 +211,15 @@ def _cmd_simulate(args):
                    "delta_grid": list(scfg.delta_grid),
                    "repetitions": scfg.repetitions}
     elif args.figure == 3:
-        inst = generate_instance(scfg)
-        pi_hat = add_noise(inst.pi0, scfg.noise_sigma, _noise_stream(scfg))
-        hyper = replace(scfg.hyper, delta=scfg.delta_grid[0])
-        fit_r = riot_fit(pi_hat, inst.U, inst.V, scfg.kernel, inst.C_u, inst.C_v, hyper)
-        fit_i = iot_fit(pi_hat, inst.U, inst.V, scfg.kernel, hyper)
-        mio.write_matrix(os.path.join(args.out, "pi0.csv"), inst.pi0.entries)
+        pi0, pi_hat, pi_riot, pi_iot = plan_comparison_experiment(scfg)
+        mio.write_matrix(os.path.join(args.out, "pi0.csv"), pi0.entries)
         mio.write_matrix(os.path.join(args.out, "pi_hat.csv"), pi_hat.entries)
-        mio.write_matrix(os.path.join(args.out, "pi_riot.csv"), fit_r.fitted_plan.entries)
-        mio.write_matrix(os.path.join(args.out, "pi_iot.csv"), fit_i.fitted_plan.entries)
+        mio.write_matrix(os.path.join(args.out, "pi_riot.csv"), pi_riot.entries)
+        mio.write_matrix(os.path.join(args.out, "pi_iot.csv"), pi_iot.entries)
         summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
-                   "kl_hat": kl_divergence(inst.pi0, pi_hat),
-                   "kl_riot": kl_divergence(inst.pi0, fit_r.fitted_plan),
-                   "kl_iot": kl_divergence(inst.pi0, fit_i.fitted_plan)}
+                   "kl_hat": kl_divergence(pi0, pi_hat),
+                   "kl_riot": kl_divergence(pi0, pi_riot),
+                   "kl_iot": kl_divergence(pi0, pi_iot)}
     elif args.figure == 4:
         result = cost_recovery_experiment(scfg)
         mio.write_matrix(os.path.join(args.out, "cost_true.csv"), result.C0.entries)
@@ -244,11 +239,6 @@ def _cmd_simulate(args):
         fh.write("\n")
     _write_metadata(args.out, f"simulate --figure {args.figure}", seed, cfg, started)
     return EXIT_OK
-
-
-def _noise_stream(scfg):
-    from .synth import _stream
-    return _stream(scfg.seed, 2)
 
 
 def _cmd_eval(args):

@@ -32,6 +32,14 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
+def as_array(x):
+    """The array a container wraps, or ``x`` itself as a float array."""
+    for attr in ("entries", "values", "features"):
+        if hasattr(x, attr):
+            return getattr(x, attr)
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative vector of mass fractions summing to one."""
@@ -130,8 +138,11 @@ class MetricMatrix:
         _require(np.all(arr >= -tol), "metric matrix has negative entries")
         _require(np.max(np.abs(np.diag(arr))) <= tol, "metric matrix diagonal is not zero")
         _require(np.max(np.abs(arr - arr.T)) <= tol, "metric matrix is not symmetric")
-        # d_ij <= min_k (d_ik + d_kj): broadcast over the intermediate index.
-        through = np.min(arr[:, :, None] + arr[None, :, :], axis=1)
+        # d_ij <= min_k (d_ik + d_kj): running minimum over the intermediate
+        # index, so memory stays O(d^2).
+        through = np.full_like(arr, np.inf)
+        for k in range(arr.shape[0]):
+            np.minimum(through, np.add.outer(arr[:, k], arr[k]), out=through)
         worst = np.max(arr - through)
         _require(worst <= tol,
                  f"metric matrix violates a triangle inequality by {worst:.3e}")

@@ -6,19 +6,23 @@ Equivalently this minimizes KL(pihat || pi(A)) over A, where pi(A) is the
 Sinkhorn plan of the kernel cost C(A) at the empirical marginals. The
 gradient with respect to the cost is lam * (pihat - pi), chained through the
 kernel derivative.
+
+This module also holds :func:`descend`, the backtracking gradient driver that
+every fit runs: :func:`iot_fit` here, and the relaxed and joint fits through
+``otmatch.riot._alternating_fit``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CouplingMatrix, HyperParams, InteractionMatrix
+from .containers import CouplingMatrix, HyperParams, InteractionMatrix, as_array
 from .errors import DivergenceError
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import sinkhorn
 
-# Backtracking budget shared with the relaxed solver: halve the step at most
-# this many times within one iteration before accepting it anyway.
+# Backtracking budget: halve the step at most this many times within one
+# iteration before keeping the current iterate.
 MAX_HALVINGS = 20
 
 _GRAD_NORM_EXIT = 1e-10
@@ -36,10 +40,6 @@ class IotFitResult:
     fitted_plan: CouplingMatrix
     objective_trace: np.ndarray
     iterations: int
-
-
-def _entries(x):
-    return x.entries if hasattr(x, "entries") else np.asarray(x, dtype=float)
 
 
 def _model_plan(A, mu_hat, nu_hat, U, V, kernel, params):
@@ -60,7 +60,7 @@ def iot_objective(A, pi_hat, U, V, kernel, params):
     The plan is the Sinkhorn solution of C(A) at the marginals of ``pi_hat``;
     entries with zero empirical mass contribute nothing.
     """
-    pi_hat = _entries(pi_hat)
+    pi_hat = as_array(pi_hat)
     pi = _model_plan(A, pi_hat.sum(axis=1), pi_hat.sum(axis=0), U, V, kernel, params)
     return _neg_log_likelihood(pi_hat, pi)
 
@@ -72,23 +72,65 @@ def iot_gradient(A, pi_hat, U, V, kernel, params):
     lam * (pihat - pi); chaining through the kernel gives
     sum_ij lam (pihat_ij - pi_ij) f'(u_i' A v_j) u_i v_j'.
     """
-    pi_hat = _entries(pi_hat)
+    pi_hat = as_array(pi_hat)
     pi = _model_plan(A, pi_hat.sum(axis=1), pi_hat.sum(axis=0), U, V, kernel, params)
     return assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
 
 
-def kl_trace_value(pi_hat, pi):
-    """KL(pihat || pi) used for objective traces (0 log 0 = 0)."""
-    mask = pi_hat > 0
-    return float((pi_hat[mask] * (np.log(pi_hat[mask]) - np.log(pi[mask]))).sum())
+def descend(A, evaluate, gradient, params, after_step=None):
+    """Backtracking gradient descent on A, the loop of every fit.
+
+    ``evaluate(A)`` returns ``(objective, point)``, with ``point`` whatever
+    ``gradient(A, point)`` and the caller need. Each of at most
+    ``params.outer_iters`` steps starts at ``params.step_size`` and halves
+    until the objective does not increase, at most ``MAX_HALVINGS`` times,
+    else keeps the current iterate. ``after_step(A_next, point)`` refreshes the caller's
+    other blocks from the pre-step point and returns ``A_next`` re-evaluated.
+    A gradient norm of at most 1e-10 ends the loop.
+
+    Returns ``((objective, A, point) of the best iterate, trace, steps)``.
+    Raises :class:`DivergenceError`, carrying the trace so far, on a
+    non-finite objective.
+    """
+    obj, point = evaluate(A)
+    trace = []
+    best = None
+    steps = 0
+    while True:
+        if not np.isfinite(obj):
+            raise DivergenceError("objective became non-finite", trace=trace)
+        trace.append(obj)
+        if best is None or obj < best[0]:
+            best = (obj, A, point)
+        if steps == params.outer_iters:
+            break
+        grad = gradient(A, point)
+        if np.linalg.norm(grad) <= _GRAD_NORM_EXIT:
+            break
+        step = params.step_size
+        for _ in range(MAX_HALVINGS + 1):
+            A_next = A - step * grad
+            obj_next, point_next = evaluate(A_next)
+            if obj_next <= obj:
+                break
+            step *= 0.5
+        else:
+            # No halving found a decrease: keep the current iterate.
+            A_next, obj_next, point_next = A, obj, point
+        if after_step is not None:
+            obj_next, point_next = after_step(A_next, point)
+        A, obj, point = A_next, obj_next, point_next
+        steps += 1
+    return best, trace, steps
 
 
-def iot_fit(pi_hat, U, V, kernel, params=None, A_init=None):
+def iot_fit(pi_hat, U, V, kernel, params=None):
     """Gradient descent on the fixed-marginal likelihood.
 
-    Runs ``params.outer_iters`` steps of size ``params.step_size`` from
-    A = 0 (or ``A_init``), halving the step within an iteration whenever it
-    would increase the objective. Returns the best iterate by objective.
+    Runs :func:`descend` from A = 0 for at most ``params.outer_iters`` steps
+    of size ``params.step_size``, halving the step within an iteration
+    whenever it would increase the objective. Returns the best iterate by
+    objective.
 
     Raises
     ------
@@ -96,48 +138,24 @@ def iot_fit(pi_hat, U, V, kernel, params=None, A_init=None):
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
-    pi_hat = _entries(pi_hat)
+    pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
     nu_hat = pi_hat.sum(axis=0)
-    U_arr = U.features if hasattr(U, "features") else np.asarray(U, dtype=float)
-    V_arr = V.features if hasattr(V, "features") else np.asarray(V, dtype=float)
 
-    A = np.zeros((U_arr.shape[0], V_arr.shape[0])) if A_init is None \
-        else np.array(_entries(A_init), dtype=float)
+    def evaluate(A):
+        pi = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
+        return _neg_log_likelihood(pi_hat, pi), pi
 
-    pi = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
-    obj = _neg_log_likelihood(pi_hat, pi)
-    trace = [kl_trace_value(pi_hat, pi)]
-    best = (trace[0], A.copy(), pi)
+    def gradient(A, pi):
+        return assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
 
-    iterations = 0
-    for _ in range(params.outer_iters):
-        grad = assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
-        if np.linalg.norm(grad) <= _GRAD_NORM_EXIT:
-            break
-        step = params.step_size
-        for _ in range(MAX_HALVINGS + 1):
-            A_next = A - step * grad
-            pi_next = _model_plan(A_next, mu_hat, nu_hat, U, V, kernel, params)
-            obj_next = _neg_log_likelihood(pi_hat, pi_next)
-            if obj_next <= obj:
-                break
-            step *= 0.5
-        else:
-            # No halving found a decrease: keep the current iterate.
-            A_next, pi_next, obj_next = A, pi, obj
-        A, pi, obj = A_next, pi_next, obj_next
-        iterations += 1
-        if not np.isfinite(obj):
-            raise DivergenceError("objective became non-finite", trace=trace)
-        kl = kl_trace_value(pi_hat, pi)
-        trace.append(kl)
-        if kl < best[0]:
-            best = (kl, A.copy(), pi)
-
+    A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
+    (_, A, pi), trace, steps = descend(A0, evaluate, gradient, params)
+    mask = pi_hat > 0
+    neg_entropy = float((pi_hat[mask] * np.log(pi_hat[mask])).sum())
     return IotFitResult(
-        A=InteractionMatrix(best[1]),
-        fitted_plan=CouplingMatrix(best[2]),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
+        A=InteractionMatrix(A),
+        fitted_plan=CouplingMatrix(pi),
+        objective_trace=np.asarray(trace) + neg_entropy,
+        iterations=steps,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, CouplingMatrix, InteractionMatrix, MetricMatrix
+from .containers import CostMatrix, CouplingMatrix, InteractionMatrix, MetricMatrix, as_array
 from .errors import ProjectionError, ValidationError
 from .riot import _alternating_fit
 from .sinkhorn import sinkhorn
@@ -88,7 +88,7 @@ def project_metric_simplex(matrix, max_cycles=_MAX_CYCLES):
         When feasibility is not reached within ``max_cycles``; carries the
         worst remaining violation.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = as_array(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"projection input must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -153,14 +153,9 @@ def grad_side_cost_relaxation(z, mu, mu_hat, C_side, lam_side, delta,
     re-solved, which evaluates the envelope at the exact inner optimum.
     """
     if delta == 0:
-        C = C_side.entries if isinstance(C_side, CostMatrix) else np.asarray(C_side, float)
-        return np.zeros_like(C)
+        return np.zeros_like(as_array(C_side))
     plan = sinkhorn(C_side, mu, mu_hat, lam_side, tol=tol, max_iters=max_iters).plan
     return delta * plan.entries
-
-
-# Backwards-friendly alias matching the relaxation term it differentiates.
-grad_Cu_relaxation = grad_side_cost_relaxation
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     freezes the side costs, reducing the trajectory to the fixed-side-cost
     solver run on the projected initial matrices.
     """
-    pi_arr = pi_hat.entries if isinstance(pi_hat, CouplingMatrix) else np.asarray(pi_hat)
+    pi_arr = as_array(pi_hat)
     m, n = pi_arr.shape
     mu_hat = pi_arr.sum(axis=1)
     nu_hat = pi_arr.sum(axis=0)
@@ -211,7 +206,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
 
     best_state, trace, C_u_best, C_v_best = _alternating_fit(
         pi_hat, U, V, kernel, CostMatrix(C_u0), CostMatrix(C_v0), params,
-        resume=None, side_block=side_block if side_step > 0 else None)
+        side_block=side_block if side_step > 0 else None)
 
     final_u = MetricMatrix(C_u_best, tol=1e-7)
     final_v = MetricMatrix(C_v_best, tol=1e-7)
@@ -231,8 +226,7 @@ def _initial_side_cost(init, d):
         out = np.full((d, d), 1.0 / (d * (d - 1)))
         np.fill_diagonal(out, 0.0)
         return out
-    arr = init.entries if hasattr(init, "entries") else np.asarray(init, dtype=float)
-    return project_metric_simplex(arr).entries
+    return project_metric_simplex(as_array(init)).entries
 
 
 def _check_unit_sum(entries, name):

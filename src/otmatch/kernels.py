@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, InteractionMatrix, ProfileSet
+from .containers import CostMatrix, as_array
 from .errors import ValidationError
 
 _KINDS = ("linear", "polynomial", "sigmoid")
@@ -78,19 +78,11 @@ class KernelSpec:
                    degree=int(d.get("degree", 2)))
 
 
-def _features(x):
-    return x.features if isinstance(x, ProfileSet) else np.asarray(x, dtype=float)
-
-
-def _interaction(A):
-    return A.entries if isinstance(A, InteractionMatrix) else np.asarray(A, dtype=float)
-
-
 def gram_products(U, V, A):
     """Inner products u_i' A v_j for all pairs, as an m-by-n matrix."""
-    U = _features(U)
-    V = _features(V)
-    A = _interaction(A)
+    U = as_array(U)
+    V = as_array(V)
+    A = as_array(A)
     if A.shape != (U.shape[0], V.shape[0]):
         raise ValidationError(
             f"interaction shape {A.shape} does not match feature dims "
@@ -132,10 +124,10 @@ def kernel_cost_directional_grad(U, V, A, kernel, W):
     Returns the m-by-n matrix with entries f'(u_i' A v_j) * (u_i' W v_j),
     i.e. <C'_ij(A), W> for every cost entry.
     """
-    U = _features(U)
-    V = _features(V)
+    U = as_array(U)
+    V = as_array(V)
     t = gram_products(U, V, A)
-    W = np.asarray(W, dtype=float)
+    W = as_array(W)
     if W.shape != (U.shape[0], V.shape[0]):
         raise ValidationError(
             f"direction shape {W.shape} does not match feature dims "
@@ -149,8 +141,8 @@ def assemble_interaction_grad(U, V, A, kernel, weights):
     For entrywise weights g this is the adjoint of the directional
     derivative: sum_ij g_ij f'(u_i' A v_j) u_i v_j'.
     """
-    U = _features(U)
-    V = _features(V)
+    U = as_array(U)
+    V = as_array(V)
     t = gram_products(U, V, A)
-    g = np.asarray(weights, dtype=float) * kernel.derivative(t)
+    g = as_array(weights) * kernel.derivative(t)
     return U @ g @ V.T

@@ -19,23 +19,18 @@ each half-update requires the Lagrange multiplier theta solving the
 normalization equation p(theta) = 1, a monotone univariate root problem.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CouplingMatrix, HyperParams, InteractionMatrix
-from .errors import DivergenceError, RootFindingError, ValidationError
-from .iot import MAX_HALVINGS, _neg_log_likelihood, kl_trace_value
+from .containers import CouplingMatrix, HyperParams, InteractionMatrix, as_array
+from .errors import RootFindingError, ValidationError
+from .iot import _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import plan_entropy, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_BISECTIONS = 200
-
-
-def _entries(x):
-    return x.entries if hasattr(x, "entries") else np.asarray(x, dtype=float)
 
 
 def _theta_root(weights, r, s):
@@ -92,18 +87,18 @@ def _theta_root(weights, r, s):
 
 def theta_root_p(eta, mu_hat, M, Z):
     """Multiplier of the xi half-update: solves p(theta) = 1 for fixed eta."""
-    eta = np.asarray(eta, dtype=float)
+    eta = as_array(eta)
     if np.any(eta <= 0):
         raise ValidationError("eta must be strictly positive")
-    return _theta_root(np.asarray(mu_hat, dtype=float), M @ eta, Z @ eta)
+    return _theta_root(as_array(mu_hat), M @ eta, Z @ eta)
 
 
 def theta_root_q(xi, nu_hat, M, Z):
     """Multiplier of the eta half-update: solves q(theta) = 1 for fixed xi."""
-    xi = np.asarray(xi, dtype=float)
+    xi = as_array(xi)
     if np.any(xi <= 0):
         raise ValidationError("xi must be strictly positive")
-    return _theta_root(np.asarray(nu_hat, dtype=float), M.T @ xi, Z.T @ xi)
+    return _theta_root(as_array(nu_hat), M.T @ xi, Z.T @ xi)
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,8 @@ def inner_xi_eta_solve(cost, pi_hat, z, w, params):
     With ``params.inner_iters == 0`` the scalings are the all-ones vectors
     rescaled onto the constraint and both multipliers are returned as 0.
     """
-    C = _entries(cost)
-    pi_hat = _entries(pi_hat)
+    C = as_array(cost)
+    pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
     nu_hat = pi_hat.sum(axis=0)
     if np.any(mu_hat <= 0) or np.any(nu_hat <= 0):
@@ -152,8 +147,7 @@ def inner_xi_eta_solve(cost, pi_hat, z, w, params):
     Z = np.exp(-params.lam * C)
     if np.any(Z <= 0):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
-    M = params.delta * (np.asarray(z, dtype=float)[:, None]
-                        + np.asarray(w, dtype=float)[None, :]) * Z
+    M = params.delta * (as_array(z)[:, None] + as_array(w)[None, :]) * Z
     return _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
 
 
@@ -199,7 +193,7 @@ def kkt_residual(xi, eta, theta, mu_hat, M, Z):
 
 @dataclass(frozen=True)
 class RiotState:
-    """Primal/dual iterate of the alternating solver (JSON serializable)."""
+    """Primal/dual iterate of the alternating solver."""
 
     A: np.ndarray
     xi: np.ndarray
@@ -209,38 +203,6 @@ class RiotState:
     w: np.ndarray
     current_plan: CouplingMatrix
     objective: float
-
-    def to_dict(self):
-        return {
-            "A": self.A.tolist(),
-            "xi": self.xi.tolist(),
-            "eta": self.eta.tolist(),
-            "theta": self.theta,
-            "z": self.z.tolist(),
-            "w": self.w.tolist(),
-            "current_plan": self.current_plan.entries.tolist(),
-            "objective": self.objective,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            A=np.asarray(d["A"], dtype=float),
-            xi=np.asarray(d["xi"], dtype=float),
-            eta=np.asarray(d["eta"], dtype=float),
-            theta=float(d["theta"]),
-            z=np.asarray(d["z"], dtype=float),
-            w=np.asarray(d["w"], dtype=float),
-            current_plan=CouplingMatrix(np.asarray(d["current_plan"], dtype=float)),
-            objective=float(d["objective"]),
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -260,7 +222,7 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
     Returns (potential, value) where potential = log(a)/lam_side from the
     left Sinkhorn scaling of (C_side, plan_marginal, empirical_marginal).
     """
-    C = _entries(C_side)
+    C = as_array(C_side)
     res = sinkhorn(C, plan_marginal, empirical_marginal, lam_side,
                    tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
     p = res.plan.entries
@@ -270,30 +232,34 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
 
 def dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params):
     """Refresh the relaxation potentials from the current plan's marginals."""
-    p = _entries(plan)
-    mu = p.sum(axis=1)
-    nu = p.sum(axis=0)
-    z, _ = _relaxation_dual(C_u, mu, _entries_vec(mu_hat), params.lam_u, params)
-    w, _ = _relaxation_dual(C_v, nu, _entries_vec(nu_hat), params.lam_v, params)
+    p = as_array(plan)
+    z, _ = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params)
+    w, _ = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params)
     return z, w
 
 
-def _entries_vec(v):
-    return v.values if hasattr(v, "values") else np.asarray(v, dtype=float)
+def _relaxed_objective(pi_hat, plan, C_u, C_v, params):
+    """-sum pihat log pi + delta (d_u + d_v) at a plan, with the relaxation
+    potentials (z, w) of its marginals, or None when delta is 0."""
+    value = _neg_log_likelihood(pi_hat, plan)
+    if params.delta == 0:
+        return value, None
+    z, d_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
+                              params.lam_u, params)
+    w, d_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
+                              params.lam_v, params)
+    return value + params.delta * (d_u + d_v), (z, w)
+
+
+def _envelope_weights(pi_hat, pi, theta, z, w, params):
+    """Entrywise weights lam [pihat + (theta - delta (z_i + w_j)) pi] of C'(A)."""
+    return params.lam * (pi_hat + (theta - params.delta * (z[:, None] + w[None, :])) * pi)
 
 
 def riot_objective(state, pi_hat, C_u, C_v, params):
     """Relaxed objective -sum pihat log pi + delta (d_u + d_v) at a state."""
-    pi_hat = _entries(pi_hat)
-    plan = state.current_plan.entries if isinstance(state, RiotState) else _entries(state)
-    value = _neg_log_likelihood(pi_hat, plan)
-    if params.delta > 0:
-        _, d_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
-                                  params.lam_u, params)
-        _, d_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
-                                  params.lam_v, params)
-        value += params.delta * (d_u + d_v)
-    return float(value)
+    plan = as_array(state.current_plan if isinstance(state, RiotState) else state)
+    return float(_relaxed_objective(as_array(pi_hat), plan, C_u, C_v, params)[0])
 
 
 def riot_grad_A(state, pi_hat, U, V, kernel, params):
@@ -303,7 +269,6 @@ def riot_grad_A(state, pi_hat, U, V, kernel, params):
     C'_ij(A). The state must come from a converged inner solve for the same
     A: the normalization residual |xi' Z eta - 1| must not exceed 1e-6.
     """
-    pi_hat = _entries(pi_hat)
     C = kernel_cost(U, V, state.A, kernel).entries
     Z = np.exp(-params.lam * C)
     residual = abs(float(state.xi @ Z @ state.eta) - 1.0)
@@ -311,13 +276,14 @@ def riot_grad_A(state, pi_hat, U, V, kernel, params):
         raise ValidationError(
             f"state is inconsistent with A: normalization residual {residual:.3e}")
     pi = scaling_plan(state.xi, state.eta, Z)
-    weights = params.lam * (
-        pi_hat + (state.theta - params.delta * (state.z[:, None] + state.w[None, :])) * pi)
+    weights = _envelope_weights(as_array(pi_hat), pi, state.theta, state.z, state.w, params)
     return assemble_interaction_grad(U, V, state.A, kernel, weights)
 
 
-def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, c_u, c_v, z, w, params):
-    """Inner solve at (A, z, w) plus the primal objective of its plan."""
+def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
+    """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
+    objective of its plan: (objective, (inner, plan, potentials, blocks))."""
+    c_u, c_v, z, w = blocks
     C = kernel_cost(U, V, A, kernel).entries
     Z = np.exp(-params.lam * C)
     if np.any(Z <= 0):
@@ -325,111 +291,63 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, c_u, c_v, z, w, params
     M = params.delta * (z[:, None] + w[None, :]) * Z
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
     pi = scaling_plan(inner.xi, inner.eta, Z)
-    obj = _neg_log_likelihood(pi_hat, pi)
-    rel = None
-    if params.delta > 0:
-        z_new, d_u = _relaxation_dual(c_u, pi.sum(axis=1), mu_hat, params.lam_u, params)
-        w_new, d_v = _relaxation_dual(c_v, pi.sum(axis=0), nu_hat, params.lam_v, params)
-        obj += params.delta * (d_u + d_v)
-        rel = (z_new, w_new)
-    return inner, pi, float(obj), rel
+    obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params)
+    return obj, (inner, pi, rel, blocks)
 
 
-def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, resume=None,
-                     side_block=None):
+def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
-    ``side_block``, when given, is called once per iteration with the current
-    side costs, the pre-step plan, and the potentials, and returns updated
-    side costs. Returns (best_state, trace, best_c_u, best_c_v).
+    Runs :func:`~otmatch.iot.descend` on A. ``side_block``, when given, is
+    called once per iteration with the current side costs, the pre-step plan,
+    and the potentials, and returns updated side costs. Returns
+    (best_state, trace, best_c_u, best_c_v).
     """
-    pi_hat = _entries(pi_hat)
+    pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
     nu_hat = pi_hat.sum(axis=0)
-    U_arr = U.features if hasattr(U, "features") else np.asarray(U, dtype=float)
-    V_arr = V.features if hasattr(V, "features") else np.asarray(V, dtype=float)
-    c_u = _entries(C_u)
-    c_v = _entries(C_v)
+    # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
+    blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
 
-    if resume is not None:
-        A = np.array(resume.A, dtype=float)
-        z = np.array(resume.z, dtype=float)
-        w = np.array(resume.w, dtype=float)
-    else:
-        A = np.zeros((U_arr.shape[0], V_arr.shape[0]))
-        z = np.zeros(pi_hat.shape[0])
-        w = np.zeros(pi_hat.shape[1])
+    def evaluate(A):
+        return _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params)
 
-    trace = []
-    best = None
-    best_costs = (c_u, c_v)
+    def gradient(A, point):
+        inner, pi, _, (_, _, z, w) = point
+        weights = _envelope_weights(pi_hat, pi, inner.theta, z, w, params)
+        return assemble_interaction_grad(U, V, A, kernel, weights)
 
-    def snapshot(A_l, inner, pi, obj, z_l, w_l):
-        return RiotState(A=A_l.copy(), xi=inner.xi, eta=inner.eta, theta=inner.theta,
-                         z=z_l.copy(), w=w_l.copy(),
-                         current_plan=CouplingMatrix(pi), objective=obj)
-
-    inner, pi, obj, rel = _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel,
-                                       c_u, c_v, z, w, params)
-    for _ in range(max(params.outer_iters, 0)):
-        if not np.isfinite(obj):
-            raise DivergenceError("objective became non-finite", trace=trace)
-        trace.append(obj)
-        if best is None or obj < best.objective:
-            best = snapshot(A, inner, pi, obj, z, w)
-            best_costs = (c_u, c_v)
-
-        weights = params.lam * (
-            pi_hat + (inner.theta - params.delta * (z[:, None] + w[None, :])) * pi)
-        grad = assemble_interaction_grad(U_arr, V_arr, A, kernel, weights)
-
-        step = params.step_size
-        for _ in range(MAX_HALVINGS + 1):
-            A_next = A - step * grad
-            inner_next, pi_next, obj_next, rel_next = _evaluate_at(
-                A_next, pi_hat, mu_hat, nu_hat, U, V, kernel, c_u, c_v, z, w, params)
-            if obj_next <= obj:
-                break
-            step *= 0.5
+    def after_step(A, point):
+        # The other blocks use the pre-step plan, in block order: side costs
+        # first (joint mode), then the potentials. The accepted A was solved
+        # with the stale blocks, so it is evaluated again.
+        nonlocal blocks
+        _, pi, rel, (c_u, c_v, z, w) = point
+        if side_block is None:
+            blocks = (c_u, c_v) + rel
         else:
-            # No halving found a decrease: keep the current iterate.
-            A_next, inner_next, pi_next, obj_next, rel_next = A, inner, pi, obj, rel
-
-        # Remaining blocks use the pre-step plan, in block order: side costs
-        # first (joint mode), then the potentials. delta == 0 leaves the
-        # potentials untouched since they have no effect on anything.
-        if side_block is not None and params.delta > 0:
             c_u, c_v = side_block(c_u, c_v, pi, z, w)
-            z, _ = _relaxation_dual(c_u, pi.sum(axis=1), mu_hat, params.lam_u, params)
-            w, _ = _relaxation_dual(c_v, pi.sum(axis=0), nu_hat, params.lam_v, params)
-        elif rel is not None:
-            z, w = rel
+            blocks = (c_u, c_v) + dual_update_zw(pi, mu_hat, nu_hat, c_u, c_v, params)
+        return evaluate(A)
 
-        A, inner, pi, obj, rel = A_next, inner_next, pi_next, obj_next, rel_next
-        if params.delta > 0:
-            # The accepted trial was solved with the stale potentials (and,
-            # in joint mode, stale side costs); re-evaluate before recording.
-            inner, pi, obj, rel = _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V,
-                                               kernel, c_u, c_v, z, w, params)
-
-    if not np.isfinite(obj):
-        raise DivergenceError("objective became non-finite", trace=trace)
-    trace.append(obj)
-    if best is None or obj < best.objective:
-        best = snapshot(A, inner, pi, obj, z, w)
-        best_costs = (c_u, c_v)
-
-    return best, trace, best_costs[0], best_costs[1]
+    A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
+    # delta == 0 leaves the potentials untouched since they have no effect.
+    best, trace, _ = descend(A0, evaluate, gradient, params,
+                             after_step=after_step if params.delta > 0 else None)
+    obj, A, (inner, pi, _, (c_u, c_v, z, w)) = best
+    state = RiotState(A=A, xi=inner.xi, eta=inner.eta, theta=inner.theta, z=z, w=w,
+                      current_plan=CouplingMatrix(pi), objective=obj)
+    return state, trace, c_u, c_v
 
 
-def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None, resume=None):
+def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     """Run the three-block alternation and return the best iterate.
 
     Each of the ``params.outer_iters`` iterations performs the inner scaling
     solve (``params.inner_iters`` half-update pairs), one gradient step on A
-    with the same step-halving guard as the fixed-marginal solver, and a
-    refresh of the relaxation potentials from the pre-step plan. The iterate
-    with the lowest relaxed objective is returned.
+    with the step-halving guard every fit shares, and a refresh of the
+    relaxation potentials from the pre-step plan. The iterate with the lowest
+    relaxed objective is returned.
 
     Parameters
     ----------
@@ -441,9 +359,6 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None, resume=None):
     C_u, C_v : CostMatrix
         Side costs of the two relaxation terms, m-by-m and n-by-n.
     params : HyperParams
-    resume : RiotState, optional
-        Continue from a checkpointed state instead of the cold start
-        A = 0, z = w = 0.
 
     Raises
     ------
@@ -451,8 +366,7 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None, resume=None):
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
-    best, trace, _, _ = _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params,
-                                         resume=resume)
+    best, trace, _, _ = _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params)
     plan = best.current_plan
     mp = plan.marginals()
     return RiotFitResult(

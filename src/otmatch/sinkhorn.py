@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .containers import CostMatrix, CouplingMatrix, ProbabilityVector
+from .containers import CouplingMatrix, as_array
 from .errors import SinkhornConvergenceError, ValidationError
 
 # Scaling magnitudes beyond which updates move to log space.
@@ -50,14 +50,6 @@ class DualPotentials:
 
     z: np.ndarray
     z_conjugate: np.ndarray
-
-
-def _as_cost(C):
-    return C.entries if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
-
-
-def _as_prob(v):
-    return v.values if isinstance(v, ProbabilityVector) else np.asarray(v, dtype=float)
 
 
 def _check_inputs(C, mu, nu, lam):
@@ -105,9 +97,9 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
         When the tolerance is not reached within ``max_iters``; the error
         carries the last iterate and its marginal error.
     """
-    C = _as_cost(C)
-    mu = _as_prob(mu)
-    nu = _as_prob(nu)
+    C = as_array(C)
+    mu = as_array(mu)
+    nu = as_array(nu)
     _check_inputs(C, mu, nu, lam)
 
     neg_lam_C = -lam * C
@@ -117,7 +109,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     if a_init is None:
         log_a = np.zeros(C.shape[0])
     else:
-        a_init = np.asarray(a_init, dtype=float)
+        a_init = as_array(a_init)
         if a_init.shape != mu.shape or np.any(a_init <= 0) or not np.all(np.isfinite(a_init)):
             raise ValidationError("a_init must be a strictly positive finite vector of length m")
         log_a = np.log(a_init)
@@ -186,14 +178,14 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
 
 def plan_entropy(plan):
     """Entropy H(pi) = -sum pi_ij (log pi_ij - 1), with 0 log 0 = 0."""
-    p = plan.entries if isinstance(plan, CouplingMatrix) else np.asarray(plan, dtype=float)
+    p = as_array(plan)
     pos = p > 0
     return float(-(p[pos] * (np.log(p[pos]) - 1.0)).sum())
 
 
 def rot_distance(C, mu, nu, lam, tol=1e-9, max_iters=10000):
     """Regularized transport value <pi*, C> - H(pi*) / lam at the Sinkhorn plan."""
-    C = _as_cost(C)
+    C = as_array(C)
     result = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters)
     p = result.plan.entries
     return float((p * C).sum() - plan_entropy(p) / lam)
@@ -201,9 +193,9 @@ def rot_distance(C, mu, nu, lam, tol=1e-9, max_iters=10000):
 
 def conjugate_potential(z, C, nu, lam):
     """Soft-min transform z^C of a potential z against cost C and marginal nu."""
-    C = _as_cost(C)
-    nu = _as_prob(nu)
-    z = np.asarray(z, dtype=float)
+    C = as_array(C)
+    nu = as_array(nu)
+    z = as_array(z)
     return np.log(nu) / lam - logsumexp(lam * (z[:, None] - C), axis=0) / lam
 
 
@@ -218,9 +210,9 @@ def rot_dual_value(C, mu, nu, lam, tol=1e-9, max_iters=10000):
     -------
     (float, DualPotentials)
     """
-    C = _as_cost(C)
-    mu = _as_prob(mu)
-    nu = _as_prob(nu)
+    C = as_array(C)
+    mu = as_array(mu)
+    nu = as_array(nu)
     result = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters)
     z = np.log(result.left_scaling) / lam
     z_conj = conjugate_potential(z, C, nu, lam)

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .bounds import align_shift, cost_shift_distance, kl_divergence
-from .containers import CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix, ProfileSet
+from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix,
+                         ProfileSet, as_array)
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .kernels import KernelSpec, kernel_cost
@@ -136,7 +137,7 @@ def ground_truth_cost(cfg, instance):
 
 def add_noise(pi0, sigma, seed):
     """Additive folded-Gaussian noise: (pi0 + |eps|) / sum(pi0 + |eps|)."""
-    p = pi0.entries if isinstance(pi0, CouplingMatrix) else np.asarray(pi0, dtype=float)
+    p = as_array(pi0)
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
     if sigma == 0:
@@ -240,6 +241,20 @@ def robustness_sweep(cfg, max_workers=None):
                 agg[f"std_{name}"] = float(vals.std()) if vals.size else float("nan")
             aggregates.append(agg)
     return SweepResult(records=tuple(records), aggregates=tuple(aggregates))
+
+
+def plan_comparison_experiment(cfg):
+    """Fit both solvers to one noised instance at the first delta of the grid.
+
+    Returns the true, observed, relaxed-fit and fixed-marginal-fit plans. The
+    noise stream is the one :func:`cost_recovery_experiment` draws.
+    """
+    inst = generate_instance(cfg)
+    pi_hat = add_noise(inst.pi0, cfg.noise_sigma, _stream(cfg.seed, 2))
+    params = replace(cfg.hyper, delta=cfg.delta_grid[0])
+    fit_r = riot_fit(pi_hat, inst.U, inst.V, cfg.kernel, inst.C_u, inst.C_v, params)
+    fit_i = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
+    return inst.pi0, pi_hat, fit_r.fitted_plan, fit_i.fitted_plan
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from otmatch import io as mio
+from otmatch.bounds import kl_divergence
 from otmatch.cli import EXIT_INPUT, EXIT_OK, main
 from otmatch.containers import HyperParams
 from otmatch.synth import SynthConfig, generate_instance
@@ -176,6 +177,21 @@ class TestSimulateAndEval:
             outs.append(out)
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
         assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+    def test_figure3_outputs(self, tmp_path):
+        cfg = self.simulate_config(tmp_path)
+        out = tmp_path / "plans"
+        args = ["simulate", "--figure", "3", "--seed", "5", "--config", str(cfg),
+                "--out", str(out)]
+        assert main(args) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        plans = {name: mio.read_matrix(out / f"{name}.csv")
+                 for name in ("pi0", "pi_hat", "pi_riot", "pi_iot")}
+        for plan in plans.values():
+            assert plan.shape == (5, 5) and plan.sum() == pytest.approx(1.0)
+        assert summary["kl_hat"] == pytest.approx(
+            kl_divergence(plans["pi0"], plans["pi_hat"]), rel=1e-6)
+        assert summary["kl_riot"] > 0 and summary["kl_iot"] > 0
 
     def test_figure4_outputs(self, tmp_path):
         cfg = self.simulate_config(tmp_path)

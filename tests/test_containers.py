@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,10 +56,16 @@ class TestMetricMatrix:
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         MetricMatrix(d)
 
-    def test_rejects_triangle_violation(self):
-        d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        with pytest.raises(ValidationError, match="triangle"):
-            MetricMatrix(d)
+    def test_rejects_triangle_violation(self, rng):
+        hand = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        pts = rng.normal(0, 1, (40, 2))
+        random = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        random[0, 1] = random[1, 0] = random[0, 2] + random[2, 1] + 0.5
+        for d in (hand, random):
+            # The reported violation equals the O(d^3) broadcast over all triples.
+            worst = np.max(d - np.min(d[:, :, None] + d[None, :, :], axis=1))
+            with pytest.raises(ValidationError, match=re.escape(f"triangle inequality by {worst:.3e}")):
+                MetricMatrix(d)
 
     def test_rejects_asymmetry_and_diagonal(self):
         with pytest.raises(ValidationError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from otmatch.containers import CouplingMatrix, HyperParams
-from otmatch.iot import iot_fit, iot_gradient, iot_objective
+from otmatch.errors import DivergenceError
+from otmatch.iot import MAX_HALVINGS, descend, iot_fit, iot_gradient, iot_objective
 from otmatch.kernels import KernelSpec
 from otmatch.sinkhorn import sinkhorn
 from otmatch.bounds import kl_divergence
@@ -115,3 +116,61 @@ class TestIotFit:
         redo = sinkhorn(C, pi_hat.entries.sum(1), pi_hat.entries.sum(0), params.lam,
                         tol=params.sinkhorn_tol).plan
         np.testing.assert_allclose(result.fitted_plan.entries, redo.entries, atol=1e-9)
+
+
+class TestDescend:
+    """The shared driver on the stub objective ||A - 1||^2 over 1-by-1 A."""
+
+    @staticmethod
+    def evaluate(A):
+        return float(((A - 1.0) ** 2).sum()), None
+
+    @staticmethod
+    def gradient(A, point):
+        return 2.0 * (A - 1.0)
+
+    def test_returns_best_iterate(self):
+        # A penalty that grows with every step makes the re-evaluated
+        # objective 1, .35, .2625, .3156, ...: the best is the second step.
+        calls = []
+
+        def after_step(A, point):
+            calls.append(A)
+            return self.evaluate(A)[0] + 0.1 * len(calls), None
+
+        params = hyper(step_size=0.25, outer_iters=4)
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), self.evaluate,
+                                            self.gradient, params, after_step)
+        assert steps == 4 and len(trace) == 5
+        assert obj == min(trace) == trace[2] < trace[-1]
+        np.testing.assert_allclose(A, 0.75)
+
+    def test_keeps_current_point_when_no_halving_decreases(self):
+        evaluations = []
+
+        def evaluate(A):
+            evaluations.append(A)
+            return self.evaluate(A)
+
+        params = hyper(step_size=0.25, outer_iters=2)
+        # An ascent direction: every trial step increases the objective.
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate,
+                                            lambda A, p: -self.gradient(A, p), params)
+        assert steps == 2
+        assert trace == [1.0, 1.0, 1.0] and obj == 1.0
+        np.testing.assert_array_equal(A, 0.0)
+        assert len(evaluations) == 1 + 2 * (MAX_HALVINGS + 1)
+
+    def test_stops_on_vanishing_gradient(self):
+        _, trace, steps = descend(np.ones((1, 1)), self.evaluate, self.gradient,
+                                  hyper(outer_iters=5))
+        assert steps == 0 and trace == [0.0]
+
+    def test_non_finite_objective_raises_with_trace(self):
+        def after_step(A, point):
+            return (np.inf if A[0, 0] > 0.6 else self.evaluate(A)[0]), None
+
+        params = hyper(step_size=0.25, outer_iters=5)
+        with pytest.raises(DivergenceError) as err:
+            descend(np.zeros((1, 1)), self.evaluate, self.gradient, params, after_step)
+        assert err.value.trace == [1.0, 0.25]

@@ -277,31 +277,19 @@ class TestRiotFit:
                           inst["C_u"], inst["C_v"], hyper(outer_iters=10))
         assert result.state.objective == pytest.approx(result.objective_trace.min())
 
-    def test_state_json_round_trip(self):
-        inst = forward_instance(22, m=3, n=3, p=2, q=2)
-        pi_hat = noised(inst["pi0"], inst["rng"], 5e-3)
-        result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                          inst["C_u"], inst["C_v"], hyper(outer_iters=3))
-        restored = RiotState.from_json(result.state.to_json())
-        np.testing.assert_allclose(restored.A, result.state.A)
-        np.testing.assert_allclose(restored.current_plan.entries,
-                                   result.state.current_plan.entries)
-        assert restored.theta == result.state.theta
-
-    def test_resume_continues_from_state(self):
-        inst = forward_instance(23, m=3, n=3, p=2, q=2)
-        pi_hat = noised(inst["pi0"], inst["rng"], 5e-3)
-        params_full = hyper(outer_iters=6)
-        full = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                        inst["C_u"], inst["C_v"], params_full)
-        resumed = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                           inst["C_u"], inst["C_v"], hyper(outer_iters=3),
-                           resume=riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                                           inst["C_u"], inst["C_v"],
-                                           hyper(outer_iters=3)).state)
-        assert np.isfinite(resumed.objective_trace).all()
-        # resume restarts from the checkpoint without touching the budget
-        assert resumed.objective_trace.size == 4
+    def test_product_coupling_stops_before_first_step(self, rng):
+        # A = 0 gives a constant cost, whose plan is already the product
+        # coupling, so both fits exit on a vanishing gradient.
+        inst = forward_instance(23, m=4, n=3, p=2, q=2)
+        pi_hat = np.outer(random_marginal(rng, 4), random_marginal(rng, 3))
+        params = hyper(delta=0.0)
+        fi = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
+        fr = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
+                      CostMatrix(np.zeros((4, 4))), CostMatrix(np.zeros((3, 3))), params)
+        assert fi.iterations == 0
+        for fit in (fi, fr):
+            assert fit.objective_trace.size == 1
+            np.testing.assert_allclose(fit.A.entries, 0.0)
 
 
 class TestPredictMatching:
