@@ -27,7 +27,7 @@ from .containers import CouplingMatrix, HyperParams, InteractionMatrix, as_array
 from .errors import RootFindingError, ValidationError
 from .iot import _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
-from .sinkhorn import plan_entropy, sinkhorn
+from .sinkhorn import regularized_value, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_BISECTIONS = 200
@@ -126,6 +126,15 @@ def _inner_objective(xi, eta, mu_hat, nu_hat, M):
     return float(-(mu_hat @ np.log(xi)) - (nu_hat @ np.log(eta)) + xi @ (M @ eta))
 
 
+def _inner_problem(C, z, w, params):
+    """Kernel Z = exp(-lam C) and M_ij = delta (z_i + w_j) Z_ij of the inner
+    problem at the cost array C and the potentials (z, w)."""
+    Z = np.exp(-params.lam * C)
+    if np.any(Z <= 0):
+        raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
+    return Z, params.delta * (z[:, None] + w[None, :]) * Z
+
+
 def inner_xi_eta_solve(cost, pi_hat, z, w, params):
     """Alternating half-updates for the constrained scaling problem.
 
@@ -144,10 +153,7 @@ def inner_xi_eta_solve(cost, pi_hat, z, w, params):
     nu_hat = pi_hat.sum(axis=0)
     if np.any(mu_hat <= 0) or np.any(nu_hat <= 0):
         raise ValidationError("empirical marginals must be strictly positive")
-    Z = np.exp(-params.lam * C)
-    if np.any(Z <= 0):
-        raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
-    M = params.delta * (as_array(z)[:, None] + as_array(w)[None, :]) * Z
+    Z, M = _inner_problem(C, as_array(z), as_array(w), params)
     return _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
 
 
@@ -217,38 +223,39 @@ class RiotFitResult:
 
 
 def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params):
-    """Potential and transport value of one marginal-relaxation term.
+    """Potential, transport value and plan of one marginal-relaxation term.
 
-    Returns (potential, value) where potential = log(a)/lam_side from the
-    left Sinkhorn scaling of (C_side, plan_marginal, empirical_marginal).
+    The potential is log(a)/lam_side from the left Sinkhorn scaling of
+    (C_side, plan_marginal, empirical_marginal). By the envelope theorem the
+    plan is also the gradient of the value with respect to C_side.
     """
-    C = as_array(C_side)
-    res = sinkhorn(C, plan_marginal, empirical_marginal, lam_side,
+    res = sinkhorn(C_side, plan_marginal, empirical_marginal, lam_side,
                    tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
-    p = res.plan.entries
-    value = float((p * C).sum() - plan_entropy(p) / lam_side)
-    return np.log(res.left_scaling) / lam_side, value
+    plan = res.plan.entries
+    return (np.log(res.left_scaling) / lam_side,
+            regularized_value(plan, C_side, lam_side), plan)
 
 
 def dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params):
     """Refresh the relaxation potentials from the current plan's marginals."""
     p = as_array(plan)
-    z, _ = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params)
-    w, _ = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params)
+    z = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params)[0]
+    w = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params)[0]
     return z, w
 
 
 def _relaxed_objective(pi_hat, plan, C_u, C_v, params):
     """-sum pihat log pi + delta (d_u + d_v) at a plan, with the relaxation
-    potentials (z, w) of its marginals, or None when delta is 0."""
+    potentials and plans (z, w, plan_u, plan_v) of its marginals, or None
+    when delta is 0."""
     value = _neg_log_likelihood(pi_hat, plan)
     if params.delta == 0:
         return value, None
-    z, d_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
-                              params.lam_u, params)
-    w, d_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
-                              params.lam_v, params)
-    return value + params.delta * (d_u + d_v), (z, w)
+    z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
+                                      params.lam_u, params)
+    w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
+                                      params.lam_v, params)
+    return value + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
 def _envelope_weights(pi_hat, pi, theta, z, w, params):
@@ -270,7 +277,7 @@ def riot_grad_A(state, pi_hat, U, V, kernel, params):
     A: the normalization residual |xi' Z eta - 1| must not exceed 1e-6.
     """
     C = kernel_cost(U, V, state.A, kernel).entries
-    Z = np.exp(-params.lam * C)
+    Z, _ = _inner_problem(C, state.z, state.w, params)
     residual = abs(float(state.xi @ Z @ state.eta) - 1.0)
     if residual > 1e-6:
         raise ValidationError(
@@ -282,13 +289,11 @@ def riot_grad_A(state, pi_hat, U, V, kernel, params):
 
 def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
-    objective of its plan: (objective, (inner, plan, potentials, blocks))."""
+    objective of its plan: (objective, (inner, plan, relaxation, blocks)),
+    with ``relaxation`` as :func:`_relaxed_objective` returns it."""
     c_u, c_v, z, w = blocks
     C = kernel_cost(U, V, A, kernel).entries
-    Z = np.exp(-params.lam * C)
-    if np.any(Z <= 0):
-        raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
-    M = params.delta * (z[:, None] + w[None, :]) * Z
+    Z, M = _inner_problem(C, z, w, params)
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
     pi = scaling_plan(inner.xi, inner.eta, Z)
     obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params)
@@ -299,9 +304,9 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
     Runs :func:`~otmatch.iot.descend` on A. ``side_block``, when given, is
-    called once per iteration with the current side costs, the pre-step plan,
-    and the potentials, and returns updated side costs. Returns
-    (best_state, trace, best_c_u, best_c_v).
+    called once per iteration with the current side costs and the two
+    relaxation plans of the pre-step point, and returns updated side costs.
+    Returns (best_state, trace, best_c_u, best_c_v).
     """
     pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
@@ -318,15 +323,15 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         return assemble_interaction_grad(U, V, A, kernel, weights)
 
     def after_step(A, point):
-        # The other blocks use the pre-step plan, in block order: side costs
+        # The other blocks use the pre-step point, in block order: side costs
         # first (joint mode), then the potentials. The accepted A was solved
         # with the stale blocks, so it is evaluated again.
         nonlocal blocks
-        _, pi, rel, (c_u, c_v, z, w) = point
+        _, pi, (z, w, plan_u, plan_v), (c_u, c_v, _, _) = point
         if side_block is None:
-            blocks = (c_u, c_v) + rel
+            blocks = (c_u, c_v, z, w)
         else:
-            c_u, c_v = side_block(c_u, c_v, pi, z, w)
+            c_u, c_v = side_block(c_u, c_v, plan_u, plan_v)
             blocks = (c_u, c_v) + dual_update_zw(pi, mu_hat, nu_hat, c_u, c_v, params)
         return evaluate(A)
 

@@ -183,16 +183,19 @@ def _sweep_task(payload):
     (sigma_idx, sigma, delta_idx, delta, rep, seed,
      pi0, U, V, kernel, C_u, C_v, hyper) = payload
     rng = _stream(seed, 1, sigma_idx, delta_idx, rep)
-    pi_hat = add_noise(CouplingMatrix(pi0), sigma, rng)
-    kl_hat = kl_divergence(pi0, pi_hat.entries)
+    # One wrapped pi0 for the noise and every KL, so sigma = 0 gives
+    # kl_hat = 0 exactly: add_noise returns this very object then.
+    pi0 = CouplingMatrix(pi0)
+    pi_hat = add_noise(pi0, sigma, rng)
+    kl_hat = kl_divergence(pi0, pi_hat)
     params = replace(hyper, delta=delta)
     try:
         fit_r = riot_fit(pi_hat, ProfileSet(U), ProfileSet(V), kernel,
                          CostMatrix(C_u), CostMatrix(C_v), params)
         fit_i = iot_fit(pi_hat, ProfileSet(U), ProfileSet(V), kernel, params)
         return SweepRecord(sigma=sigma, delta=delta, rep=rep,
-                           kl_riot=kl_divergence(pi0, fit_r.fitted_plan.entries),
-                           kl_iot=kl_divergence(pi0, fit_i.fitted_plan.entries),
+                           kl_riot=kl_divergence(pi0, fit_r.fitted_plan),
+                           kl_iot=kl_divergence(pi0, fit_i.fitted_plan),
                            kl_hat=kl_hat)
     except OtmatchError:
         return SweepRecord(sigma=sigma, delta=delta, rep=rep,

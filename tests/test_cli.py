@@ -128,6 +128,19 @@ class TestPredict:
         assert main(args) == EXIT_INPUT
         assert "interaction shape" in capsys.readouterr().err
 
+    def test_unbalanced_marginals_are_input_error(self, workspace, capsys):
+        # a --mu of mass 0.5 against a --nu of mass 1 can never converge
+        tmp, paths = workspace
+        mio.write_matrix(tmp / "A0.csv", np.zeros((3, 2)))
+        mio.write_vector(tmp / "mu.csv", np.full(5, 0.1))
+        mio.write_vector(tmp / "nu.csv", np.full(4, 0.25))
+        args = ["predict", "--interaction", str(tmp / "A0.csv"),
+                "--users", str(paths["users"]), "--items", str(paths["items"]),
+                "--mu", str(tmp / "mu.csv"), "--nu", str(tmp / "nu.csv"),
+                "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
+        assert main(args) == EXIT_INPUT
+        assert "marginal masses" in capsys.readouterr().err
+
     def test_constant_interaction_gives_product(self, workspace):
         tmp, paths = workspace
         mio.write_matrix(tmp / "A0.csv", np.zeros((3, 2)))

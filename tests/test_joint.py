@@ -5,10 +5,9 @@ import pytest
 
 from otmatch.containers import CostMatrix, HyperParams
 from otmatch.errors import ValidationError
-from otmatch.joint import (grad_side_cost_relaxation, joint_fit,
-                           project_metric_simplex)
-from otmatch.riot import riot_fit
-from otmatch.sinkhorn import rot_distance, sinkhorn
+from otmatch.joint import joint_fit, project_metric_simplex
+from otmatch.riot import _relaxation_dual, riot_fit
+from otmatch.sinkhorn import rot_distance
 
 from conftest import euclidean_cost, forward_instance, noised, random_marginal
 
@@ -79,18 +78,29 @@ class TestProjectMetricSimplex:
 
 
 class TestSideCostGradient:
+    """The side-cost gradient of a relaxation term is delta times the plan
+    :func:`_relaxation_dual` returns with its value."""
+
     def test_coupling_structure(self, rng):
         mu = random_marginal(rng, 4)
         C_u = feasible_metric_simplex_point(rng, 4)
-        g = grad_side_cost_relaxation(np.zeros(4), mu, mu, C_u, 1.0, 0.3)
-        np.testing.assert_allclose(g.sum(1), 0.3 * mu, atol=1e-9)
-        assert np.all(g >= 0)
+        _, _, plan = _relaxation_dual(C_u, mu, mu, 1.0, HyperParams())
+        np.testing.assert_allclose(plan.sum(1), mu, atol=1e-9)
+        np.testing.assert_allclose(plan.sum(0), mu, atol=1e-9)
+        assert np.all(plan >= 0)
 
-    def test_delta_zero(self, rng):
-        g = grad_side_cost_relaxation(np.zeros(3), random_marginal(rng, 3),
-                                      random_marginal(rng, 3), np.zeros((3, 3)),
-                                      1.0, 0.0)
-        np.testing.assert_allclose(g, 0.0)
+    def test_delta_zero(self):
+        # delta = 0 takes no side-cost step: the costs stay at their
+        # projected starting points
+        inst = forward_instance(34, m=4, n=4, p=2, q=2)
+        pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
+        params = HyperParams(delta=0.0, step_size=5.0, outer_iters=3, inner_iters=10)
+        jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
+                       C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.5)
+        np.testing.assert_array_equal(
+            jf.C_u.entries, project_metric_simplex(inst["C_u"].entries).entries)
+        np.testing.assert_array_equal(
+            jf.C_v.entries, project_metric_simplex(inst["C_v"].entries).entries)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
@@ -98,18 +108,18 @@ class TestSideCostGradient:
         mu = random_marginal(rng, 3)
         mu_hat = random_marginal(rng, 3)
         C_u = rng.uniform(0.5, 2.0, (3, 3))
-        delta = 0.2
-        g = grad_side_cost_relaxation(None, mu, mu_hat, C_u, 1.0, delta,
-                                      tol=1e-12)
+        params = HyperParams(sinkhorn_tol=1e-12)
+        _, value, plan = _relaxation_dual(C_u, mu, mu_hat, 1.0, params)
+        assert value == rot_distance(C_u, mu, mu_hat, 1.0, tol=1e-12)
         h = 1e-6
         fd = np.zeros_like(C_u)
         for i in range(3):
             for j in range(3):
                 dC = np.zeros_like(C_u)
                 dC[i, j] = h
-                fd[i, j] = delta * (rot_distance(C_u + dC, mu, mu_hat, 1.0, tol=1e-12)
-                                    - rot_distance(C_u - dC, mu, mu_hat, 1.0, tol=1e-12)) / (2 * h)
-        assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-3
+                fd[i, j] = (rot_distance(C_u + dC, mu, mu_hat, 1.0, tol=1e-12)
+                            - rot_distance(C_u - dC, mu, mu_hat, 1.0, tol=1e-12)) / (2 * h)
+        assert np.abs(plan - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-3
 
 
 class TestJointFit:

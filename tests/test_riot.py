@@ -223,17 +223,30 @@ class TestDualUpdate:
         assert np.isfinite(z[0]) and np.isfinite(w[0])
 
     def test_duality_identity(self, rng):
+        # <z, mu> + <z^C, muhat> - 1/lam_u equals the primal value on a random
+        # instance, and the closed forms on a 1x1 cost (C - 1/lam_u) and on a
+        # constant cost (the uniform product plan, -(1 + log 4)/lam_u at 2x2)
         inst = forward_instance(17, m=4, n=3)
-        plan = noised(inst["pi0"], inst["rng"], 4e-3)
-        mu_hat = random_marginal(rng, 4)
-        nu_hat = random_marginal(rng, 3)
+        uniform = np.full(2, 0.5)
+        zero = CostMatrix(np.zeros((2, 2)))
+        cases = [
+            (noised(inst["pi0"], inst["rng"], 4e-3), random_marginal(rng, 4),
+             random_marginal(rng, 3), inst["C_u"], inst["C_v"], None),
+            (CouplingMatrix([[1.0]]), np.ones(1), np.ones(1),
+             CostMatrix([[2.5]]), CostMatrix([[2.5]]), 1.5),
+            (CouplingMatrix(np.full((2, 2), 0.25)), uniform, uniform, zero, zero,
+             -(1.0 + np.log(4.0))),
+        ]
         params = hyper()
-        z, w = dual_update_zw(plan, mu_hat, nu_hat, inst["C_u"], inst["C_v"], params)
-        mu = plan.entries.sum(1)
-        z_conj = conjugate_potential(z, inst["C_u"], mu_hat, params.lam_u)
-        dual = z @ mu + z_conj @ mu_hat - 1.0 / params.lam_u
-        primal = rot_distance(inst["C_u"], mu, mu_hat, params.lam_u)
-        assert dual == pytest.approx(primal, abs=1e-6)
+        for plan, mu_hat, nu_hat, C_u, C_v, closed_form in cases:
+            z, w = dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params)
+            mu = plan.entries.sum(1)
+            z_conj = conjugate_potential(z, C_u, mu_hat, params.lam_u)
+            dual = z @ mu + z_conj @ mu_hat - 1.0 / params.lam_u
+            primal = rot_distance(C_u, mu, mu_hat, params.lam_u)
+            assert dual == pytest.approx(primal, abs=1e-6)
+            if closed_form is not None:
+                assert dual == pytest.approx(closed_form, abs=1e-9)
 
 
 class TestRiotFit:

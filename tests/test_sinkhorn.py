@@ -1,9 +1,13 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from otmatch.errors import SinkhornConvergenceError, ValidationError
-from otmatch.sinkhorn import (plan_entropy, rot_distance, rot_dual_value, sinkhorn)
+from otmatch.sinkhorn import conjugate_potential, plan_entropy, rot_distance, sinkhorn
 
 from conftest import random_marginal
 
@@ -90,6 +94,11 @@ class TestSinkhorn:
         with pytest.raises(ValidationError, match="strictly positive"):
             sinkhorn(np.zeros((2, 2)), [1.0, 0.0], [0.5, 0.5], 1.0)
 
+    def test_unbalanced_marginals_rejected(self):
+        # the column error after a row update is at least the mass gap
+        with pytest.raises(ValidationError, match="marginal masses"):
+            sinkhorn(np.zeros((2, 2)), [0.25, 0.25], [0.5, 0.5], 1.0)
+
     def test_nonconvergence_carries_iterate(self, rng):
         C = rng.uniform(0, 5, (4, 4))
         mu, nu = random_marginal(rng, 4), random_marginal(rng, 4)
@@ -123,20 +132,74 @@ class TestRotDistance:
             oracle_value, abs=1e-7)
 
 
+def scaling_dual_value(C, mu, nu, lam):
+    """Dual value <z, mu> + <z^C, nu> - 1/lam with z = log(a)/lam read from
+    the Sinkhorn left scaling a; returns (value, z, z^C)."""
+    C = np.asarray(C, dtype=float)
+    res = sinkhorn(C, mu, nu, lam)
+    z = np.log(res.left_scaling) / lam
+    z_conj = conjugate_potential(z, C, np.asarray(nu, dtype=float), lam)
+    return float(z @ np.asarray(mu) + z_conj @ np.asarray(nu) - 1.0 / lam), z, z_conj
+
+
 class TestRotDualValue:
     def test_one_by_one_cancellation(self):
-        value, pots = rot_dual_value([[2.5]], [1.0], [1.0], 1.0)
+        value, z, z_conj = scaling_dual_value([[2.5]], [1.0], [1.0], 1.0)
         assert value == pytest.approx(1.5, abs=1e-9)
-        assert pots.z[0] + pots.z_conjugate[0] == pytest.approx(2.5, abs=1e-9)
+        assert z[0] + z_conj[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_constant_cost_matches_primal(self):
-        value, _ = rot_dual_value(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], 1.0)
+        value, _, _ = scaling_dual_value(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], 1.0)
         assert value == pytest.approx(-(1.0 + np.log(4.0)), abs=1e-9)
 
     def test_duality_gap_random(self, rng):
         for _ in range(5):
             C = rng.uniform(0, 3, (3, 3))
             mu, nu = random_marginal(rng, 3), random_marginal(rng, 3)
-            dual, _ = rot_dual_value(C, mu, nu, 1.0)
+            dual, _, _ = scaling_dual_value(C, mu, nu, 1.0)
             primal = rot_distance(C, mu, nu, 1.0)
             assert abs(dual - primal) <= 1e-6
+
+
+@st.composite
+def transport_problems(draw):
+    """C in [0, 30], m, n <= 8, lam in [1e-2, 1e2] (log-uniform), and an
+    optional initial left scaling spanning 1e-300 to 1e300."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    C = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 30.0)))
+    weights = st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e)
+    mu = draw(hnp.arrays(float, m, elements=weights))
+    nu = draw(hnp.arrays(float, n, elements=weights))
+    lam = 10.0 ** draw(st.floats(-2.0, 2.0))
+    a_init = draw(st.none() | hnp.arrays(
+        float, m, elements=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
+    return C, mu / mu.sum(), nu / nu.sum(), lam, a_init
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(transport_problems())
+def test_single_path_converges_or_carries_iterate(problem):
+    """Every solve returns a feasible plan that its scalings rebuild, or
+    raises SinkhornConvergenceError with its last iterate; nothing else."""
+    C, mu, nu, lam, a_init = problem
+    tol, max_iters = 1e-9, 2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters, a_init=a_init)
+        except SinkhornConvergenceError as err:
+            assert err.iterations == max_iters
+            assert np.all(np.isfinite(err.plan)) and err.marginal_error > tol
+            return
+        plan = res.plan.entries
+        assert np.abs(plan.sum(axis=1) - mu).sum() <= tol
+        assert np.abs(plan.sum(axis=0) - nu).sum() <= tol
+        left, right = res.left_scaling, res.right_scaling
+        # the product in log space, so that an underflowing exp(-lam C)
+        # between large finite factors is still checked
+        with np.errstate(divide="ignore"):
+            log_left, log_right = np.log(left), np.log(right)
+        rebuilt = np.exp(log_left[:, None] - lam * C + log_right[None, :])
+        finite = np.isfinite(log_left)[:, None] & np.isfinite(log_right)[None, :]
+        np.testing.assert_allclose(rebuilt[finite], plan[finite], rtol=1e-6, atol=1e-12)
