@@ -51,7 +51,9 @@ def _model_plan(A, mu_hat, nu_hat, U, V, kernel, params):
 
 def _neg_log_likelihood(pi_hat, pi):
     mask = pi_hat > 0
-    return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
+    # +inf, without a warning, where the plan has a zero under pihat > 0
+    with np.errstate(divide="ignore"):
+        return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
 
 
 def iot_objective(A, pi_hat, U, V, kernel, params):

@@ -16,7 +16,9 @@ and each outer iteration alternates:
 
 The inner problem constrains the scalings by xi' Z eta = 1 (Z = exp(-lam C));
 each half-update requires the Lagrange multiplier theta solving the
-normalization equation p(theta) = 1, a monotone univariate root problem.
+normalization equation p(theta) = 1, a monotone convex root problem. Each
+root starts from its side's previous multiplier, and each relaxation solve
+from the last refreshed potentials (z, w).
 """
 
 from dataclasses import dataclass
@@ -30,59 +32,48 @@ from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import regularized_value, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
-_ROOT_MAX_BISECTIONS = 200
+_ROOT_MAX_STEPS = 200
 
 
-def _theta_root(weights, r, s):
+def _theta_root(weights, r, s, guess=None):
     """Root of p(theta) = sum_i weights_i s_i / (r_i - theta s_i) = 1.
 
-    p is increasing on (-inf, theta_max) with theta_max = min_i r_i / s_i,
-    rising from 0 to +inf, so the root below theta_max exists and is unique.
-    The bracket starts just under theta_max and expands geometrically
-    downward until it straddles the root, then bisects.
+    p is increasing and convex on (-inf, theta_max), theta_max = min r / s,
+    rising from 0 to +inf, so the root exists and is unique. Newton steps on
+    p - 1 start from ``guess`` if it is below theta_max, else from
+    theta_max - max(1, |theta_max|), and shrink the bracket lo < theta < hi.
+    A step leaving it is replaced by the midpoint or, while lo is unknown, a
+    point 8 times as far below theta_max. Returns once |p - 1| <= 1e-13, or
+    lo when no float lies between lo and hi.
     """
     ws = weights * s
     theta_max = float(np.min(r / s))
     scale = max(1.0, abs(theta_max))
-
-    def p(theta):
-        return float((ws / (r - theta * s)).sum())
-
-    eps = 1e-9 * scale
-    hi = theta_max - eps
-    for _ in range(60):
-        if p(hi) >= 1.0:
-            break
-        eps *= 0.125
-        hi = theta_max - eps
-    else:
-        raise RootFindingError("could not bracket the multiplier from above",
-                               lo=None, hi=hi)
-
-    delta = scale
-    lo = theta_max - delta
-    for _ in range(200):
-        if p(lo) < 1.0:
-            break
-        delta *= 8.0
-        lo = theta_max - delta
-    else:
-        raise RootFindingError("could not bracket the multiplier from below",
-                               lo=lo, hi=hi)
-
-    for _ in range(_ROOT_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        pm = p(mid)
-        if abs(pm - 1.0) <= _ROOT_RESIDUAL_TOL:
-            return mid
-        if pm < 1.0:
-            lo = mid
+    lo, hi = -np.inf, theta_max
+    theta = guess if guess is not None and guess < theta_max else theta_max - scale
+    for _ in range(_ROOT_MAX_STEPS):
+        d = r - theta * s
+        p = step = np.inf  # where the rounded theta_max leaves some d_i <= 0
+        if d.min() > 0:
+            t = ws / d
+            p = float(t.sum())
+            if abs(p - 1.0) <= _ROOT_RESIDUAL_TOL:
+                return theta
+            step = theta - (p - 1.0) / float((t * s / d).sum())
+        if p < 1.0:
+            lo = theta
         else:
-            hi = mid
+            hi = theta
+        if lo < step < hi:
+            theta = step
+        elif lo == -np.inf:
+            theta = theta_max - 8.0 * max(theta_max - hi, scale)
+        else:
+            theta = 0.5 * (lo + hi)
+            if not lo < theta < hi:
+                return lo
     raise RootFindingError(
-        f"bisection did not converge in {_ROOT_MAX_BISECTIONS} steps", lo=lo, hi=hi)
+        f"Newton iteration did not converge in {_ROOT_MAX_STEPS} steps", lo=lo, hi=hi)
 
 
 def theta_root_p(eta, mu_hat, M, Z):
@@ -158,6 +149,8 @@ def inner_xi_eta_solve(cost, pi_hat, z, w, params):
 
 
 def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
+    """``n_iters`` xi/eta half-update pairs; each multiplier root starts from
+    its side's previous multiplier, cold in the first pair."""
     m, n = Z.shape
     total = float(np.ones(m) @ Z @ np.ones(n))
     xi = np.full(m, 1.0 / np.sqrt(total))
@@ -165,10 +158,10 @@ def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
     h = [_inner_objective(xi, eta, mu_hat, nu_hat, M)]
     theta1 = 0.0
     theta2 = 0.0
-    for _ in range(n_iters):
+    for k in range(n_iters):
         r = M @ eta
         s = Z @ eta
-        theta1 = _theta_root(mu_hat, r, s)
+        theta1 = _theta_root(mu_hat, r, s, theta1 if k else None)
         denom = r - theta1 * s
         if np.any(denom <= 0):
             raise ValidationError("xi update produced a non-positive component")
@@ -177,7 +170,7 @@ def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
 
         r = M.T @ xi
         s = Z.T @ xi
-        theta2 = _theta_root(nu_hat, r, s)
+        theta2 = _theta_root(nu_hat, r, s, theta2 if k else None)
         denom = r - theta2 * s
         if np.any(denom <= 0):
             raise ValidationError("eta update produced a non-positive component")
@@ -222,39 +215,42 @@ class RiotFitResult:
     state: RiotState
 
 
-def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params):
+def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params, start=None):
     """Potential, transport value and plan of one marginal-relaxation term.
 
     The potential is log(a)/lam_side from the left Sinkhorn scaling of
-    (C_side, plan_marginal, empirical_marginal). By the envelope theorem the
-    plan is also the gradient of the value with respect to C_side.
+    (C_side, plan_marginal, empirical_marginal), solved from a = exp(lam_side
+    start) if ``start`` is given. By the envelope theorem the plan is also the
+    gradient of the value with respect to C_side.
     """
     res = sinkhorn(C_side, plan_marginal, empirical_marginal, lam_side,
-                   tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
+                   tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters,
+                   a_init=None if start is None else np.exp(lam_side * start))
     plan = res.plan.entries
     return (np.log(res.left_scaling) / lam_side,
             regularized_value(plan, C_side, lam_side), plan)
 
 
-def dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params):
-    """Refresh the relaxation potentials from the current plan's marginals."""
+def dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params, z=None, w=None):
+    """Refresh the relaxation potentials from the current plan's marginals,
+    with the solves started from the potentials ``z``, ``w`` if given."""
     p = as_array(plan)
-    z = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params)[0]
-    w = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params)[0]
+    z = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params, z)[0]
+    w = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params, w)[0]
     return z, w
 
 
-def _relaxed_objective(pi_hat, plan, C_u, C_v, params):
+def _relaxed_objective(pi_hat, plan, C_u, C_v, params, z=None, w=None):
     """-sum pihat log pi + delta (d_u + d_v) at a plan, with the relaxation
     potentials and plans (z, w, plan_u, plan_v) of its marginals, or None
-    when delta is 0."""
+    when delta is 0. The relaxation solves start from ``z``, ``w`` if given."""
     value = _neg_log_likelihood(pi_hat, plan)
     if params.delta == 0:
         return value, None
     z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
-                                      params.lam_u, params)
+                                      params.lam_u, params, z)
     w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
-                                      params.lam_v, params)
+                                      params.lam_v, params, w)
     return value + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
@@ -290,13 +286,14 @@ def riot_grad_A(state, pi_hat, U, V, kernel, params):
 def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
     objective of its plan: (objective, (inner, plan, relaxation, blocks)),
-    with ``relaxation`` as :func:`_relaxed_objective` returns it."""
+    with ``relaxation`` as :func:`_relaxed_objective` returns it. The
+    relaxation solves start from the potentials (z, w) of the blocks."""
     c_u, c_v, z, w = blocks
     C = kernel_cost(U, V, A, kernel).entries
     Z, M = _inner_problem(C, z, w, params)
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
     pi = scaling_plan(inner.xi, inner.eta, Z)
-    obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params)
+    obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params, z, w)
     return obj, (inner, pi, rel, blocks)
 
 
@@ -332,7 +329,7 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
             blocks = (c_u, c_v, z, w)
         else:
             c_u, c_v = side_block(c_u, c_v, plan_u, plan_v)
-            blocks = (c_u, c_v) + dual_update_zw(pi, mu_hat, nu_hat, c_u, c_v, params)
+            blocks = (c_u, c_v) + dual_update_zw(pi, mu_hat, nu_hat, c_u, c_v, params, z, w)
         return evaluate(A)
 
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))

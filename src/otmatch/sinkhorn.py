@@ -83,9 +83,9 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     max_iters : int
         Sweep budget before giving up.
     a_init : array, optional
-        Initial left scaling (defaults to all ones). The converged plan does
-        not depend on it; the parameter exists for warm starts and for
-        exercising the uniqueness property.
+        Initial left scaling (defaults to all ones), a warm start such as the
+        scaling of an earlier solve. The converged plan does not depend on it,
+        up to ``tol``.
 
     Returns
     -------

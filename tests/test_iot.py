@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from otmatch.errors import DivergenceError
 from otmatch.iot import MAX_HALVINGS, descend, iot_fit, iot_gradient, iot_objective
 from otmatch.kernels import KernelSpec
 from otmatch.sinkhorn import sinkhorn
+from otmatch.synth import SynthConfig, generate_instance
 from otmatch.bounds import kl_divergence
 
 from conftest import forward_instance, noised, poly_kernel
@@ -116,6 +119,17 @@ class TestIotFit:
         redo = sinkhorn(C, pi_hat.entries.sum(1), pi_hat.entries.sum(0), params.lam,
                         tol=params.sinkhorn_tol).plan
         np.testing.assert_allclose(result.fitted_plan.entries, redo.entries, atol=1e-9)
+
+    def test_large_lam_trial_plans_with_zeros_do_not_warn(self):
+        # at lam = 50 some backtracking trials have exact zeros under
+        # pihat > 0; their objective is +inf, which the backtracking rejects
+        cfg = SynthConfig()
+        inst = generate_instance(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = iot_fit(inst.pi0, inst.U, inst.V, cfg.kernel,
+                             HyperParams(lam=50.0, outer_iters=5))
+        assert np.all(np.isfinite(result.objective_trace))
 
 
 class TestDescend:

@@ -1,15 +1,17 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams
 from otmatch.errors import ValidationError
 from otmatch.iot import iot_fit, _neg_log_likelihood
 from otmatch.bounds import kl_divergence, cost_shift_distance
 from otmatch.kernels import kernel_cost
-from otmatch.riot import (RiotState, _inner_solve_raw, dual_update_zw,
-                          inner_xi_eta_solve, kkt_residual, predict_matching,
-                          riot_fit, riot_grad_A, riot_objective, scaling_plan,
-                          theta_root_p, theta_root_q)
+from otmatch.riot import (RiotState, _inner_solve_raw, _relaxation_dual, _theta_root,
+                          dual_update_zw, inner_xi_eta_solve, kkt_residual,
+                          predict_matching, riot_fit, riot_grad_A, riot_objective,
+                          scaling_plan, theta_root_p, theta_root_q)
 from otmatch.sinkhorn import conjugate_potential, rot_distance, sinkhorn
 
 from conftest import forward_instance, noised, random_coupling, random_marginal
@@ -53,6 +55,44 @@ class TestThetaRoots:
         nu_hat = random_marginal(rng, 5)
         assert theta_root_q(xi, nu_hat, M, Z) == pytest.approx(
             theta_root_p(xi, nu_hat, M.T, Z.T), abs=1e-12)
+
+
+@st.composite
+def theta_problems(draw):
+    """Simplex weights and positive r, s, with s and r/s each spanning
+    1e-4 to 1e4."""
+    k = draw(st.integers(1, 12))
+    decades = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+    weights = draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
+    s = draw(hnp.arrays(float, k, elements=decades))
+    ratio = draw(hnp.arrays(float, k, elements=decades))
+    return weights / weights.sum(), s * ratio, s
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(theta_problems())
+def test_theta_root_from_any_guess(problem):
+    """The cold root meets the residual or sits where no float lies between
+    it and the root; every guess returns it. p' >= 1 at the root (Jensen),
+    so the residual bounds the distance between two roots by about 2e-13."""
+    weights, r, s = problem
+    theta_max = float(np.min(r / s))
+
+    def p(theta):
+        d = r - theta * s
+        return float((weights * s / d).sum()) if d.min() > 0 else np.inf
+
+    cold = _theta_root(weights, r, s)
+    above = np.nextafter(cold, np.inf)
+    assert cold < theta_max
+    assert abs(p(cold) - 1.0) <= 1e-13 or (p(cold) < 1.0 and p(above) > 1.0)
+    for guess in (cold - 1e6 * max(1.0, abs(cold)), np.nextafter(theta_max, -np.inf),
+                  theta_max, theta_max + 1.0):
+        assert _theta_root(weights, r, s, guess) == pytest.approx(cold, rel=1e-12, abs=1e-12)
+    # the public roots are the cold root of their half-update
+    M, Z = r[:, None], s[:, None]
+    assert theta_root_p(np.ones(1), weights, M, Z) == cold
+    assert theta_root_q(np.ones(1), weights, M.T, Z.T) == cold
 
 
 class TestInnerSolve:
@@ -247,6 +287,24 @@ class TestDualUpdate:
             assert dual == pytest.approx(primal, abs=1e-6)
             if closed_form is not None:
                 assert dual == pytest.approx(closed_form, abs=1e-9)
+
+    def test_relaxation_dual_from_nearby_potential(self):
+        inst = forward_instance(19, m=5, n=4)
+        params = hyper()
+        mu = noised(inst["pi0"], inst["rng"], 4e-3).entries.sum(1)
+        mu_hat = inst["pi0"].entries.sum(1)
+        z, value, plan = _relaxation_dual(inst["C_u"], mu, mu_hat, params.lam_u, params)
+        nearby = z + inst["rng"].normal(0.0, 0.5, z.size)
+        z_warm, value_warm, plan_warm = _relaxation_dual(
+            inst["C_u"], mu, mu_hat, params.lam_u, params, nearby)
+        # each solve ends within sinkhorn_tol (l1) of the column marginal; a
+        # marginal error e on entry i moves the potential by about
+        # e / (lam_u mu_i)
+        tol = params.sinkhorn_tol
+        np.testing.assert_allclose(z_warm, z, rtol=0,
+                                   atol=tol / (params.lam_u * min(mu.min(), mu_hat.min())))
+        assert value_warm == pytest.approx(value, abs=tol)
+        assert np.abs(plan_warm - plan).sum() <= tol
 
 
 class TestRiotFit:

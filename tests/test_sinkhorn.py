@@ -3,7 +3,7 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from otmatch.errors import SinkhornConvergenceError, ValidationError
@@ -177,8 +177,19 @@ def transport_problems(draw):
     return C, mu / mu.sum(), nu / nu.sum(), lam, a_init
 
 
+def _one_costly_row(shape, row, costs, nu_weights):
+    """lam = 100 problem, found by hypothesis, whose solve returns a left
+    scaling of inf beside a right scaling of 0: C is zero except ``row``."""
+    C = np.zeros(shape)
+    C[row] = costs
+    nu = np.asarray(nu_weights, dtype=float)
+    return C, np.full(shape[0], 1.0 / shape[0]), nu / nu.sum(), 100.0, None
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(transport_problems())
+@example(_one_costly_row((6, 3), 5, [0.0, 10.0, 10.0], [1.0, 10.0, 10.0]))
+@example(_one_costly_row((4, 4), 2, [10.0, 10.0, 0.0, 10.0], [10.0, 10.0, 1.0, 10.0]))
 def test_single_path_converges_or_carries_iterate(problem):
     """Every solve returns a feasible plan that its scalings rebuild, or
     raises SinkhornConvergenceError with its last iterate; nothing else."""
@@ -197,9 +208,10 @@ def test_single_path_converges_or_carries_iterate(problem):
         assert np.abs(plan.sum(axis=0) - nu).sum() <= tol
         left, right = res.left_scaling, res.right_scaling
         # the product in log space, so that an underflowing exp(-lam C)
-        # between large finite factors is still checked
-        with np.errstate(divide="ignore"):
+        # between large finite factors is still checked; an inf factor
+        # beside a 0 factor gives nan here, and the mask drops it
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_left, log_right = np.log(left), np.log(right)
-        rebuilt = np.exp(log_left[:, None] - lam * C + log_right[None, :])
+            rebuilt = np.exp(log_left[:, None] - lam * C + log_right[None, :])
         finite = np.isfinite(log_left)[:, None] & np.isfinite(log_right)[None, :]
         np.testing.assert_allclose(rebuilt[finite], plan[finite], rtol=1e-6, atol=1e-12)
