@@ -51,11 +51,8 @@ def _config_hash(cfg):
 
 
 def _hyper_from_config(cfg):
-    raw = dict(cfg.get("hyper", {}))
-    fields = {}
-    for key, value in raw.items():
-        fields[_HYPER_KEY_ALIASES.get(key, key)] = value
-    return HyperParams(**fields)
+    return HyperParams(**{_HYPER_KEY_ALIASES.get(key, key): value
+                          for key, value in cfg.get("hyper", {}).items()})
 
 
 def _kernel_from_config(cfg):
@@ -115,31 +112,28 @@ def _cmd_fit(args):
         raise ValidationError(
             f"profile counts ({U.count}, {V.count}) do not match matching shape ({m}, {n})")
 
-    method = args.method
-    if method == "riot" and args.joint_side_costs:
-        method = "joint"
-
+    if args.joint_side_costs and args.method != "riot":
+        raise ValidationError("--joint-side-costs needs --method riot")
     cost_u = cost_v = None
-    if method == "riot":
-        for flag, path in (("--cost-u", args.cost_u), ("--cost-v", args.cost_v)):
-            if path is None:
-                raise ValidationError(
-                    f"{flag} is required (or pass --joint-side-costs to learn "
-                    f"the side costs)")
-        cost_u = CostMatrix(mio.read_matrix(_require_file(args.cost_u, "--cost-u")))
-        cost_v = CostMatrix(mio.read_matrix(_require_file(args.cost_v, "--cost-v")))
-        if cost_u.shape != (m, m) or cost_v.shape != (n, n):
-            raise ValidationError("side cost shapes must be m-by-m and n-by-n")
-    elif method == "joint":
+    if args.method == "riot":
+        if not args.joint_side_costs:
+            for flag, path in (("--cost-u", args.cost_u), ("--cost-v", args.cost_v)):
+                if path is None:
+                    raise ValidationError(
+                        f"{flag} is required (or pass --joint-side-costs to learn "
+                        f"the side costs)")
+        # The fixed side costs, or the joint fit's optional starting points.
         if args.cost_u is not None:
             cost_u = CostMatrix(mio.read_matrix(_require_file(args.cost_u, "--cost-u")))
         if args.cost_v is not None:
             cost_v = CostMatrix(mio.read_matrix(_require_file(args.cost_v, "--cost-v")))
+        if not args.joint_side_costs and (cost_u.shape != (m, m) or cost_v.shape != (n, n)):
+            raise ValidationError("side cost shapes must be m-by-m and n-by-n")
 
     os.makedirs(args.out, exist_ok=True)
-    if method == "iot":
+    if args.method == "iot":
         result = iot_fit(pi_hat, U, V, kernel, hyper)
-    elif method == "riot":
+    elif not args.joint_side_costs:
         result = riot_fit(pi_hat, U, V, kernel, cost_u, cost_v, hyper)
     else:
         result = joint_fit(pi_hat, U, V, kernel, hyper,
@@ -186,8 +180,7 @@ def _synth_config(cfg, seed):
     if "hyper" in cfg or "hyper" in synth:
         raw = dict(cfg.get("hyper", {}))
         raw.update(synth.pop("hyper", {}))
-        synth["hyper"] = HyperParams(**{_HYPER_KEY_ALIASES.get(k, k): v
-                                        for k, v in raw.items()})
+        synth["hyper"] = _hyper_from_config({"hyper": raw})
     for key in ("delta_grid", "sigma_grid"):
         if key in synth:
             synth[key] = tuple(synth[key])
@@ -296,7 +289,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="learn an interaction matrix from matching data")
-    p_fit.add_argument("--method", choices=("iot", "riot", "joint"), required=True)
+    p_fit.add_argument("--method", choices=("iot", "riot"), required=True)
     p_fit.add_argument("--config", help="JSON config file")
     p_fit.add_argument("--counts", help="raw match-count CSV")
     p_fit.add_argument("--coupling", help="normalized matching-matrix CSV")
@@ -305,7 +298,8 @@ def build_parser():
     p_fit.add_argument("--cost-u", dest="cost_u", help="user-side cost CSV (m x m)")
     p_fit.add_argument("--cost-v", dest="cost_v", help="item-side cost CSV (n x n)")
     p_fit.add_argument("--joint-side-costs", action="store_true",
-                       help="learn the side costs jointly instead of reading them")
+                       help="with --method riot: learn the side costs jointly, "
+                            "starting from --cost-u/--cost-v if given")
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.set_defaults(func=_cmd_fit)

@@ -21,12 +21,6 @@ from .errors import ValidationError
 SUM_TOL = 1e-9
 
 
-def _frozen(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 def _require(condition, message):
     if not condition:
         raise ValidationError(message)

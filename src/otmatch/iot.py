@@ -5,7 +5,8 @@ model plan's marginals pinned to the empirical ones.
 Equivalently this minimizes KL(pihat || pi(A)) over A, where pi(A) is the
 Sinkhorn plan of the kernel cost C(A) at the empirical marginals. The
 gradient with respect to the cost is lam * (pihat - pi), chained through the
-kernel derivative.
+kernel derivative. :func:`_evaluate_at` and :func:`_gradient_at` compute the
+two at A.
 
 This module also holds :func:`descend`, the backtracking gradient driver that
 every fit runs: :func:`iot_fit` here, and the relaxed and joint fits through
@@ -13,6 +14,7 @@ every fit runs: :func:`iot_fit` here, and the relaxed and joint fits through
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,26 +58,19 @@ def _neg_log_likelihood(pi_hat, pi):
         return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
 
 
-def iot_objective(A, pi_hat, U, V, kernel, params):
-    """Negative log-likelihood -sum pihat_ij log pi_ij at the model plan.
-
-    The plan is the Sinkhorn solution of C(A) at the marginals of ``pi_hat``;
-    entries with zero empirical mass contribute nothing.
-    """
-    pi_hat = as_array(pi_hat)
-    pi = _model_plan(A, pi_hat.sum(axis=1), pi_hat.sum(axis=0), U, V, kernel, params)
-    return _neg_log_likelihood(pi_hat, pi)
+def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, params):
+    """Negative log-likelihood -sum pihat_ij log pi_ij at the model plan, and
+    the plan: the Sinkhorn solution of C(A) at the marginals (mu_hat, nu_hat)
+    of the array ``pi_hat``. Entries with zero empirical mass contribute
+    nothing."""
+    pi = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
+    return _neg_log_likelihood(pi_hat, pi), pi
 
 
-def iot_gradient(A, pi_hat, U, V, kernel, params):
-    """Gradient of :func:`iot_objective` with respect to A.
-
-    The cost-space gradient of the pinned-marginal likelihood is
-    lam * (pihat - pi); chaining through the kernel gives
-    sum_ij lam (pihat_ij - pi_ij) f'(u_i' A v_j) u_i v_j'.
-    """
-    pi_hat = as_array(pi_hat)
-    pi = _model_plan(A, pi_hat.sum(axis=1), pi_hat.sum(axis=0), U, V, kernel, params)
+def _gradient_at(A, pi, pi_hat, U, V, kernel, params):
+    """Gradient in A of the likelihood at the plan ``pi`` of A: the cost-space
+    gradient lam (pihat - pi) chained through the kernel,
+    sum_ij lam (pihat_ij - pi_ij) f'(u_i' A v_j) u_i v_j'."""
     return assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
 
 
@@ -143,16 +138,11 @@ def iot_fit(pi_hat, U, V, kernel, params=None):
     pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
     nu_hat = pi_hat.sum(axis=0)
-
-    def evaluate(A):
-        pi = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
-        return _neg_log_likelihood(pi_hat, pi), pi
-
-    def gradient(A, pi):
-        return assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
-
+    data = dict(pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
-    (_, A, pi), trace, steps = descend(A0, evaluate, gradient, params)
+    (_, A, pi), trace, steps = descend(
+        A0, partial(_evaluate_at, mu_hat=mu_hat, nu_hat=nu_hat, **data),
+        partial(_gradient_at, **data), params)
     mask = pi_hat > 0
     neg_entropy = float((pi_hat[mask] * np.log(pi_hat[mask])).sum())
     return IotFitResult(

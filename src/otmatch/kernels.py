@@ -74,6 +74,8 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ValidationError(f"kernel spec must be an object with a 'kind', got {d!r}")
         return cls(kind=d["kind"], gamma=d.get("gamma", 1.0), c0=d.get("c0", 0.0),
                    degree=int(d.get("degree", 2)))
 

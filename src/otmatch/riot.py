@@ -19,9 +19,14 @@ each half-update requires the Lagrange multiplier theta solving the
 normalization equation p(theta) = 1, a monotone convex root problem. Each
 root starts from its side's previous multiplier, and each relaxation solve
 from the last refreshed potentials (z, w).
+
+:func:`_alternating_fit` runs the steps through the shared driver
+:func:`~otmatch.iot.descend`: :func:`_evaluate_at` does step 1 and the
+objective, :func:`_gradient_at` step 2, and :func:`_relaxation_dual` step 3.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,22 +81,6 @@ def _theta_root(weights, r, s, guess=None):
         f"Newton iteration did not converge in {_ROOT_MAX_STEPS} steps", lo=lo, hi=hi)
 
 
-def theta_root_p(eta, mu_hat, M, Z):
-    """Multiplier of the xi half-update: solves p(theta) = 1 for fixed eta."""
-    eta = as_array(eta)
-    if np.any(eta <= 0):
-        raise ValidationError("eta must be strictly positive")
-    return _theta_root(as_array(mu_hat), M @ eta, Z @ eta)
-
-
-def theta_root_q(xi, nu_hat, M, Z):
-    """Multiplier of the eta half-update: solves q(theta) = 1 for fixed xi."""
-    xi = as_array(xi)
-    if np.any(xi <= 0):
-        raise ValidationError("xi must be strictly positive")
-    return _theta_root(as_array(nu_hat), M.T @ xi, Z.T @ xi)
-
-
 @dataclass(frozen=True)
 class InnerSolveResult:
     """Output of the alternating scaling solve at fixed (A, z, w).
@@ -117,40 +106,17 @@ def _inner_objective(xi, eta, mu_hat, nu_hat, M):
     return float(-(mu_hat @ np.log(xi)) - (nu_hat @ np.log(eta)) + xi @ (M @ eta))
 
 
-def _inner_problem(C, z, w, params):
-    """Kernel Z = exp(-lam C) and M_ij = delta (z_i + w_j) Z_ij of the inner
-    problem at the cost array C and the potentials (z, w)."""
-    Z = np.exp(-params.lam * C)
-    if np.any(Z <= 0):
-        raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
-    return Z, params.delta * (z[:, None] + w[None, :]) * Z
-
-
-def inner_xi_eta_solve(cost, pi_hat, z, w, params):
+def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
     """Alternating half-updates for the constrained scaling problem.
 
-    Minimizes -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to
-    xi' Z eta = 1, with Z = exp(-lam * cost) and
-    M_ij = delta (z_i + w_j) Z_ij. Each half-update solves its multiplier
-    exactly, so the constraint holds after every update and the objective is
-    non-increasing along half-steps.
-
-    With ``params.inner_iters == 0`` the scalings are the all-ones vectors
-    rescaled onto the constraint and both multipliers are returned as 0.
+    Runs ``n_iters`` xi/eta half-update pairs on
+    -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to xi' Z eta = 1.
+    Each half-update solves its multiplier exactly, so the constraint holds
+    after every update and the objective is non-increasing along half-steps.
+    Each multiplier root starts from its side's previous multiplier, cold in
+    the first pair. With ``n_iters == 0`` the scalings are the all-ones
+    vectors rescaled onto the constraint and both multipliers are 0.
     """
-    C = as_array(cost)
-    pi_hat = as_array(pi_hat)
-    mu_hat = pi_hat.sum(axis=1)
-    nu_hat = pi_hat.sum(axis=0)
-    if np.any(mu_hat <= 0) or np.any(nu_hat <= 0):
-        raise ValidationError("empirical marginals must be strictly positive")
-    Z, M = _inner_problem(C, as_array(z), as_array(w), params)
-    return _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
-
-
-def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
-    """``n_iters`` xi/eta half-update pairs; each multiplier root starts from
-    its side's previous multiplier, cold in the first pair."""
     m, n = Z.shape
     total = float(np.ones(m) @ Z @ np.ones(n))
     xi = np.full(m, 1.0 / np.sqrt(total))
@@ -183,11 +149,6 @@ def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
 def scaling_plan(xi, eta, Z):
     """Plan entries xi_i Z_ij eta_j of the current scaling iterate."""
     return xi[:, None] * Z * eta[None, :]
-
-
-def kkt_residual(xi, eta, theta, mu_hat, M, Z):
-    """Max-norm residual of the xi-side stationarity condition."""
-    return float(np.max(np.abs(-mu_hat / xi + M @ eta - theta * (Z @ eta))))
 
 
 @dataclass(frozen=True)
@@ -231,15 +192,6 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
             regularized_value(plan, C_side, lam_side), plan)
 
 
-def dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params, z=None, w=None):
-    """Refresh the relaxation potentials from the current plan's marginals,
-    with the solves started from the potentials ``z``, ``w`` if given."""
-    p = as_array(plan)
-    z = _relaxation_dual(C_u, p.sum(axis=1), as_array(mu_hat), params.lam_u, params, z)[0]
-    w = _relaxation_dual(C_v, p.sum(axis=0), as_array(nu_hat), params.lam_v, params, w)[0]
-    return z, w
-
-
 def _relaxed_objective(pi_hat, plan, C_u, C_v, params, z=None, w=None):
     """-sum pihat log pi + delta (d_u + d_v) at a plan, with the relaxation
     potentials and plans (z, w, plan_u, plan_v) of its marginals, or None
@@ -254,47 +206,32 @@ def _relaxed_objective(pi_hat, plan, C_u, C_v, params, z=None, w=None):
     return value + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
-def _envelope_weights(pi_hat, pi, theta, z, w, params):
-    """Entrywise weights lam [pihat + (theta - delta (z_i + w_j)) pi] of C'(A)."""
-    return params.lam * (pi_hat + (theta - params.delta * (z[:, None] + w[None, :])) * pi)
-
-
-def riot_objective(state, pi_hat, C_u, C_v, params):
-    """Relaxed objective -sum pihat log pi + delta (d_u + d_v) at a state."""
-    plan = as_array(state.current_plan if isinstance(state, RiotState) else state)
-    return float(_relaxed_objective(as_array(pi_hat), plan, C_u, C_v, params)[0])
-
-
-def riot_grad_A(state, pi_hat, U, V, kernel, params):
-    """Envelope-theorem gradient of the relaxed objective with respect to A.
-
-    Assembles sum_ij lam [pihat_ij + (theta - delta (z_i + w_j)) pi_ij]
-    C'_ij(A). The state must come from a converged inner solve for the same
-    A: the normalization residual |xi' Z eta - 1| must not exceed 1e-6.
-    """
-    C = kernel_cost(U, V, state.A, kernel).entries
-    Z, _ = _inner_problem(C, state.z, state.w, params)
-    residual = abs(float(state.xi @ Z @ state.eta) - 1.0)
-    if residual > 1e-6:
-        raise ValidationError(
-            f"state is inconsistent with A: normalization residual {residual:.3e}")
-    pi = scaling_plan(state.xi, state.eta, Z)
-    weights = _envelope_weights(as_array(pi_hat), pi, state.theta, state.z, state.w, params)
-    return assemble_interaction_grad(U, V, state.A, kernel, weights)
-
-
 def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
     objective of its plan: (objective, (inner, plan, relaxation, blocks)),
-    with ``relaxation`` as :func:`_relaxed_objective` returns it. The
-    relaxation solves start from the potentials (z, w) of the blocks."""
+    with ``relaxation`` as :func:`_relaxed_objective` returns it.
+
+    The inner problem has Z = exp(-lam C(A)) and M_ij = delta (z_i + w_j) Z_ij.
+    The relaxation solves start from the potentials (z, w) of the blocks.
+    """
     c_u, c_v, z, w = blocks
-    C = kernel_cost(U, V, A, kernel).entries
-    Z, M = _inner_problem(C, z, w, params)
+    Z = np.exp(-params.lam * kernel_cost(U, V, A, kernel).entries)
+    if np.any(Z <= 0):
+        raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
+    M = params.delta * (z[:, None] + w[None, :]) * Z
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
     pi = scaling_plan(inner.xi, inner.eta, Z)
     obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params, z, w)
     return obj, (inner, pi, rel, blocks)
+
+
+def _gradient_at(A, point, pi_hat, U, V, kernel, params):
+    """Envelope-theorem gradient in A of the relaxed objective at an
+    :func:`_evaluate_at` point: sum_ij lam [pihat_ij + (theta - delta (z_i + w_j))
+    pi_ij] C'_ij(A). Exact only when the point's inner solve has converged."""
+    inner, pi, _, (_, _, z, w) = point
+    weights = params.lam * (pi_hat + (inner.theta - params.delta * (z[:, None] + w[None, :])) * pi)
+    return assemble_interaction_grad(U, V, A, kernel, weights)
 
 
 def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
@@ -308,16 +245,13 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
     nu_hat = pi_hat.sum(axis=0)
+    if np.any(mu_hat <= 0) or np.any(nu_hat <= 0):
+        raise ValidationError("empirical marginals must be strictly positive")
     # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
     blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
 
     def evaluate(A):
         return _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params)
-
-    def gradient(A, point):
-        inner, pi, _, (_, _, z, w) = point
-        weights = _envelope_weights(pi_hat, pi, inner.theta, z, w, params)
-        return assemble_interaction_grad(U, V, A, kernel, weights)
 
     def after_step(A, point):
         # The other blocks use the pre-step point, in block order: side costs
@@ -325,14 +259,15 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         # with the stale blocks, so it is evaluated again.
         nonlocal blocks
         _, pi, (z, w, plan_u, plan_v), (c_u, c_v, _, _) = point
-        if side_block is None:
-            blocks = (c_u, c_v, z, w)
-        else:
+        if side_block is not None:
             c_u, c_v = side_block(c_u, c_v, plan_u, plan_v)
-            blocks = (c_u, c_v) + dual_update_zw(pi, mu_hat, nu_hat, c_u, c_v, params, z, w)
+            z = _relaxation_dual(c_u, pi.sum(axis=1), mu_hat, params.lam_u, params, z)[0]
+            w = _relaxation_dual(c_v, pi.sum(axis=0), nu_hat, params.lam_v, params, w)[0]
+        blocks = (c_u, c_v, z, w)
         return evaluate(A)
 
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
+    gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
                              after_step=after_step if params.delta > 0 else None)
@@ -364,6 +299,8 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
 
     Raises
     ------
+    ValidationError
+        If ``pi_hat`` has an empty row or column; raised before any solve.
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """

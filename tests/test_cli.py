@@ -91,6 +91,20 @@ class TestFit:
         assert main(args) == EXIT_OK
         assert (out / "cost_u.csv").exists() and (out / "cost_v.csv").exists()
 
+    def test_joint_flag_with_iot_is_input_error(self, workspace, capsys):
+        tmp, paths = workspace
+        args = fit_args(paths, tmp / "nope", method="iot", extra=["--joint-side-costs"])
+        assert main(args) == EXIT_INPUT
+        assert "--joint-side-costs" in capsys.readouterr().err
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("kernel", [{"gamma": 1.0}, "polynomial"])
+    def test_kernel_spec_without_kind_is_input_error(self, workspace, capsys, kernel):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps({"kernel": kernel}))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: kernel spec")
+
     def test_reproducible_outputs(self, workspace):
         tmp, paths = workspace
         out1, out2 = tmp / "r1", tmp / "r2"

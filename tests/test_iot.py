@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from otmatch.containers import CouplingMatrix, HyperParams
+from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.errors import DivergenceError
-from otmatch.iot import MAX_HALVINGS, descend, iot_fit, iot_gradient, iot_objective
+from otmatch.iot import MAX_HALVINGS, _evaluate_at, _gradient_at, descend, iot_fit
 from otmatch.kernels import KernelSpec
 from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import SynthConfig, generate_instance
@@ -20,11 +20,23 @@ def hyper(**kwargs):
     return HyperParams(**base)
 
 
+def evaluate(A, pi_hat, U, V, kern, params):
+    """The fit's (objective, plan) at A."""
+    pi_hat = as_array(pi_hat)
+    return _evaluate_at(A, pi_hat, pi_hat.sum(1), pi_hat.sum(0), U, V, kern, params)
+
+
+def gradient(A, pi_hat, U, V, kern, params):
+    """The fit's gradient at A, from the plan of :func:`evaluate`."""
+    pi = evaluate(A, pi_hat, U, V, kern, params)[1]
+    return _gradient_at(A, pi, as_array(pi_hat), U, V, kern, params)
+
+
 class TestIotObjective:
     def test_one_by_one_zero(self):
         inst = forward_instance(0, m=1, n=1, p=1, q=1)
-        val = iot_objective(np.zeros((1, 1)), inst["pi0"], inst["U"], inst["V"],
-                            inst["kern"], hyper())
+        val, _ = evaluate(np.zeros((1, 1)), inst["pi0"], inst["U"], inst["V"],
+                          inst["kern"], hyper())
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value_against_model_plan(self):
@@ -37,8 +49,8 @@ class TestIotObjective:
     def test_self_consistency_equals_plan_cross_entropy(self):
         inst = forward_instance(1)
         params = hyper()
-        val = iot_objective(inst["A0"], inst["pi0"], inst["U"], inst["V"],
-                            inst["kern"], params)
+        val, _ = evaluate(inst["A0"], inst["pi0"], inst["U"], inst["V"],
+                          inst["kern"], params)
         p = inst["pi0"].entries
         assert val == pytest.approx(-(p * np.log(p)).sum(), abs=1e-7)
 
@@ -46,16 +58,16 @@ class TestIotObjective:
 class TestIotGradient:
     def test_stationary_at_ground_truth(self):
         inst = forward_instance(2)
-        g = iot_gradient(inst["A0"], inst["pi0"], inst["U"], inst["V"],
-                         inst["kern"], hyper())
+        g = gradient(inst["A0"], inst["pi0"], inst["U"], inst["V"],
+                     inst["kern"], hyper())
         assert np.linalg.norm(g) <= 1e-6
 
     def test_constant_cost_degenerate_kernel(self, rng):
         U = np.zeros((2, 3))
         V = rng.normal(0, 1, (2, 4))
         pi_hat = rng.dirichlet(np.ones(12)).reshape(3, 4)
-        g = iot_gradient(rng.normal(0, 1, (2, 2)), pi_hat, U, V,
-                         KernelSpec("linear"), hyper())
+        g = gradient(rng.normal(0, 1, (2, 2)), pi_hat, U, V,
+                     KernelSpec("linear"), hyper())
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -64,17 +76,17 @@ class TestIotGradient:
         params = hyper(sinkhorn_tol=1e-12)
         pi_hat = noised(inst["pi0"], inst["rng"], 2e-3)
         A = inst["rng"].normal(0, 0.3, (2, 2))
-        g = iot_gradient(A, pi_hat, inst["U"], inst["V"], inst["kern"], params)
+        g = gradient(A, pi_hat, inst["U"], inst["V"], inst["kern"], params)
         h = 1e-6
         fd = np.zeros_like(A)
         for i in range(2):
             for j in range(2):
                 dA = np.zeros_like(A)
                 dA[i, j] = h
-                fd[i, j] = (iot_objective(A + dA, pi_hat, inst["U"], inst["V"],
-                                          inst["kern"], params)
-                            - iot_objective(A - dA, pi_hat, inst["U"], inst["V"],
-                                            inst["kern"], params)) / (2 * h)
+                fd[i, j] = (evaluate(A + dA, pi_hat, inst["U"], inst["V"],
+                                     inst["kern"], params)[0]
+                            - evaluate(A - dA, pi_hat, inst["U"], inst["V"],
+                                       inst["kern"], params)[0]) / (2 * h)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-4
 
 

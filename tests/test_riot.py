@@ -1,17 +1,18 @@
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams
+from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, as_array
 from otmatch.errors import ValidationError
 from otmatch.iot import iot_fit, _neg_log_likelihood
 from otmatch.bounds import kl_divergence, cost_shift_distance
+from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
-from otmatch.riot import (RiotState, _inner_solve_raw, _relaxation_dual, _theta_root,
-                          dual_update_zw, inner_xi_eta_solve, kkt_residual,
-                          predict_matching, riot_fit, riot_grad_A, riot_objective,
-                          scaling_plan, theta_root_p, theta_root_q)
+from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
+                          _relaxed_objective, _theta_root, predict_matching, riot_fit)
 from otmatch.sinkhorn import conjugate_potential, rot_distance, sinkhorn
 
 from conftest import forward_instance, noised, random_coupling, random_marginal
@@ -23,11 +24,31 @@ def hyper(**kwargs):
     return HyperParams(**base)
 
 
+def point_at(A, pi_hat, U, V, kern, z, w, params):
+    """The fit's evaluation point at A with the potentials (z, w); the side
+    costs are zero, and enter only the relaxation terms when delta > 0."""
+    pi_hat = as_array(pi_hat)
+    m, n = pi_hat.shape
+    blocks = (np.zeros((m, m)), np.zeros((n, n)), z, w)
+    return _evaluate_at(A, pi_hat, pi_hat.sum(1), pi_hat.sum(0), U, V, kern, blocks, params)[1]
+
+
+def relaxed_objective(plan, pi_hat, C_u, C_v, params):
+    return _relaxed_objective(as_array(pi_hat), as_array(plan), C_u, C_v, params)[0]
+
+
+def potentials(plan, mu_hat, nu_hat, C_u, C_v, params):
+    """Cold relaxation potentials (z, w) of a plan's marginals, as the joint
+    fit refreshes them."""
+    p = as_array(plan)
+    return (_relaxation_dual(C_u, p.sum(1), mu_hat, params.lam_u, params)[0],
+            _relaxation_dual(C_v, p.sum(0), nu_hat, params.lam_v, params)[0])
+
+
 class TestThetaRoots:
     def test_scalar_closed_form(self):
         # p(theta) = 1 / (0.5 - theta) = 1  =>  theta = -0.5
-        theta = theta_root_p(np.array([1.0]), np.array([1.0]),
-                             np.array([[0.5]]), np.array([[1.0]]))
+        theta = _theta_root(np.array([1.0]), np.array([0.5]), np.array([1.0]))
         assert theta == pytest.approx(-0.5, abs=1e-10)
 
     def test_proportional_matrices_reduce_to_scalar(self, rng):
@@ -35,7 +56,7 @@ class TestThetaRoots:
         Z = rng.uniform(0.5, 2.0, (4, 4))
         c = 0.37
         eta = rng.uniform(0.5, 1.5, 4)
-        theta = theta_root_p(eta, random_marginal(rng, 4), c * Z, Z)
+        theta = _theta_root(random_marginal(rng, 4), c * Z @ eta, Z @ eta)
         assert theta == pytest.approx(c - 1.0, abs=1e-10)
 
     def test_residual_at_root(self, rng):
@@ -44,17 +65,9 @@ class TestThetaRoots:
             M = rng.normal(0, 1, (4, 4)) * Z
             eta = rng.uniform(0.5, 1.5, 4)
             mu_hat = random_marginal(rng, 4)
-            theta = theta_root_p(eta, mu_hat, M, Z)
             r, s = M @ eta, Z @ eta
+            theta = _theta_root(mu_hat, r, s)
             assert abs((mu_hat * s / (r - theta * s)).sum() - 1.0) <= 1e-10
-
-    def test_q_is_p_transposed(self, rng):
-        Z = rng.uniform(0.2, 2.0, (3, 5))
-        M = rng.normal(0, 1, (3, 5)) * Z
-        xi = rng.uniform(0.5, 1.5, 3)
-        nu_hat = random_marginal(rng, 5)
-        assert theta_root_q(xi, nu_hat, M, Z) == pytest.approx(
-            theta_root_p(xi, nu_hat, M.T, Z.T), abs=1e-12)
 
 
 @st.composite
@@ -89,17 +102,13 @@ def test_theta_root_from_any_guess(problem):
     for guess in (cold - 1e6 * max(1.0, abs(cold)), np.nextafter(theta_max, -np.inf),
                   theta_max, theta_max + 1.0):
         assert _theta_root(weights, r, s, guess) == pytest.approx(cold, rel=1e-12, abs=1e-12)
-    # the public roots are the cold root of their half-update
-    M, Z = r[:, None], s[:, None]
-    assert theta_root_p(np.ones(1), weights, M, Z) == cold
-    assert theta_root_q(np.ones(1), weights, M.T, Z.T) == cold
 
 
 class TestInnerSolve:
     def test_zero_iterations_rescales_only(self, rng):
         inst = forward_instance(10, m=3, n=3)
-        res = inner_xi_eta_solve(inst["C0"], inst["pi0"], np.zeros(3), np.zeros(3),
-                                 hyper(inner_iters=0))
+        res = point_at(inst["A0"], inst["pi0"], inst["U"], inst["V"], inst["kern"],
+                       np.zeros(3), np.zeros(3), hyper(inner_iters=0))[0]
         Z = np.exp(-inst["C0"].entries)
         assert res.xi @ Z @ res.eta == pytest.approx(1.0, abs=1e-12)
         assert np.ptp(res.xi) == 0.0 and np.ptp(res.eta) == 0.0
@@ -121,7 +130,8 @@ class TestInnerSolve:
             res = _inner_solve_raw(mu_hat, nu_hat, M, Z, 50)
             assert np.all(np.diff(res.h_trace) <= 1e-9)
             assert res.multiplier_gap <= 1e-6
-            assert kkt_residual(res.xi, res.eta, res.theta, mu_hat, M, Z) <= 1e-8
+            kkt = -mu_hat / res.xi + M @ res.eta - res.theta * (Z @ res.eta)
+            assert np.abs(kkt).max() <= 1e-8
             assert abs(res.xi @ Z @ res.eta - 1.0) <= 1e-8
 
 
@@ -130,7 +140,7 @@ class TestRiotObjective:
         inst = forward_instance(11)
         pi_hat = noised(inst["pi0"], inst["rng"], 3e-3)
         state = inst["pi0"]
-        val = riot_objective(state, pi_hat, inst["C_u"], inst["C_v"], hyper(delta=0.0))
+        val = relaxed_objective(state, pi_hat, inst["C_u"], inst["C_v"], hyper(delta=0.0))
         expected = _neg_log_likelihood(pi_hat.entries, inst["pi0"].entries)
         assert val == pytest.approx(expected, abs=1e-12)
 
@@ -141,7 +151,7 @@ class TestRiotObjective:
         nu = pi0.entries.sum(0)
         zero3 = CostMatrix(np.zeros((3, 3)))
         params = hyper(delta=0.5)
-        val = riot_objective(pi0, pi0, zero3, zero3, params)
+        val = relaxed_objective(pi0, pi0, zero3, zero3, params)
         # constant-cost relaxation: d = -H(product coupling of the marginals)/lam
         def product_term(a):
             prod = np.outer(a, a)
@@ -154,7 +164,7 @@ class TestRiotObjective:
         inst = forward_instance(13, m=3, n=3)
         pi_hat = noised(inst["pi0"], inst["rng"], 5e-3)
         params = hyper(delta=0.07)
-        val = riot_objective(inst["pi0"], pi_hat, inst["C_u"], inst["C_v"], params)
+        val = relaxed_objective(inst["pi0"], pi_hat, inst["C_u"], inst["C_v"], params)
         mu, nu = inst["pi0"].entries.sum(1), inst["pi0"].entries.sum(0)
         expected = (_neg_log_likelihood(pi_hat.entries, inst["pi0"].entries)
                     + 0.07 * (rot_distance(inst["C_u"], mu, pi_hat.entries.sum(1), 1.0)
@@ -163,22 +173,19 @@ class TestRiotObjective:
 
 
 class TestRiotGradient:
-    def _state_at(self, inst, A, z, w, params):
-        C = kernel_cost(inst["U"], inst["V"], A, inst["kern"]).entries
-        Z = np.exp(-params.lam * C)
-        M = params.delta * (z[:, None] + w[None, :]) * Z
-        pi_hat = inst["pi_hat"].entries
-        res = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z, params.inner_iters)
-        pi = scaling_plan(res.xi, res.eta, Z)
-        return RiotState(A=A, xi=res.xi, eta=res.eta, theta=res.theta, z=z, w=w,
-                         current_plan=CouplingMatrix(pi), objective=0.0), pi
+    def _point_at(self, inst, A, z, w, params):
+        return point_at(A, inst["pi_hat"], inst["U"], inst["V"], inst["kern"], z, w, params)
+
+    def _gradient(self, inst, A, point, params):
+        return _gradient_at(A, point, as_array(inst["pi_hat"]), inst["U"], inst["V"],
+                            inst["kern"], params)
 
     def test_stationary_at_self_generated_data(self):
         inst = forward_instance(14, m=4, n=4, p=2, q=2)
         inst["pi_hat"] = inst["pi0"]
         params = hyper(delta=0.0, inner_iters=200)
-        state, _ = self._state_at(inst, inst["A0"], np.zeros(4), np.zeros(4), params)
-        g = riot_grad_A(state, inst["pi0"], inst["U"], inst["V"], inst["kern"], params)
+        point = self._point_at(inst, inst["A0"], np.zeros(4), np.zeros(4), params)
+        g = self._gradient(inst, inst["A0"], point, params)
         assert np.linalg.norm(g) <= 1e-5
 
     def test_linear_kernel_identity_features_entrywise(self, rng):
@@ -188,13 +195,11 @@ class TestRiotGradient:
         z, w = rng.normal(0, 1, m), rng.normal(0, 1, m)
         params = hyper(delta=0.02, inner_iters=120)
         C = rng.uniform(0, 2, (m, m))
-        Z = np.exp(-C)
-        M = params.delta * (z[:, None] + w[None, :]) * Z
-        res = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z, params.inner_iters)
-        pi = scaling_plan(res.xi, res.eta, Z)
-        state = RiotState(A=C, xi=res.xi, eta=res.eta, theta=res.theta, z=z, w=w,
-                          current_plan=CouplingMatrix(pi), objective=0.0)
-        g = riot_grad_A(state, pi_hat, np.eye(m), np.eye(m), KernelSpec("linear"), params)
+        U = V = np.eye(m)
+        kern = KernelSpec("linear")
+        point = point_at(C, pi_hat, U, V, kern, z, w, params)
+        res, pi = point[:2]
+        g = _gradient_at(C, point, pi_hat, U, V, kern, params)
         expected = params.lam * (pi_hat + (res.theta - params.delta
                                            * (z[:, None] + w[None, :])) * pi)
         np.testing.assert_allclose(g, expected, rtol=1e-10)
@@ -207,11 +212,10 @@ class TestRiotGradient:
         params = hyper(delta=0.01, inner_iters=250)
         z, w = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
         A = rng.normal(0, 0.3, (2, 2))
-        state, pi = self._state_at(inst, A, z, w, params)
-        g = riot_grad_A(state, inst["pi_hat"], inst["U"], inst["V"], inst["kern"], params)
+        g = self._gradient(inst, A, self._point_at(inst, A, z, w, params), params)
 
         def energy(A_):
-            _, pi_ = self._state_at(inst, A_, z, w, params)
+            pi_ = self._point_at(inst, A_, z, w, params)[1]
             ph = inst["pi_hat"].entries
             return (_neg_log_likelihood(ph, pi_)
                     + params.delta * (z @ pi_.sum(1) + w @ pi_.sum(0)))
@@ -225,23 +229,14 @@ class TestRiotGradient:
                 fd[i, j] = (energy(A + dA) - energy(A - dA)) / (2 * h)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-3
 
-    def test_inconsistent_state_rejected(self, rng):
-        inst = forward_instance(15, m=3, n=3, p=2, q=2)
-        params = hyper()
-        state = RiotState(A=np.zeros((2, 2)), xi=np.ones(3), eta=np.ones(3),
-                          theta=-1.0, z=np.zeros(3), w=np.zeros(3),
-                          current_plan=inst["pi0"], objective=0.0)
-        with pytest.raises(ValidationError, match="residual"):
-            riot_grad_A(state, inst["pi0"], inst["U"], inst["V"], inst["kern"], params)
-
 
 class TestDualUpdate:
     def test_constant_cost_matching_uniform_marginals_gives_constant_potentials(self):
         plan = CouplingMatrix(np.full((3, 4), 1.0 / 12.0))
         zero_u = CostMatrix(np.zeros((3, 3)))
         zero_v = CostMatrix(np.zeros((4, 4)))
-        z, w = dual_update_zw(plan, np.full(3, 1 / 3), np.full(4, 0.25),
-                              zero_u, zero_v, hyper())
+        z, w = potentials(plan, np.full(3, 1 / 3), np.full(4, 0.25),
+                          zero_u, zero_v, hyper())
         assert np.ptp(z) <= 1e-9 and np.ptp(w) <= 1e-9
 
     def test_constant_cost_matching_marginals_potential_tracks_log_marginal(self):
@@ -252,14 +247,14 @@ class TestDualUpdate:
         mu_hat, nu_hat = plan.entries.sum(1), plan.entries.sum(0)
         zero_u = CostMatrix(np.zeros((3, 3)))
         zero_v = CostMatrix(np.zeros((4, 4)))
-        z, w = dual_update_zw(plan, mu_hat, nu_hat, zero_u, zero_v, hyper())
+        z, w = potentials(plan, mu_hat, nu_hat, zero_u, zero_v, hyper())
         assert np.ptp(z - np.log(mu_hat)) <= 1e-9
         assert np.ptp(w - np.log(nu_hat)) <= 1e-9
 
     def test_one_by_one(self):
         plan = CouplingMatrix([[1.0]])
-        z, w = dual_update_zw(plan, np.array([1.0]), np.array([1.0]),
-                              CostMatrix([[0.0]]), CostMatrix([[0.0]]), hyper())
+        z, w = potentials(plan, np.array([1.0]), np.array([1.0]),
+                          CostMatrix([[0.0]]), CostMatrix([[0.0]]), hyper())
         assert np.isfinite(z[0]) and np.isfinite(w[0])
 
     def test_duality_identity(self, rng):
@@ -279,7 +274,7 @@ class TestDualUpdate:
         ]
         params = hyper()
         for plan, mu_hat, nu_hat, C_u, C_v, closed_form in cases:
-            z, w = dual_update_zw(plan, mu_hat, nu_hat, C_u, C_v, params)
+            z, w = potentials(plan, mu_hat, nu_hat, C_u, C_v, params)
             mu = plan.entries.sum(1)
             z_conj = conjugate_potential(z, C_u, mu_hat, params.lam_u)
             dual = z @ mu + z_conj @ mu_hat - 1.0 / params.lam_u
@@ -361,6 +356,27 @@ class TestRiotFit:
         for fit in (fi, fr):
             assert fit.objective_trace.size == 1
             np.testing.assert_allclose(fit.A.entries, 0.0)
+
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_empty_row_or_column_rejected_before_any_solve(self, joint, delta, axis):
+        inst = forward_instance(25, m=4, n=3, p=2, q=2)
+        pi_hat = noised(inst["pi0"], inst["rng"], 3e-3).entries.copy()
+        if axis == 0:
+            pi_hat[1] = 0.0
+        else:
+            pi_hat[:, 1] = 0.0
+        pi_hat = CouplingMatrix(pi_hat / pi_hat.sum())
+        params = hyper(delta=delta, outer_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="strictly positive"):
+                if joint:
+                    joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
+                else:
+                    riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
+                             inst["C_u"], inst["C_v"], params)
 
 
 class TestPredictMatching:
