@@ -114,21 +114,21 @@ def _cmd_fit(args):
 
     if args.joint_side_costs and args.method != "riot":
         raise ValidationError("--joint-side-costs needs --method riot")
-    cost_u = cost_v = None
+    # The fixed side costs, or the joint fit's optional starting points.
+    side_costs = {}
     if args.method == "riot":
-        if not args.joint_side_costs:
-            for flag, path in (("--cost-u", args.cost_u), ("--cost-v", args.cost_v)):
-                if path is None:
+        for flag, path, size in (("--cost-u", args.cost_u, m), ("--cost-v", args.cost_v, n)):
+            if path is None:
+                if not args.joint_side_costs:
                     raise ValidationError(
                         f"{flag} is required (or pass --joint-side-costs to learn "
                         f"the side costs)")
-        # The fixed side costs, or the joint fit's optional starting points.
-        if args.cost_u is not None:
-            cost_u = CostMatrix(mio.read_matrix(_require_file(args.cost_u, "--cost-u")))
-        if args.cost_v is not None:
-            cost_v = CostMatrix(mio.read_matrix(_require_file(args.cost_v, "--cost-v")))
-        if not args.joint_side_costs and (cost_u.shape != (m, m) or cost_v.shape != (n, n)):
-            raise ValidationError("side cost shapes must be m-by-m and n-by-n")
+                continue
+            side_costs[flag] = CostMatrix(mio.read_matrix(_require_file(path, flag)))
+            if side_costs[flag].shape != (size, size):
+                raise ValidationError(f"{flag}: side cost shape {side_costs[flag].shape} "
+                                      f"does not match ({size}, {size})")
+    cost_u, cost_v = side_costs.get("--cost-u"), side_costs.get("--cost-v")
 
     os.makedirs(args.out, exist_ok=True)
     if args.method == "iot":

@@ -6,7 +6,8 @@ problem well posed each side cost is constrained to the cone of distance
 matrices intersected with the simplex (symmetric, hollow, nonnegative,
 triangle inequalities, entries summing to one). The projection onto that
 intersection runs Dykstra-style cyclic corrections over the triangle
-half-spaces and the simplex.
+half-spaces, held as one index table, and the simplex. A side needs at least
+three individuals to have a triangle, so the fit rejects smaller sides.
 """
 
 from dataclasses import dataclass
@@ -25,25 +26,18 @@ _FEAS_TOL = 1e-9
 _MOVE_TOL = 1e-12
 
 
-def _triangle_constraints(d):
-    """Index triples (edge ij, edge ik, edge kj) into the upper-tri vector."""
-    pos = {}
-    idx = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            pos[(i, j)] = idx
-            idx += 1
-
-    def edge(i, j):
-        return pos[(i, j)] if i < j else pos[(j, i)]
-
-    triples = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                if k != i and k != j:
-                    triples.append((pos[(i, j)], edge(i, k), edge(k, j)))
-    return triples
+def _triangle_table(d):
+    """Edge indices (e0, e1, e2) = (ij, ik, kj) into the upper-tri vector of the
+    triangle constraints x[e0] - x[e1] - x[e2] <= 0, in the Dykstra sweep order:
+    pairs i < j row-major, then k != i, j ascending."""
+    i, j = np.triu_indices(d, k=1)
+    edge = np.zeros((d, d), dtype=np.intp)
+    edge[i, j] = np.arange(i.size)
+    edge += edge.T
+    k = np.arange(d)
+    keep = (k != i[:, None]) & (k != j[:, None])
+    return (np.repeat(np.arange(i.size), d - 2), edge[i[:, None], k][keep],
+            edge[k, j[:, None]][keep])
 
 
 def _project_simplex(v, total):
@@ -56,13 +50,7 @@ def _project_simplex(v, total):
     return np.maximum(v - tau, 0.0)
 
 
-def _upper_tri(matrix):
-    d = matrix.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return matrix[iu], iu
-
-
-def project_metric_simplex(matrix, max_cycles=_MAX_CYCLES):
+def project_metric_simplex(matrix):
     """Project onto distance matrices with entries summing to one.
 
     The input is symmetrized and its diagonal zeroed, then cyclic Dykstra
@@ -70,13 +58,12 @@ def project_metric_simplex(matrix, max_cycles=_MAX_CYCLES):
     d_ij - d_ik - d_kj <= 0 and the simplex on the off-diagonal entries.
     Working on the upper-triangle vector keeps the Euclidean geometry of the
     symmetric matrix space (the constant factor two does not change any
-    projection).
+    projection). The cycles stop once the worst violation is at most 1e-9
+    and no entry moved by more than 1e-12 in the last cycle.
 
     Parameters
     ----------
-    matrix : array, shape (d, d)
-    max_cycles : int
-        Full passes over all constraint sets before giving up.
+    matrix : array, shape (d, d), d >= 3
 
     Returns
     -------
@@ -87,7 +74,7 @@ def project_metric_simplex(matrix, max_cycles=_MAX_CYCLES):
     Raises
     ------
     ProjectionError
-        When feasibility is not reached within ``max_cycles``; carries the
+        When the cycles have not stopped after 5000 of them; carries the
         worst remaining violation.
     """
     M = as_array(matrix)
@@ -100,41 +87,40 @@ def project_metric_simplex(matrix, max_cycles=_MAX_CYCLES):
         raise ValidationError("projection needs dimension >= 3")
     sym = 0.5 * (M + M.T)
     np.fill_diagonal(sym, 0.0)
-    x_arr, iu = _upper_tri(sym)
+    iu = np.triu_indices(d, k=1)
+    x = sym[iu].tolist()
 
-    triples = _triangle_constraints(d)
-    x = x_arr.tolist()
+    e0, e1, e2 = _triangle_table(d)
+    triples = list(zip(e0.tolist(), e1.tolist(), e2.tolist()))
     alpha = [0.0] * len(triples)
-    simplex_corr = np.zeros_like(x_arr)
+    simplex_corr = np.zeros(len(x))
 
     worst = np.inf
-    for _ in range(max_cycles):
+    for _ in range(_MAX_CYCLES):
         x_prev = list(x)
-        for s, (e0, e1, e2) in enumerate(triples):
+        for s, (p, q, r) in enumerate(triples):
             a = alpha[s]
-            v = x[e0] - x[e1] - x[e2] + 3.0 * a
+            v = x[p] - x[q] - x[r] + 3.0 * a
             t = v / 3.0 if v > 0.0 else 0.0
             shift = a - t
             if shift != 0.0:
-                x[e0] += shift
-                x[e1] -= shift
-                x[e2] -= shift
+                x[p] += shift
+                x[q] -= shift
+                x[r] -= shift
             alpha[s] = t
 
         w = np.asarray(x) + simplex_corr
-        projected = _project_simplex(w, 0.5)
-        simplex_corr = w - projected
-        x = projected.tolist()
-
-        xv = projected
-        tri_viol = max((xv[e0] - xv[e1] - xv[e2] for e0, e1, e2 in triples), default=0.0)
-        worst = max(tri_viol, abs(xv.sum() - 0.5) * 2.0, -xv.min() if xv.size else 0.0, 0.0)
+        xv = _project_simplex(w, 0.5)
+        simplex_corr = w - xv
+        x = xv.tolist()
+        tri_viol = (xv[e0] - xv[e1] - xv[e2]).max(initial=0.0)
+        worst = max(tri_viol, abs(xv.sum() - 0.5) * 2.0, -xv.min())
         move = float(np.max(np.abs(xv - np.asarray(x_prev))))
         if worst <= _FEAS_TOL and move <= _MOVE_TOL:
             break
     else:
         raise ProjectionError(
-            f"projection not feasible after {max_cycles} cycles "
+            f"projection not feasible after {_MAX_CYCLES} cycles "
             f"(worst violation {worst:.3e})", worst_violation=float(worst))
 
     out = np.zeros((d, d))
@@ -162,9 +148,12 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     feasible set (uniform off-diagonal matrices when omitted), and every
     projected-gradient step keeps them feasible. A ``side_step`` of zero
     freezes the side costs, reducing the trajectory to the fixed-side-cost
-    solver run on the projected initial matrices.
+    solver run on the projected initial matrices. Each side needs at least
+    three individuals.
     """
     m, n = as_array(pi_hat).shape
+    if min(m, n) < 3:
+        raise ValidationError(f"joint fit needs at least 3 individuals per side, got {(m, n)}")
     if side_step is None:
         side_step = 0.1 * params.step_size
     if side_step < 0:

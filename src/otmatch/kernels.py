@@ -120,23 +120,6 @@ def kernel_cost(U, V, A, kernel):
     return CostMatrix(c)
 
 
-def kernel_cost_directional_grad(U, V, A, kernel, W):
-    """Directional derivative of the kernel cost along a direction W.
-
-    Returns the m-by-n matrix with entries f'(u_i' A v_j) * (u_i' W v_j),
-    i.e. <C'_ij(A), W> for every cost entry.
-    """
-    U = as_array(U)
-    V = as_array(V)
-    t = gram_products(U, V, A)
-    W = as_array(W)
-    if W.shape != (U.shape[0], V.shape[0]):
-        raise ValidationError(
-            f"direction shape {W.shape} does not match feature dims "
-            f"({U.shape[0]}, {V.shape[0]})")
-    return kernel.derivative(t) * (U.T @ W @ V)
-
-
 def assemble_interaction_grad(U, V, A, kernel, weights):
     """Sum of weights_ij * C'_ij(A) as a p-by-q gradient matrix.
 

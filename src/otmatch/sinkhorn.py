@@ -10,7 +10,7 @@ scalings with one loop that absorbs large scalings into log-potentials
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
 regularized transport problems"; Peyre & Cuturi 2019, *Computational Optimal
 Transport*, section 4.4). The module also gives the regularized value of a
-plan and the soft-min conjugate transform z^C of a potential.
+plan.
 """
 
 from dataclasses import dataclass
@@ -183,10 +183,3 @@ def rot_distance(C, mu, nu, lam, tol=1e-9, max_iters=10000):
     return regularized_value(sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters).plan,
                              C, lam)
 
-
-def conjugate_potential(z, C, nu, lam):
-    """Soft-min transform z^C of a potential z against cost C and marginal nu."""
-    C = as_array(C)
-    nu = as_array(nu)
-    z = as_array(z)
-    return np.log(nu) / lam - logsumexp(lam * (z[:, None] - C), axis=0) / lam

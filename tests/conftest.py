@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
-from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, ProfileSet
-from otmatch.kernels import KernelSpec, kernel_cost
+from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, ProfileSet, as_array
+from otmatch.kernels import KernelSpec, gram_products, kernel_cost
 from otmatch.sinkhorn import sinkhorn
+
+# Property tests run without a wall-clock deadline (a solve may take a while)
+# and without an example database, so a run leaves no files behind.
+settings.register_profile("otmatch", deadline=None, database=None)
+settings.load_profile("otmatch")
 
 
 def random_marginal(rng, d, conc=5.0):
@@ -48,6 +55,21 @@ def noised(pi0, rng, sigma):
     p = pi0.entries if isinstance(pi0, CouplingMatrix) else pi0
     noisy = p + np.abs(rng.normal(0.0, sigma, p.shape))
     return CouplingMatrix(noisy / noisy.sum())
+
+
+def conjugate_potential(z, C, nu, lam):
+    """Soft-min transform z^C of a potential z against cost C and marginal nu."""
+    C = as_array(C)
+    return np.log(nu) / lam - logsumexp(lam * (z[:, None] - C), axis=0) / lam
+
+
+def kernel_cost_directional_grad(U, V, A, kernel, W):
+    """Directional derivative of the kernel cost along a direction W.
+
+    Returns the m-by-n matrix with entries f'(u_i' A v_j) * (u_i' W v_j),
+    i.e. <C'_ij(A), W> for every cost entry.
+    """
+    return kernel.derivative(gram_products(U, V, A)) * (U.T @ W @ V)
 
 
 @pytest.fixture

@@ -98,6 +98,18 @@ class TestFit:
         assert "--joint-side-costs" in capsys.readouterr().err
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("flag", ["--cost-u", "--cost-v"])
+    def test_wrong_side_cost_shape_is_input_error(self, workspace, capsys, flag, joint):
+        # a 3x3 side cost on the 5x4 market, rejected before --out is made
+        tmp, paths = workspace
+        mio.write_matrix(paths[flag[2:].replace("-", "_")], 1.0 - np.eye(3))
+        extra = ["--joint-side-costs"] if joint else []
+        assert main(fit_args(paths, tmp / "nope", extra=extra)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp / "nope").exists()
+
     @pytest.mark.parametrize("kernel", [{"gamma": 1.0}, "polynomial"])
     def test_kernel_spec_without_kind_is_input_error(self, workspace, capsys, kernel):
         tmp, paths = workspace

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from otmatch.errors import ValidationError
-from otmatch.kernels import (KernelSpec, assemble_interaction_grad, kernel_cost,
-                             kernel_cost_directional_grad)
+from otmatch.kernels import KernelSpec, assemble_interaction_grad, kernel_cost
 from otmatch.sinkhorn import sinkhorn
 
-from conftest import poly_kernel, random_marginal
+from conftest import kernel_cost_directional_grad, poly_kernel, random_marginal
 
 
 class TestKernelSpec:

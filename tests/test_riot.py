@@ -13,9 +13,10 @@ from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
 from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
                           _relaxed_objective, _theta_root, predict_matching, riot_fit)
-from otmatch.sinkhorn import conjugate_potential, rot_distance, sinkhorn
+from otmatch.sinkhorn import rot_distance, sinkhorn
 
-from conftest import forward_instance, noised, random_coupling, random_marginal
+from conftest import (conjugate_potential, forward_instance, noised, random_coupling,
+                      random_marginal)
 
 
 def hyper(**kwargs):
@@ -82,7 +83,7 @@ def theta_problems(draw):
     return weights / weights.sum(), s * ratio, s
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(theta_problems())
 def test_theta_root_from_any_guess(problem):
     """The cold root meets the residual or sits where no float lies between

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from otmatch.errors import SinkhornConvergenceError, ValidationError
-from otmatch.sinkhorn import conjugate_potential, plan_entropy, rot_distance, sinkhorn
+from otmatch.sinkhorn import plan_entropy, rot_distance, sinkhorn
 
-from conftest import random_marginal
+from conftest import conjugate_potential, random_marginal
 
 
 def entropy_value(p, lam):
@@ -186,7 +186,7 @@ def _one_costly_row(shape, row, costs, nu_weights):
     return C, np.full(shape[0], 1.0 / shape[0]), nu / nu.sum(), 100.0, None
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(transport_problems())
 @example(_one_costly_row((6, 3), 5, [0.0, 10.0, 10.0], [1.0, 10.0, 10.0]))
 @example(_one_costly_row((4, 4), 2, [10.0, 10.0, 0.0, 10.0], [10.0, 10.0, 1.0, 10.0]))
