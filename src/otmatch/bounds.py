@@ -1,15 +1,9 @@
 """Closed-form gap bounds, shift-invariant cost comparison, and metrics.
 
 Regularized plans determine their cost only up to the shift family
-C + a 1' + 1 b', so costs are compared modulo that family. The quadratic
-form behind the comparison involves the block matrix
-
-    A = [[n I_m, 1 1'], [1 1', m I_n]]
-
-(the Gram matrix of the shift directions; unrelated to the interaction
-matrix). Its null space is spanned by [1', -1']', the right-hand sides
-below are orthogonal to it, and A+ f is evaluated by a least-squares solve
-rather than an explicit pseudo-inverse.
+C + a 1' + 1 b', so costs are compared modulo that family. The least-squares
+shift of a matrix is given by its row and column means, and what it leaves
+over is the matrix doubly centred.
 """
 
 from dataclasses import dataclass
@@ -58,43 +52,37 @@ def iot_error_lower_bound(delta_mu, delta_nu, m, n):
     return float(np.sqrt((dmu ** 2 + dnu ** 2) / (m * n)))
 
 
-def _shift_gram_solve(M):
-    """Value f' A+ f of the shift-fit quadratic form for a matrix M.
+def _shift_fit(M):
+    """Best shift (a, b) of M and its residual R = M - a 1' - 1 b'.
 
-    Returns (value, a, b) where (a, b) realize the best shift a 1' + 1 b'.
+    The fit is a = row means - m g / (m + n) and b = column means
+    - n g / (m + n), with g the mean of M: of the minimizers (a + t, b - t)
+    it is the one of least norm (sum a = sum b). R is M doubly centred.
     """
     M = as_array(M)
     m, n = M.shape
-    f = np.concatenate([M.sum(axis=1), M.sum(axis=0)])
-    G = np.zeros((m + n, m + n))
-    G[:m, :m] = n * np.eye(m)
-    G[m:, m:] = m * np.eye(n)
-    G[:m, m:] = 1.0
-    G[m:, :m] = 1.0
-    x, *_ = np.linalg.lstsq(G, f, rcond=None)
-    return float(f @ x), x[:m], x[m:]
+    g = M.mean()
+    a = M.mean(axis=1) - m * g / (m + n)
+    b = M.mean(axis=0) - n * g / (m + n)
+    return a, b, M - a[:, None] - b[None, :]
 
 
 def best_shift(M):
-    """Vectors (a, b) minimizing ||a 1' + 1 b' - M||_F."""
-    _, a, b = _shift_gram_solve(M)
+    """Vectors (a, b) minimizing ||a 1' + 1 b' - M||_F (the least-norm pair)."""
+    a, b, _ = _shift_fit(M)
     return a, b
 
 
 def cost_shift_distance(C1, C2):
     """Frobenius distance between cost matrices modulo the shift family.
 
-    Equals min over (a, b) of ||C1 + a 1' + 1 b' - M||_F with M = C2 - C1,
-    which is the closed form sqrt(||M||_F^2 - f' A+ f); the value is
-    evaluated as the residual norm at the solved shift, which avoids the
-    cancellation the closed form suffers near zero.
+    Equals min over (a, b) of ||a 1' + 1 b' - M||_F with M = C2 - C1, the
+    norm of M doubly centred.
     """
     M = as_array(C2) - as_array(C1)
     if M.ndim != 2:
         raise ValidationError("cost matrices must be 2-d")
-    _, a, b = _shift_gram_solve(M)
-    residual = a[:, None] + b[None, :] - M
-    return float(np.linalg.norm(residual))
+    return float(np.linalg.norm(_shift_fit(M)[2]))
 
 
 def align_shift(C_learned, C_target):
@@ -142,13 +130,13 @@ def _log_ratio(p1, p2, what):
 def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     """Check ||C0 - C_learned||_F^2 against its log-plan lower bound.
 
-    The bound is (||dlogpi||_F^2 - f' A+ f) / lam^2 with
-    dlogpi = log pi0 - log pihat; both couplings must be strictly positive.
+    The bound is ||R||_F^2 / lam^2 with R the shift-fit residual (doubly
+    centred form) of dlogpi = log pi0 - log pihat; both couplings must be
+    strictly positive.
     """
     dc = as_array(C0) - as_array(C_learned)
-    dlog = _log_ratio(pi0, pi_hat, "couplings")
-    quad, _, _ = _shift_gram_solve(dlog)
-    bound = ((dlog * dlog).sum() - quad) / lam ** 2
+    resid = _shift_fit(_log_ratio(pi0, pi_hat, "couplings"))[2]
+    bound = (resid * resid).sum() / lam ** 2
     return BoundReport.check(bound, (dc * dc).sum())
 
 
@@ -157,14 +145,13 @@ def prediction_error_bound_check(C0, C_learned, mu, nu, lam,
     """Check the log-plan gap of predictions against its cost lower bound.
 
     Both plans are computed at the shared marginals; the bound is
-    lam^2 (||dC||_F^2 - f' A+ f) with f built from dC = C0 - C_learned.
+    lam^2 ||R||_F^2 with R the shift-fit residual of dC = C0 - C_learned.
     """
     plan0 = sinkhorn(as_array(C0), mu, nu, lam, tol=tol, max_iters=max_iters).plan
     plan1 = sinkhorn(as_array(C_learned), mu, nu, lam, tol=tol, max_iters=max_iters).plan
     dlog = _log_ratio(plan0, plan1, "plans")
-    dc = as_array(C0) - as_array(C_learned)
-    quad, _, _ = _shift_gram_solve(dc)
-    bound = lam ** 2 * ((dc * dc).sum() - quad)
+    resid = _shift_fit(as_array(C0) - as_array(C_learned))[2]
+    bound = lam ** 2 * (resid * resid).sum()
     return BoundReport.check(bound, (dlog * dlog).sum())
 
 

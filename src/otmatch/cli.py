@@ -130,7 +130,6 @@ def _cmd_fit(args):
                                       f"does not match ({size}, {size})")
     cost_u, cost_v = side_costs.get("--cost-u"), side_costs.get("--cost-v")
 
-    os.makedirs(args.out, exist_ok=True)
     if args.method == "iot":
         result = iot_fit(pi_hat, U, V, kernel, hyper)
     elif not args.joint_side_costs:
@@ -139,9 +138,11 @@ def _cmd_fit(args):
         result = joint_fit(pi_hat, U, V, kernel, hyper,
                            C_u_init=cost_u, C_v_init=cost_v,
                            side_step=cfg.get("side_step"))
+
+    os.makedirs(args.out, exist_ok=True)
+    if args.joint_side_costs:
         mio.write_matrix(os.path.join(args.out, "cost_u.csv"), result.C_u.entries)
         mio.write_matrix(os.path.join(args.out, "cost_v.csv"), result.C_v.entries)
-
     mio.write_matrix(os.path.join(args.out, "A.csv"), result.A.entries)
     mio.write_matrix(os.path.join(args.out, "fitted_plan.csv"), result.fitted_plan.entries)
     mio.write_vector(os.path.join(args.out, "objective_trace.csv"), result.objective_trace)
@@ -192,41 +193,37 @@ def _cmd_simulate(args):
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     scfg = _synth_config(cfg, seed)
-    os.makedirs(args.out, exist_ok=True)
 
     if args.figure == 2:
         result = robustness_sweep(scfg, max_workers=args.workers)
         rows = [[r.sigma, r.delta, r.rep, r.kl_riot, r.kl_iot, r.kl_hat]
                 for r in result.records]
-        mio.write_matrix(os.path.join(args.out, "sweep.csv"), np.asarray(rows))
+        matrices = {"sweep.csv": np.asarray(rows)}
         summary = {"cells": list(result.aggregates), "seed": seed,
                    "sigma_grid": list(scfg.sigma_grid),
                    "delta_grid": list(scfg.delta_grid),
                    "repetitions": scfg.repetitions}
     elif args.figure == 3:
         pi0, pi_hat, pi_riot, pi_iot = plan_comparison_experiment(scfg)
-        mio.write_matrix(os.path.join(args.out, "pi0.csv"), pi0.entries)
-        mio.write_matrix(os.path.join(args.out, "pi_hat.csv"), pi_hat.entries)
-        mio.write_matrix(os.path.join(args.out, "pi_riot.csv"), pi_riot.entries)
-        mio.write_matrix(os.path.join(args.out, "pi_iot.csv"), pi_iot.entries)
+        matrices = {"pi0.csv": pi0.entries, "pi_hat.csv": pi_hat.entries,
+                    "pi_riot.csv": pi_riot.entries, "pi_iot.csv": pi_iot.entries}
         summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
                    "kl_hat": kl_divergence(pi0, pi_hat),
                    "kl_riot": kl_divergence(pi0, pi_riot),
                    "kl_iot": kl_divergence(pi0, pi_iot)}
-    elif args.figure == 4:
+    else:
         result = cost_recovery_experiment(scfg)
-        mio.write_matrix(os.path.join(args.out, "cost_true.csv"), result.C0.entries)
-        mio.write_matrix(os.path.join(args.out, "cost_riot_aligned.csv"),
-                         result.C_tilde_riot.entries)
-        mio.write_matrix(os.path.join(args.out, "cost_iot_aligned.csv"),
-                         result.C_tilde_iot.entries)
+        matrices = {"cost_true.csv": result.C0.entries,
+                    "cost_riot_aligned.csv": result.C_tilde_riot.entries,
+                    "cost_iot_aligned.csv": result.C_tilde_iot.entries}
         summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
                    "d_riot": result.d_riot, "d_iot": result.d_iot,
                    "kl_riot": result.kl_riot, "kl_iot": result.kl_iot,
                    "kl_hat": result.kl_hat}
-    else:
-        raise ValidationError(f"unknown figure {args.figure}; expected 2, 3, or 4")
 
+    os.makedirs(args.out, exist_ok=True)
+    for name, entries in matrices.items():
+        mio.write_matrix(os.path.join(args.out, name), entries)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -320,8 +317,8 @@ def build_parser():
                             "4: cost recovery")
     p_sim.add_argument("--config", help="JSON config file")
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="parallel sweep cells (default: OTMATCH_WORKERS or 1)")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="parallel sweep cells (default: 1)")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -4,10 +4,12 @@ When the user-user and item-item costs of the relaxation terms are unknown,
 they can be learned together with the interaction matrix. To keep the
 problem well posed each side cost is constrained to the cone of distance
 matrices intersected with the simplex (symmetric, hollow, nonnegative,
-triangle inequalities, entries summing to one). The projection onto that
-intersection runs Dykstra-style cyclic corrections over the triangle
-half-spaces, held as one index table, and the simplex. A side needs at least
-three individuals to have a triangle, so the fit rejects smaller sides.
+triangle inequalities, entries summing to one). The triangle inequalities
+already imply nonnegativity, so the projection onto that intersection runs
+Dykstra cycles over the triangle half-spaces, held as one index table, and
+one hyperplane step for the unit sum, which as an affine set needs no
+correction. A side needs at least three individuals to have a triangle, so
+the fit rejects smaller sides.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .sinkhorn import sinkhorn  # noqa: F401
 
 _MAX_CYCLES = 5000
 _FEAS_TOL = 1e-9
-_MOVE_TOL = 1e-12
+_DRIFT_TOL = 1e-12
 
 
 def _triangle_table(d):
@@ -40,26 +42,20 @@ def _triangle_table(d):
             edge[k, j[:, None]][keep])
 
 
-def _project_simplex(v, total):
-    """Euclidean projection onto {x >= 0, sum x = total} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ar = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * ar > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def project_metric_simplex(matrix):
     """Project onto distance matrices with entries summing to one.
 
-    The input is symmetrized and its diagonal zeroed, then cyclic Dykstra
-    corrections alternate between every triangle half-space
-    d_ij - d_ik - d_kj <= 0 and the simplex on the off-diagonal entries.
-    Working on the upper-triangle vector keeps the Euclidean geometry of the
-    symmetric matrix space (the constant factor two does not change any
-    projection). The cycles stop once the worst violation is at most 1e-9
-    and no entry moved by more than 1e-12 in the last cycle.
+    The input is symmetrized, then Dykstra cycles run over its upper-triangle
+    vector (the factor two of the symmetric matrix space changes no
+    projection): a corrected step onto every triangle half-space
+    d_ij - d_ik - d_kj <= 0, then a step onto the hyperplane of entries
+    summing to one. For d >= 3 the triangle inequalities force every entry
+    to be nonnegative, so the hyperplane is all that is left of the simplex,
+    and being affine it needs no correction. The cycles start on the input's
+    projection onto the hyperplane, which has the same projection onto the
+    feasible set. They stop once the worst triangle violation is at most
+    1e-9 and no triangle correction changed by more than 1e-12 in the last
+    cycle; the iterate can stand still while the corrections still drift.
 
     Parameters
     ----------
@@ -85,19 +81,18 @@ def project_metric_simplex(matrix):
     d = M.shape[0]
     if d < 3:
         raise ValidationError("projection needs dimension >= 3")
-    sym = 0.5 * (M + M.T)
-    np.fill_diagonal(sym, 0.0)
     iu = np.triu_indices(d, k=1)
-    x = sym[iu].tolist()
+    xv = 0.5 * (M + M.T)[iu]
+    xv -= (xv.sum() - 0.5) / xv.size
+    x = xv.tolist()
 
     e0, e1, e2 = _triangle_table(d)
     triples = list(zip(e0.tolist(), e1.tolist(), e2.tolist()))
     alpha = [0.0] * len(triples)
-    simplex_corr = np.zeros(len(x))
 
     worst = np.inf
     for _ in range(_MAX_CYCLES):
-        x_prev = list(x)
+        alpha_prev = np.array(alpha)
         for s, (p, q, r) in enumerate(triples):
             a = alpha[s]
             v = x[p] - x[q] - x[r] + 3.0 * a
@@ -109,14 +104,12 @@ def project_metric_simplex(matrix):
                 x[r] -= shift
             alpha[s] = t
 
-        w = np.asarray(x) + simplex_corr
-        xv = _project_simplex(w, 0.5)
-        simplex_corr = w - xv
+        xv = np.asarray(x)
+        xv -= (xv.sum() - 0.5) / xv.size
         x = xv.tolist()
-        tri_viol = (xv[e0] - xv[e1] - xv[e2]).max(initial=0.0)
-        worst = max(tri_viol, abs(xv.sum() - 0.5) * 2.0, -xv.min())
-        move = float(np.max(np.abs(xv - np.asarray(x_prev))))
-        if worst <= _FEAS_TOL and move <= _MOVE_TOL:
+        worst = (xv[e0] - xv[e1] - xv[e2]).max(initial=0.0)
+        drift = np.abs(np.asarray(alpha) - alpha_prev).max()
+        if worst <= _FEAS_TOL and drift <= _DRIFT_TOL:
             break
     else:
         raise ProjectionError(

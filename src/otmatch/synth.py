@@ -6,7 +6,6 @@ cell of a sweep is reproducible in isolation and the whole sweep is
 bit-identical regardless of execution order or parallelism.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -203,14 +202,13 @@ def _sweep_task(payload):
                            kl_hat=kl_hat, failed=True)
 
 
-def robustness_sweep(cfg, max_workers=None):
+def robustness_sweep(cfg, max_workers=1):
     """Fit both solvers on fresh noise for every (sigma, delta, repetition).
 
     One ground-truth instance is shared by the whole sweep; each cell draws
     its own noise stream. Cells run in a process pool when ``max_workers``
-    exceeds one (or the OTMATCH_WORKERS environment variable says so); the
-    reduction is ordered, so parallel and serial runs produce identical
-    results.
+    exceeds one; the reduction is ordered, so parallel and serial runs
+    produce identical results.
     """
     inst = generate_instance(cfg)
     tasks = []
@@ -222,8 +220,6 @@ def robustness_sweep(cfg, max_workers=None):
                               cfg.kernel, inst.C_u.entries, inst.C_v.entries,
                               cfg.hyper))
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("OTMATCH_WORKERS", "1"))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=1))

@@ -128,6 +128,21 @@ class TestCostShiftDistance:
             assert cost_shift_distance(np.zeros((3, 4)), M) == pytest.approx(
                 oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("m,n", [(1, 4), (3, 4), (5, 2), (7, 7)])
+    def test_closed_form_matches_gram_least_squares(self, rng, m, n):
+        # oracle: min-norm least-squares solve of the Gram system of the
+        # shift directions, [[n I, 1 1'], [1 1', m I]] (a, b) = (M 1, M' 1)
+        M = rng.normal(0, 1, (m, n))
+        gram = np.block([[n * np.eye(m), np.ones((m, n))],
+                         [np.ones((n, m)), m * np.eye(n)]])
+        f = np.concatenate([M.sum(axis=1), M.sum(axis=0)])
+        x, *_ = np.linalg.lstsq(gram, f, rcond=None)
+        a, b = best_shift(M)
+        np.testing.assert_allclose(a, x[:m], atol=1e-12)
+        np.testing.assert_allclose(b, x[m:], atol=1e-12)
+        assert cost_shift_distance(np.zeros((m, n)), M) ** 2 == pytest.approx(
+            (M * M).sum() - f @ x, rel=1e-10)
+
     def test_pseudometric_properties(self, rng):
         A = rng.normal(0, 1, (3, 3))
         B = rng.normal(0, 1, (3, 3))

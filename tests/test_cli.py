@@ -110,6 +110,27 @@ class TestFit:
         assert err.startswith("error: ") and flag in err
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("case", ["joint_two_rows", "riot_empty_row"])
+    def test_input_error_inside_fit_leaves_no_out(self, workspace, capsys, case):
+        # both inputs pass the CLI's own checks and are rejected by the fit
+        tmp, paths = workspace
+        counts = mio.read_matrix(paths["counts"])
+        if case == "joint_two_rows":
+            counts = counts[:2]
+            mio.write_matrix(paths["users"], mio.read_matrix(paths["users"])[:, :2])
+            args = ["fit", "--method", "riot", "--joint-side-costs",
+                    "--config", str(paths["config"]), "--counts", str(paths["counts"]),
+                    "--users", str(paths["users"]), "--items", str(paths["items"]),
+                    "--out", str(tmp / "nope")]
+        else:
+            counts[1] = 0
+            args = fit_args(paths, tmp / "nope")
+        mio.write_matrix(paths["counts"], counts)
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "profile counts" not in err
+        assert not (tmp / "nope").exists()
+
     @pytest.mark.parametrize("kernel", [{"gamma": 1.0}, "polynomial"])
     def test_kernel_spec_without_kind_is_input_error(self, workspace, capsys, kernel):
         tmp, paths = workspace
