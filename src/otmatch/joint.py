@@ -8,11 +8,15 @@ triangle inequalities, entries summing to one). The triangle inequalities
 already imply nonnegativity, so the projection onto that intersection runs
 Dykstra cycles over the triangle half-spaces, held as one index table, and
 one hyperplane step for the unit sum, which as an affine set needs no
-correction. A side needs at least three individuals to have a triangle, so
-the fit rejects smaller sides.
+correction. Most triangles never carry a correction, so each cycle sweeps
+only a working set: the triangles with a positive correction and those
+violated when the cycle starts ("project and forget", Sonthalia & Gilbert
+2020). A side needs at least three individuals to have a triangle, so the
+fit rejects smaller sides.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,18 +32,24 @@ _FEAS_TOL = 1e-9
 _DRIFT_TOL = 1e-12
 
 
+@lru_cache(maxsize=8)
 def _triangle_table(d):
     """Edge indices (e0, e1, e2) = (ij, ik, kj) into the upper-tri vector of the
     triangle constraints x[e0] - x[e1] - x[e2] <= 0, in the Dykstra sweep order:
-    pairs i < j row-major, then k != i, j ascending."""
+    pairs i < j row-major, then k != i, j ascending; plus the same rows as a
+    tuple of Python triples for the sequential sweep. Built once per d and
+    shared, so the arrays are read-only."""
     i, j = np.triu_indices(d, k=1)
     edge = np.zeros((d, d), dtype=np.intp)
     edge[i, j] = np.arange(i.size)
     edge += edge.T
     k = np.arange(d)
     keep = (k != i[:, None]) & (k != j[:, None])
-    return (np.repeat(np.arange(i.size), d - 2), edge[i[:, None], k][keep],
-            edge[k, j[:, None]][keep])
+    table = (np.repeat(np.arange(i.size), d - 2), edge[i[:, None], k][keep],
+             edge[k, j[:, None]][keep])
+    for e in table:
+        e.flags.writeable = False
+    return table + (tuple(zip(*(e.tolist() for e in table))),)
 
 
 def project_metric_simplex(matrix):
@@ -47,15 +57,23 @@ def project_metric_simplex(matrix):
 
     The input is symmetrized, then Dykstra cycles run over its upper-triangle
     vector (the factor two of the symmetric matrix space changes no
-    projection): a corrected step onto every triangle half-space
+    projection): corrected steps onto triangle half-spaces
     d_ij - d_ik - d_kj <= 0, then a step onto the hyperplane of entries
     summing to one. For d >= 3 the triangle inequalities force every entry
     to be nonnegative, so the hyperplane is all that is left of the simplex,
     and being affine it needs no correction. The cycles start on the input's
     projection onto the hyperplane, which has the same projection onto the
-    feasible set. They stop once the worst triangle violation is at most
-    1e-9 and no triangle correction changed by more than 1e-12 in the last
-    cycle; the iterate can stand still while the corrections still drift.
+    feasible set. A cycle sweeps, in table order, only the working set: the
+    triangles whose correction is positive and those violated at the start
+    of the cycle. A skipped triangle has a zero correction and is satisfied,
+    so its step would not move the iterate; one that a sweep pushes into
+    violation is caught by the next cycle's check. The violations of the
+    whole table are computed once per cycle, and the cycles stop once the
+    worst is at most 1e-9 and no correction changed by more than 1e-12 in
+    the last cycle; the iterate can stand still while the corrections still
+    drift. Every positive correction is swept in that last cycle, so at exit
+    those triangles are tight, the rest carry no correction, and the whole
+    table is feasible: the KKT conditions of the projection hold.
 
     Parameters
     ----------
@@ -69,6 +87,10 @@ def project_metric_simplex(matrix):
 
     Raises
     ------
+    ValidationError
+        When the input is not square, has fewer than three rows, has a
+        non-finite entry, or is so large that its symmetrized projection
+        onto the hyperplane overflows.
     ProjectionError
         When the cycles have not stopped after 5000 of them; carries the
         worst remaining violation.
@@ -82,19 +104,26 @@ def project_metric_simplex(matrix):
     if d < 3:
         raise ValidationError("projection needs dimension >= 3")
     iu = np.triu_indices(d, k=1)
-    xv = 0.5 * (M + M.T)[iu]
-    xv -= (xv.sum() - 0.5) / xv.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        xv = 0.5 * (M + M.T)[iu]
+        xv -= (xv.sum() - 0.5) / xv.size
+    if not np.all(np.isfinite(xv)):
+        raise ValidationError("projection input is too large: its symmetrized "
+                              "hyperplane projection overflows")
     x = xv.tolist()
 
-    e0, e1, e2 = _triangle_table(d)
-    triples = list(zip(e0.tolist(), e1.tolist(), e2.tolist()))
-    alpha = [0.0] * len(triples)
+    e0, e1, e2, triples = _triangle_table(d)
+    alpha = np.zeros(len(triples))
+    viol = xv[e0] - xv[e1] - xv[e2]
 
     worst = np.inf
     for _ in range(_MAX_CYCLES):
-        alpha_prev = np.array(alpha)
-        for s, (p, q, r) in enumerate(triples):
-            a = alpha[s]
+        work = np.flatnonzero((alpha > 0.0) | (viol > 0.0))
+        prev = alpha[work]
+        corr = prev.tolist()
+        for n, s in enumerate(work.tolist()):
+            p, q, r = triples[s]
+            a = corr[n]
             v = x[p] - x[q] - x[r] + 3.0 * a
             t = v / 3.0 if v > 0.0 else 0.0
             shift = a - t
@@ -102,13 +131,15 @@ def project_metric_simplex(matrix):
                 x[p] += shift
                 x[q] -= shift
                 x[r] -= shift
-            alpha[s] = t
+            corr[n] = t
+        alpha[work] = corr
 
         xv = np.asarray(x)
         xv -= (xv.sum() - 0.5) / xv.size
         x = xv.tolist()
-        worst = (xv[e0] - xv[e1] - xv[e2]).max(initial=0.0)
-        drift = np.abs(np.asarray(alpha) - alpha_prev).max()
+        viol = xv[e0] - xv[e1] - xv[e2]
+        worst = viol.max(initial=0.0)
+        drift = np.abs(alpha[work] - prev).max(initial=0.0)
         if worst <= _FEAS_TOL and drift <= _DRIFT_TOL:
             break
     else:

@@ -5,6 +5,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, ProfileSet, as_array
+from otmatch.joint import _DRIFT_TOL, _FEAS_TOL, _MAX_CYCLES, _triangle_table
 from otmatch.kernels import KernelSpec, gram_products, kernel_cost
 from otmatch.sinkhorn import sinkhorn
 
@@ -26,6 +27,44 @@ def random_coupling(rng, m, n):
 def euclidean_cost(rng, d, scale=np.sqrt(5.0)):
     pts = scale * rng.normal(0.0, 1.0, (d, 2))
     return cdist(pts, pts)
+
+
+def full_sweep_projection(matrix):
+    """Reference metric-simplex projection: every Dykstra cycle sweeps the whole
+    triangle table, then takes the uncorrected hyperplane step, with the same
+    start and stop test as ``project_metric_simplex``. Returns the matrix."""
+    M = np.asarray(matrix, dtype=float)
+    d = M.shape[0]
+    iu = np.triu_indices(d, k=1)
+    xv = 0.5 * (M + M.T)[iu]
+    xv -= (xv.sum() - 0.5) / xv.size
+    x = xv.tolist()
+    e0, e1, e2, triples = _triangle_table(d)
+    alpha = [0.0] * len(triples)
+    for _ in range(_MAX_CYCLES):
+        alpha_prev = np.array(alpha)
+        for s, (p, q, r) in enumerate(triples):
+            a = alpha[s]
+            v = x[p] - x[q] - x[r] + 3.0 * a
+            t = v / 3.0 if v > 0.0 else 0.0
+            shift = a - t
+            if shift != 0.0:
+                x[p] += shift
+                x[q] -= shift
+                x[r] -= shift
+            alpha[s] = t
+        xv = np.asarray(x)
+        xv -= (xv.sum() - 0.5) / xv.size
+        x = xv.tolist()
+        worst = (xv[e0] - xv[e1] - xv[e2]).max(initial=0.0)
+        drift = np.abs(np.asarray(alpha) - alpha_prev).max()
+        if worst <= _FEAS_TOL and drift <= _DRIFT_TOL:
+            break
+    else:
+        raise AssertionError(f"reference sweep ran out of cycles (worst {worst:.3e})")
+    out = np.zeros((d, d))
+    out[iu] = x
+    return out + out.T
 
 
 def poly_kernel():

@@ -131,6 +131,19 @@ class TestFit:
         assert err.startswith("error: ") and "profile counts" not in err
         assert not (tmp / "nope").exists()
 
+    def test_overflowing_joint_side_cost_is_input_error(self, workspace, capsys):
+        tmp, paths = workspace
+        huge = np.full((5, 5), 1e308)
+        np.fill_diagonal(huge, 0.0)
+        mio.write_matrix(paths["cost_u"], huge)
+        args = ["fit", "--method", "riot", "--joint-side-costs",
+                "--config", str(paths["config"]), "--counts", str(paths["counts"]),
+                "--users", str(paths["users"]), "--items", str(paths["items"]),
+                "--cost-u", str(paths["cost_u"]), "--out", str(tmp / "nope")]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: projection input is too large")
+        assert not (tmp / "nope").exists()
+
     @pytest.mark.parametrize("kernel", [{"gamma": 1.0}, "polynomial"])
     def test_kernel_spec_without_kind_is_input_error(self, workspace, capsys, kernel):
         tmp, paths = workspace

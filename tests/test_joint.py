@@ -13,7 +13,8 @@ from otmatch.joint import _triangle_table, joint_fit, project_metric_simplex
 from otmatch.riot import _relaxation_dual, riot_fit
 from otmatch.sinkhorn import rot_distance
 
-from conftest import euclidean_cost, forward_instance, noised, random_marginal
+from conftest import (euclidean_cost, forward_instance, full_sweep_projection, noised,
+                      random_marginal)
 
 
 def all_triangle_violations(d):
@@ -41,8 +42,31 @@ def triangle_oracle(d):
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_triangle_table_matches_oracle_in_order(d):
-    table = _triangle_table(d)
-    assert list(zip(*(e.tolist() for e in table))) == triangle_oracle(d)
+    e0, e1, e2, triples = _triangle_table(d)
+    assert list(zip(e0.tolist(), e1.tolist(), e2.tolist())) == triangle_oracle(d)
+    assert list(triples) == triangle_oracle(d)
+    assert not any(e.flags.writeable for e in (e0, e1, e2))
+
+
+def unit_grid_distances(d, largest=10.0):
+    """Distances between d points of a unit grid scaled to a largest entry,
+    the shape of a side cost built from individuals on a grid."""
+    cols = int(np.ceil(np.sqrt(d)))
+    pts = np.array([(k // cols, k % cols) for k in range(d)], dtype=float)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    return dist * (largest / dist.max())
+
+
+@pytest.mark.parametrize("kind", ["grid", "euclidean", "uniform"])
+@pytest.mark.parametrize("d", [5, 12, 20])
+def test_working_set_matches_full_sweep(d, kind):
+    rng = np.random.default_rng(100 + d)
+    raw = {"grid": lambda: unit_grid_distances(d),
+           "euclidean": lambda: euclidean_cost(rng, d),
+           "uniform": lambda: rng.uniform(-1.0, 1.0, (d, d))}[kind]()
+    out = project_metric_simplex(raw).entries
+    np.testing.assert_allclose(out, full_sweep_projection(raw), rtol=0, atol=1e-9)
+    assert all_triangle_violations(out) <= 1e-7
 
 
 @settings(max_examples=100)
@@ -86,7 +110,7 @@ def test_three_by_three_projection_pinned(edges, expected):
 @pytest.mark.parametrize("scale,d", [
     (1000.0, 5),
     # Known defect: Dykstra converges slowly on this input, whose projection
-    # zeroes many edges; it needs about 12 800 cycles, more than the budget.
+    # zeroes many edges; it needs about 9 400 cycles, more than the budget.
     pytest.param(100.0, 12, marks=pytest.mark.xfail(
         raises=ProjectionError, reason="needs more than 5000 Dykstra cycles")),
 ])
@@ -143,6 +167,20 @@ class TestProjectMetricSimplex:
         out = project_metric_simplex(raw).entries
         sym = project_metric_simplex(0.5 * (raw + raw.T)).entries
         np.testing.assert_allclose(out, sym, atol=1e-12)
+
+    @pytest.mark.parametrize("raw", [
+        np.full((12, 12), 1e308),
+        1e308 * (1.0 - np.eye(4)),
+    ])
+    def test_overflowing_input_rejected_before_any_cycle(self, monkeypatch, raw):
+        def no_cycle(d):
+            raise AssertionError("a cycle ran")
+
+        monkeypatch.setattr(joint, "_triangle_table", no_cycle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too large"):
+                project_metric_simplex(raw)
 
     def test_cycle_budget_exhausted_raises(self, monkeypatch, rng):
         monkeypatch.setattr(joint, "_MAX_CYCLES", 1)
