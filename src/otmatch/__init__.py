@@ -22,7 +22,7 @@ from .errors import (DivergenceError, OtmatchError, ProjectionError,
 from .iot import IotFitResult, iot_fit
 from .joint import JointFitResult, joint_fit, project_metric_simplex
 from .kernels import KernelSpec, kernel_cost
-from .riot import RiotFitResult, RiotState, predict_matching, riot_fit
+from .riot import RiotFitResult, predict_matching, riot_fit
 from .sinkhorn import SinkhornResult, rot_distance, sinkhorn
 from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig,
                     SynthInstance, add_noise, cost_recovery_experiment,
@@ -36,7 +36,7 @@ __all__ = [
     "DivergenceError", "HyperParams", "InteractionMatrix", "IotFitResult",
     "JointFitResult", "KernelSpec", "MarginalPair", "MatchCounts", "MetricMatrix",
     "OtmatchError", "ProbabilityVector", "ProfileSet",
-    "ProjectionError", "RiotFitResult", "RiotState", "RootFindingError",
+    "ProjectionError", "RiotFitResult", "RootFindingError",
     "SinkhornConvergenceError", "SinkhornResult", "SweepRecord", "SweepResult",
     "SynthConfig", "SynthInstance", "ValidationError", "add_noise", "align_shift",
     "best_shift", "cost_error_bound_check", "cost_recovery_experiment",

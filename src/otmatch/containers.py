@@ -12,6 +12,7 @@ genuinely unnormalized data through.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +25,11 @@ SUM_TOL = 1e-9
 def _require(condition, message):
     if not condition:
         raise ValidationError(message)
+
+
+def is_finite_real(value):
+    """Whether ``value`` is a finite real number (a string or None is not)."""
+    return isinstance(value, Real) and bool(np.isfinite(value))
 
 
 def as_array(x):
@@ -234,12 +240,14 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lam", "lam_u", "lam_v", "step_size", "sinkhorn_tol"):
-            _require(getattr(self, name) > 0, f"{name} must be positive")
-        _require(self.delta >= 0, "delta must be nonnegative")
-        for name in ("outer_iters", "inner_iters"):
-            _require(int(getattr(self, name)) == getattr(self, name) and getattr(self, name) >= 0,
-                     f"{name} must be a nonnegative integer")
-        _require(self.sinkhorn_max_iters >= 1, "sinkhorn_max_iters must be positive")
+            _require(is_finite_real(getattr(self, name)) and getattr(self, name) > 0,
+                     f"{name} must be positive and finite")
+        _require(is_finite_real(self.delta) and self.delta >= 0,
+                 "delta must be nonnegative and finite")
+        for name, least in (("outer_iters", 0), ("inner_iters", 0), ("sinkhorn_max_iters", 1)):
+            value = getattr(self, name)
+            _require(is_finite_real(value) and int(value) == value and value >= least,
+                     f"{name} must be an integer >= {least}")
 
 
 def normalize_counts(counts):

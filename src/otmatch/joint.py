@@ -195,19 +195,19 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         c_v = project_metric_simplex(c_v - side_step * g_v).entries
         return c_u, c_v
 
-    best_state, trace, C_u_best, C_v_best = _alternating_fit(
+    (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(
         pi_hat, U, V, kernel, CostMatrix(C_u0), CostMatrix(C_v0), params,
         side_block=side_block if side_step > 0 else None)
 
-    final_u = MetricMatrix(C_u_best, tol=1e-7)
-    final_v = MetricMatrix(C_v_best, tol=1e-7)
+    final_u = MetricMatrix(c_u, tol=1e-7)
+    final_v = MetricMatrix(c_v, tol=1e-7)
     _check_unit_sum(final_u.entries, "C_u")
     _check_unit_sum(final_v.entries, "C_v")
     return JointFitResult(
-        A=InteractionMatrix(best_state.A),
+        A=InteractionMatrix(A),
         C_u=final_u,
         C_v=final_v,
-        fitted_plan=best_state.current_plan,
+        fitted_plan=CouplingMatrix(pi),
         objective_trace=np.asarray(trace),
     )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, as_array
+from .containers import CostMatrix, as_array, is_finite_real
 from .errors import ValidationError
 
 _KINDS = ("linear", "polynomial", "sigmoid")
@@ -37,10 +37,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        if not (np.isfinite(self.gamma) and np.isfinite(self.c0)):
-            raise ValidationError("kernel parameters must be finite")
-        if self.kind == "polynomial" and (int(self.degree) != self.degree or self.degree < 1):
-            raise ValidationError("polynomial degree must be a positive integer")
+        if not (is_finite_real(self.gamma) and is_finite_real(self.c0)):
+            raise ValidationError("kernel parameters must be finite numbers")
+        if self.kind == "polynomial":
+            degree = self.degree
+            if not (is_finite_real(degree) and int(degree) == degree and degree >= 1):
+                raise ValidationError(
+                    f"polynomial degree must be a positive integer, got {degree!r}")
+            object.__setattr__(self, "degree", int(degree))
 
     def activation(self, t):
         t = np.asarray(t, dtype=float)
@@ -77,7 +81,7 @@ class KernelSpec:
         if not isinstance(d, dict) or "kind" not in d:
             raise ValidationError(f"kernel spec must be an object with a 'kind', got {d!r}")
         return cls(kind=d["kind"], gamma=d.get("gamma", 1.0), c0=d.get("c0", 0.0),
-                   degree=int(d.get("degree", 2)))
+                   degree=d.get("degree", 2))
 
 
 def gram_products(U, V, A):

@@ -83,97 +83,75 @@ def _theta_root(weights, r, s, guess=None):
 
 @dataclass(frozen=True)
 class InnerSolveResult:
-    """Output of the alternating scaling solve at fixed (A, z, w).
+    """Scalings (xi, eta) of the alternating solve at fixed (A, z, w).
 
-    ``theta`` is the multiplier of the final xi half-update; ``theta2`` the
-    final eta-side multiplier (they agree at convergence). ``h_trace`` holds
-    the inner objective after the initial rescale and after every
-    half-update, so the monotone chain is observable.
+    ``theta`` is the multiplier of the final xi half-update and ``theta2``
+    that of the final eta half-update; they agree at convergence.
     """
 
     xi: np.ndarray
     eta: np.ndarray
     theta: float
     theta2: float
-    h_trace: np.ndarray
 
     @property
     def multiplier_gap(self):
         return abs(self.theta - self.theta2)
 
 
-def _inner_objective(xi, eta, mu_hat, nu_hat, M):
-    return float(-(mu_hat @ np.log(xi)) - (nu_hat @ np.log(eta)) + xi @ (M @ eta))
+def _half_update(weights, M, Z, other, guess):
+    """One side's scaling weights / (M other - theta Z other) and its
+    multiplier theta, the root of :func:`_theta_root` started from ``guess``.
+    The eta side passes (M.T, Z.T)."""
+    r = M @ other
+    s = Z @ other
+    theta = _theta_root(weights, r, s, guess)
+    denom = r - theta * s
+    if np.any(denom <= 0):
+        raise ValidationError("half-update produced a non-positive scaling")
+    return weights / denom, theta
 
 
 def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
     """Alternating half-updates for the constrained scaling problem.
 
     Runs ``n_iters`` xi/eta half-update pairs on
-    -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to xi' Z eta = 1.
-    Each half-update solves its multiplier exactly, so the constraint holds
-    after every update and the objective is non-increasing along half-steps.
-    Each multiplier root starts from its side's previous multiplier, cold in
-    the first pair. With ``n_iters == 0`` the scalings are the all-ones
-    vectors rescaled onto the constraint and both multipliers are 0.
+    -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to xi' Z eta = 1,
+    from the all-ones vectors rescaled onto the constraint. Each half-update
+    solves its multiplier exactly, so the constraint holds after every update
+    and the objective is non-increasing along half-steps. Each multiplier root
+    starts from its side's previous multiplier, cold in the first pair. With
+    ``n_iters == 0`` both multipliers are 0.
     """
     m, n = Z.shape
     total = float(np.ones(m) @ Z @ np.ones(n))
     xi = np.full(m, 1.0 / np.sqrt(total))
     eta = np.full(n, 1.0 / np.sqrt(total))
-    h = [_inner_objective(xi, eta, mu_hat, nu_hat, M)]
-    theta1 = 0.0
-    theta2 = 0.0
+    theta1 = theta2 = 0.0
     for k in range(n_iters):
-        r = M @ eta
-        s = Z @ eta
-        theta1 = _theta_root(mu_hat, r, s, theta1 if k else None)
-        denom = r - theta1 * s
-        if np.any(denom <= 0):
-            raise ValidationError("xi update produced a non-positive component")
-        xi = mu_hat / denom
-        h.append(_inner_objective(xi, eta, mu_hat, nu_hat, M))
-
-        r = M.T @ xi
-        s = Z.T @ xi
-        theta2 = _theta_root(nu_hat, r, s, theta2 if k else None)
-        denom = r - theta2 * s
-        if np.any(denom <= 0):
-            raise ValidationError("eta update produced a non-positive component")
-        eta = nu_hat / denom
-        h.append(_inner_objective(xi, eta, mu_hat, nu_hat, M))
-    return InnerSolveResult(xi=xi, eta=eta, theta=theta1, theta2=theta2,
-                            h_trace=np.asarray(h))
-
-
-def scaling_plan(xi, eta, Z):
-    """Plan entries xi_i Z_ij eta_j of the current scaling iterate."""
-    return xi[:, None] * Z * eta[None, :]
+        xi, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else None)
+        eta, theta2 = _half_update(nu_hat, M.T, Z.T, xi, theta2 if k else None)
+    return InnerSolveResult(xi=xi, eta=eta, theta=theta1, theta2=theta2)
 
 
 @dataclass(frozen=True)
-class RiotState:
-    """Primal/dual iterate of the alternating solver."""
+class RiotFitResult:
+    """Best iterate of a marginal-relaxed inverse fit.
 
-    A: np.ndarray
+    ``objective_trace`` holds the relaxed objective per outer iteration, and
+    ``A`` attains its minimum. ``fitted_plan`` is xi_i exp(-lam C_ij(A)) eta_j
+    with the scalings ``xi``, ``eta`` of the inner solve at ``A``; ``theta``
+    is its final xi multiplier and ``z``, ``w`` the potentials it used.
+    """
+
+    A: InteractionMatrix
+    fitted_plan: CouplingMatrix
+    objective_trace: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     theta: float
     z: np.ndarray
     w: np.ndarray
-    current_plan: CouplingMatrix
-    objective: float
-
-
-@dataclass(frozen=True)
-class RiotFitResult:
-    """Best iterate of a marginal-relaxed inverse fit."""
-
-    A: InteractionMatrix
-    fitted_plan: CouplingMatrix
-    relaxed_marginals: tuple
-    objective_trace: np.ndarray
-    state: RiotState
 
 
 def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params, start=None):
@@ -220,7 +198,7 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
     M = params.delta * (z[:, None] + w[None, :]) * Z
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
-    pi = scaling_plan(inner.xi, inner.eta, Z)
+    pi = inner.xi[:, None] * Z * inner.eta[None, :]
     obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params, z, w)
     return obj, (inner, pi, rel, blocks)
 
@@ -240,7 +218,9 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     Runs :func:`~otmatch.iot.descend` on A. ``side_block``, when given, is
     called once per iteration with the current side costs and the two
     relaxation plans of the pre-step point, and returns updated side costs.
-    Returns (best_state, trace, best_c_u, best_c_v).
+    Returns ``descend``'s (objective, A, point) of the best iterate, whose
+    point is (inner, plan, relaxation, (c_u, c_v, z, w)) as
+    :func:`_evaluate_at` gives it, and the objective trace.
     """
     pi_hat = as_array(pi_hat)
     mu_hat = pi_hat.sum(axis=1)
@@ -271,10 +251,7 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
                              after_step=after_step if params.delta > 0 else None)
-    obj, A, (inner, pi, _, (c_u, c_v, z, w)) = best
-    state = RiotState(A=A, xi=inner.xi, eta=inner.eta, theta=inner.theta, z=z, w=w,
-                      current_plan=CouplingMatrix(pi), objective=obj)
-    return state, trace, c_u, c_v
+    return best, trace
 
 
 def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
@@ -283,8 +260,9 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     Each of the ``params.outer_iters`` iterations performs the inner scaling
     solve (``params.inner_iters`` half-update pairs), one gradient step on A
     with the step-halving guard every fit shares, and a refresh of the
-    relaxation potentials from the pre-step plan. The iterate with the lowest
-    relaxed objective is returned.
+    relaxation potentials from the pre-step plan. The result holds the
+    iterate with the lowest relaxed objective: its A and plan, and the
+    scalings, multiplier and potentials of its inner solve.
 
     Parameters
     ----------
@@ -305,15 +283,13 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
-    best, trace, _, _ = _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params)
-    plan = best.current_plan
-    mp = plan.marginals()
+    (_, A, (inner, pi, _, (_, _, z, w))), trace = _alternating_fit(
+        pi_hat, U, V, kernel, C_u, C_v, params)
     return RiotFitResult(
-        A=InteractionMatrix(best.A),
-        fitted_plan=plan,
-        relaxed_marginals=(mp.mu, mp.nu),
+        A=InteractionMatrix(A),
+        fitted_plan=CouplingMatrix(pi),
         objective_trace=np.asarray(trace),
-        state=best,
+        xi=inner.xi, eta=inner.eta, theta=inner.theta, z=z, w=w,
     )
 
 

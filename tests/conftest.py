@@ -102,6 +102,11 @@ def conjugate_potential(z, C, nu, lam):
     return np.log(nu) / lam - logsumexp(lam * (z[:, None] - C), axis=0) / lam
 
 
+def inner_objective(xi, eta, mu_hat, nu_hat, M):
+    """Inner scaling objective -<muhat, log xi> - <nuhat, log eta> + xi' M eta."""
+    return float(-(mu_hat @ np.log(xi)) - (nu_hat @ np.log(eta)) + xi @ (M @ eta))
+
+
 def kernel_cost_directional_grad(U, V, A, kernel, W):
     """Directional derivative of the kernel cost along a direction W.
 

@@ -151,6 +151,27 @@ class TestFit:
         assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: kernel spec")
 
+    @pytest.mark.parametrize("degree", [2.5, "abc"])
+    def test_bad_kernel_degree_is_input_error(self, workspace, capsys, degree):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps(
+            {"kernel": {"kind": "polynomial", "gamma": 0.05, "c0": 1.0, "degree": degree}}))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: polynomial degree")
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("method, key, name", [
+        ("riot", "delta", "delta"), ("riot", "sinkhorn_tol", "sinkhorn_tol"),
+        ("iot", "lambda", "lam"), ("iot", "L", "outer_iters")])
+    def test_non_finite_hyper_is_input_error(self, workspace, capsys, method, key, name):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["hyper"][key] = float("inf")
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "nope", method=method)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {name} must")
+        assert not (tmp / "nope").exists()
+
     def test_reproducible_outputs(self, workspace):
         tmp, paths = workspace
         out1, out2 = tmp / "r1", tmp / "r2"

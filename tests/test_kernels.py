@@ -17,6 +17,21 @@ class TestKernelSpec:
         with pytest.raises(ValidationError):
             KernelSpec("polynomial", degree=0)
 
+    @pytest.mark.parametrize("degree", [2.5, "abc", float("inf"), None])
+    def test_from_dict_rejects_bad_degree(self, degree):
+        # a fractional degree is an error, not a degree-2 kernel
+        with pytest.raises(ValidationError, match="degree"):
+            KernelSpec.from_dict({"kind": "polynomial", "degree": degree})
+
+    @pytest.mark.parametrize("field", ["gamma", "c0"])
+    def test_rejects_non_numeric_parameter(self, field):
+        with pytest.raises(ValidationError, match="kernel parameters"):
+            KernelSpec.from_dict({"kind": "sigmoid", field: "abc"})
+
+    def test_from_dict_integral_degree_is_int(self):
+        spec = KernelSpec.from_dict({"kind": "polynomial", "degree": 3.0})
+        assert spec.degree == 3 and isinstance(spec.degree, int)
+
     def test_dict_round_trip(self):
         spec = KernelSpec("sigmoid", gamma=0.3, c0=-0.2)
         assert KernelSpec.from_dict(spec.to_dict()) == spec

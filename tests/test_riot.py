@@ -15,8 +15,8 @@ from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxat
                           _relaxed_objective, _theta_root, predict_matching, riot_fit)
 from otmatch.sinkhorn import rot_distance, sinkhorn
 
-from conftest import (conjugate_potential, forward_instance, noised, random_coupling,
-                      random_marginal)
+from conftest import (conjugate_potential, forward_instance, inner_objective, noised,
+                      random_coupling, random_marginal)
 
 
 def hyper(**kwargs):
@@ -100,9 +100,13 @@ def test_theta_root_from_any_guess(problem):
     above = np.nextafter(cold, np.inf)
     assert cold < theta_max
     assert abs(p(cold) - 1.0) <= 1e-13 or (p(cold) < 1.0 and p(above) > 1.0)
+    # Every root leaves a positive denominator, so its half-update is defined.
+    assert (r - cold * s).min() > 0
     for guess in (cold - 1e6 * max(1.0, abs(cold)), np.nextafter(theta_max, -np.inf),
                   theta_max, theta_max + 1.0):
-        assert _theta_root(weights, r, s, guess) == pytest.approx(cold, rel=1e-12, abs=1e-12)
+        theta = _theta_root(weights, r, s, guess)
+        assert theta == pytest.approx(cold, rel=1e-12, abs=1e-12)
+        assert (r - theta * s).min() > 0
 
 
 class TestInnerSolve:
@@ -128,8 +132,15 @@ class TestInnerSolve:
             M = 0.01 * (rng.normal(0, 1, 3)[:, None] + rng.normal(0, 1, 3)[None, :]) * Z
             pi_hat = random_coupling(rng, 3, 3)
             mu_hat, nu_hat = pi_hat.sum(1), pi_hat.sum(0)
-            res = _inner_solve_raw(mu_hat, nu_hat, M, Z, 50)
-            assert np.all(np.diff(res.h_trace) <= 1e-9)
+            # Prefix runs give the iterates (xi_k, eta_k) after k pairs; the
+            # objective is read after every half-update along the chain.
+            runs = [_inner_solve_raw(mu_hat, nu_hat, M, Z, k) for k in range(51)]
+            h = [inner_objective(runs[0].xi, runs[0].eta, mu_hat, nu_hat, M)]
+            for prev, cur in zip(runs, runs[1:]):
+                h.append(inner_objective(cur.xi, prev.eta, mu_hat, nu_hat, M))
+                h.append(inner_objective(cur.xi, cur.eta, mu_hat, nu_hat, M))
+            assert np.all(np.diff(h) <= 1e-9)
+            res = runs[-1]
             assert res.multiplier_gap <= 1e-6
             kkt = -mu_hat / res.xi + M @ res.eta - res.theta * (Z @ res.eta)
             assert np.abs(kkt).max() <= 1e-8
@@ -332,17 +343,21 @@ class TestRiotFit:
         params = hyper(outer_iters=5)
         result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
                           inst["C_u"], inst["C_v"], params)
-        state = result.state
-        C = kernel_cost(inst["U"], inst["V"], state.A, inst["kern"]).entries
+        C = kernel_cost(inst["U"], inst["V"], result.A, inst["kern"]).entries
         Z = np.exp(-params.lam * C)
-        assert abs(state.xi @ Z @ state.eta - 1.0) <= 1e-8
+        assert abs(result.xi @ Z @ result.eta - 1.0) <= 1e-8
 
     def test_returns_best_objective_iterate(self):
         inst = forward_instance(21, m=4, n=4, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 5e-3)
+        params = hyper(outer_iters=10)
         result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                          inst["C_u"], inst["C_v"], hyper(outer_iters=10))
-        assert result.state.objective == pytest.approx(result.objective_trace.min())
+                          inst["C_u"], inst["C_v"], params)
+        ph = pi_hat.entries
+        blocks = (inst["C_u"], inst["C_v"], result.z, result.w)
+        obj = _evaluate_at(result.A, ph, ph.sum(1), ph.sum(0), inst["U"], inst["V"],
+                           inst["kern"], blocks, params)[0]
+        assert obj == pytest.approx(result.objective_trace.min())
 
     def test_product_coupling_stops_before_first_step(self, rng):
         # A = 0 gives a constant cost, whose plan is already the product
