@@ -17,8 +17,8 @@ import numpy as np
 from . import io as mio
 from .bounds import (cost_error_bound_check, cost_shift_distance, eval_matching,
                      kl_divergence, prediction_error_bound_check)
-from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix,
-                         MatchCounts, ProfileSet, normalize_counts)
+from .containers import (SUM_TOL, CostMatrix, CouplingMatrix, HyperParams,
+                         InteractionMatrix, MatchCounts, ProfileSet, normalize_counts)
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .joint import joint_fit
@@ -32,7 +32,7 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 
 _HYPER_KEY_ALIASES = {"lambda": "lam", "lambda_u": "lam_u", "lambda_v": "lam_v",
-                      "L": "outer_iters", "K": "inner_iters", "s": "step_size"}
+                      "L": "outer_iters", "s": "step_size"}
 
 
 def _load_config(path):
@@ -50,9 +50,18 @@ def _config_hash(cfg):
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def _section(cfg, key, name=None):
+    """The JSON object under ``key``, or {} when it is absent."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name or key!r} must be a JSON object, "
+                              f"got {section!r}")
+    return section
+
+
 def _hyper_from_config(cfg):
     return HyperParams(**{_HYPER_KEY_ALIASES.get(key, key): value
-                          for key, value in cfg.get("hyper", {}).items()})
+                          for key, value in _section(cfg, "hyper").items()})
 
 
 def _kernel_from_config(cfg):
@@ -68,6 +77,17 @@ def _require_file(path, flag):
     if not os.path.exists(path):
         raise ValidationError(f"{flag}: no such file: {path}")
     return path
+
+
+def _read_marginal(path, flag):
+    values = mio.read_vector(_require_file(path, flag))
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        raise ValidationError(f"{flag}: marginal masses must be finite and nonnegative")
+    total = float(values.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"{flag}: marginal masses sum to {total!r}, "
+                              f"not 1 within {SUM_TOL}")
+    return values
 
 
 def _nonnegative_counts(arr, path):
@@ -153,34 +173,34 @@ def _cmd_fit(args):
 def _cmd_predict(args):
     cfg = _load_config(args.config)
     kernel = _kernel_from_config(cfg)
-    lam = _hyper_from_config(cfg).lam
+    hyper = _hyper_from_config(cfg)
 
     A = InteractionMatrix(mio.read_matrix(_require_file(args.interaction, "--interaction")))
     U = ProfileSet(mio.read_matrix(_require_file(args.users, "--users")))
     V = ProfileSet(mio.read_matrix(_require_file(args.items, "--items")))
-    mu = mio.read_vector(_require_file(args.mu, "--mu"))
-    nu = mio.read_vector(_require_file(args.nu, "--nu"))
+    mu = _read_marginal(args.mu, "--mu")
+    nu = _read_marginal(args.nu, "--nu")
     if A.shape != (U.dim, V.dim):
         raise ValidationError(
             f"interaction shape {A.shape} does not match feature dims ({U.dim}, {V.dim})")
     if mu.size != U.count or nu.size != V.count:
         raise ValidationError("marginal lengths do not match profile counts")
 
-    plan = predict_matching(A, U, V, mu, nu, kernel, lam)
+    plan = predict_matching(A, U, V, mu, nu, kernel, hyper.lam, tol=hyper.sinkhorn_tol,
+                            max_iters=hyper.sinkhorn_max_iters)
     mio.write_matrix(args.out, plan.entries)
     return EXIT_OK
 
 
 def _synth_config(cfg, seed):
-    synth = dict(cfg.get("synth", {}))
+    synth = dict(_section(cfg, "synth"))
     synth.setdefault("kernel", cfg.get("kernel"))
     if synth["kernel"] is None:
         synth.pop("kernel")
     else:
         synth["kernel"] = KernelSpec.from_dict(synth["kernel"])
     if "hyper" in cfg or "hyper" in synth:
-        raw = dict(cfg.get("hyper", {}))
-        raw.update(synth.pop("hyper", {}))
+        raw = {**_section(cfg, "hyper"), **_section(synth, "hyper", "synth.hyper")}
         synth["hyper"] = _hyper_from_config({"hyper": raw})
     for key in ("delta_grid", "sigma_grid"):
         if key in synth:

@@ -59,10 +59,6 @@ class ProbabilityVector:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def dim(self):
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class MarginalPair:
@@ -149,10 +145,6 @@ class MetricMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class InteractionMatrix:
@@ -223,9 +215,9 @@ class HyperParams:
 
     ``lam`` is the main transport regularization, ``lam_u``/``lam_v`` the
     regularizations of the two marginal-relaxation terms, ``delta`` the
-    relaxation weight, ``step_size`` the gradient step, ``outer_iters`` /
-    ``inner_iters`` the loop budgets, and the two ``sinkhorn_*`` fields the
-    scaling solver's stopping rule.
+    relaxation weight, ``step_size`` the gradient step, ``outer_iters`` the
+    outer loop budget, and the two ``sinkhorn_*`` fields the scaling solver's
+    stopping rule.
     """
 
     lam: float = 1.0
@@ -234,7 +226,6 @@ class HyperParams:
     delta: float = 0.01
     step_size: float = 10.0
     outer_iters: int = 50
-    inner_iters: int = 20
     sinkhorn_tol: float = 1e-9
     sinkhorn_max_iters: int = 10000
 
@@ -244,7 +235,7 @@ class HyperParams:
                      f"{name} must be positive and finite")
         _require(is_finite_real(self.delta) and self.delta >= 0,
                  "delta must be nonnegative and finite")
-        for name, least in (("outer_iters", 0), ("inner_iters", 0), ("sinkhorn_max_iters", 1)):
+        for name, least in (("outer_iters", 0), ("sinkhorn_max_iters", 1)):
             value = getattr(self, name)
             _require(is_finite_real(value) and int(value) == value and value >= least,
                      f"{name} must be an integer >= {least}")

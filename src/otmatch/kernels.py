@@ -13,7 +13,9 @@ import numpy as np
 from .containers import CostMatrix, as_array, is_finite_real
 from .errors import ValidationError
 
-_KINDS = ("linear", "polynomial", "sigmoid")
+# The parameters each kernel kind reads.
+_PARAMETERS = {"linear": (), "polynomial": ("gamma", "c0", "degree"), "sigmoid": ("gamma", "c0")}
+_KINDS = tuple(_PARAMETERS)
 
 # Polynomial inputs past this magnitude produce costs that freeze the
 # downstream exp(-lam C) kernel; fail loudly instead.
@@ -70,18 +72,16 @@ class KernelSpec:
             return self.degree * self.gamma * inner ** (self.degree - 1)
         return self.gamma / np.cosh(self.gamma * t + self.c0) ** 2
 
-    def to_dict(self):
-        d = {"kind": self.kind, "gamma": self.gamma, "c0": self.c0}
-        if self.kind == "polynomial":
-            d["degree"] = int(self.degree)
-        return d
-
     @classmethod
     def from_dict(cls, d):
+        """Spec from a config object; a key its kind does not read is an error."""
         if not isinstance(d, dict) or "kind" not in d:
             raise ValidationError(f"kernel spec must be an object with a 'kind', got {d!r}")
-        return cls(kind=d["kind"], gamma=d.get("gamma", 1.0), c0=d.get("c0", 0.0),
-                   degree=d.get("degree", 2))
+        kind = cls(d["kind"]).kind
+        unused = sorted(set(d) - {"kind", *_PARAMETERS[kind]})
+        if unused:
+            raise ValidationError(f"{kind} kernel does not use {', '.join(map(repr, unused))}")
+        return cls(**d)
 
 
 def gram_products(U, V, A):

@@ -10,7 +10,8 @@ regularized transport distances tying the plan's marginals softly to the
 empirical ones. By duality the relaxation terms turn into potentials (z, w),
 and each outer iteration alternates:
 
-  1. inner scaling solve for (xi, eta, theta) at fixed (A, z, w),
+  1. inner scaling solve for (xi, eta, theta) at fixed (A, z, w), run until
+     the scalings settle,
   2. an envelope-theorem gradient step on A,
   3. refreshed potentials (z, w) from two Sinkhorn solves on C_u and C_v.
 
@@ -38,6 +39,8 @@ from .sinkhorn import regularized_value, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_STEPS = 200
+_INNER_TOL = 1e-12
+_INNER_MAX_PAIRS = 1000
 
 
 def _theta_root(weights, r, s, guess=None):
@@ -112,25 +115,32 @@ def _half_update(weights, M, Z, other, guess):
     return weights / denom, theta
 
 
-def _inner_solve_raw(mu_hat, nu_hat, M, Z, n_iters):
+def _inner_solve_raw(mu_hat, nu_hat, M, Z, max_pairs=_INNER_MAX_PAIRS):
     """Alternating half-updates for the constrained scaling problem.
 
-    Runs ``n_iters`` xi/eta half-update pairs on
+    Runs xi/eta half-update pairs on
     -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to xi' Z eta = 1,
     from the all-ones vectors rescaled onto the constraint. Each half-update
     solves its multiplier exactly, so the constraint holds after every update
     and the objective is non-increasing along half-steps. Each multiplier root
-    starts from its side's previous multiplier, cold in the first pair. With
-    ``n_iters == 0`` both multipliers are 0.
+    starts from its side's previous multiplier, cold in the first pair. The
+    loop stops after the first pair whose change
+    sum_i muhat_i |xi_i / xi_i^- - 1| + sum_j nuhat_j |eta_j / eta_j^- - 1|
+    is at most ``_INNER_TOL`` (1e-12), and otherwise returns the last iterate
+    after ``max_pairs`` pairs. With ``max_pairs == 0`` both multipliers are 0.
     """
     m, n = Z.shape
     total = float(np.ones(m) @ Z @ np.ones(n))
     xi = np.full(m, 1.0 / np.sqrt(total))
     eta = np.full(n, 1.0 / np.sqrt(total))
     theta1 = theta2 = 0.0
-    for k in range(n_iters):
-        xi, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else None)
-        eta, theta2 = _half_update(nu_hat, M.T, Z.T, xi, theta2 if k else None)
+    for k in range(max_pairs):
+        xi_new, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else None)
+        eta_new, theta2 = _half_update(nu_hat, M.T, Z.T, xi_new, theta2 if k else None)
+        change = mu_hat @ np.abs(xi_new / xi - 1.0) + nu_hat @ np.abs(eta_new / eta - 1.0)
+        xi, eta = xi_new, eta_new
+        if change <= _INNER_TOL:
+            break
     return InnerSolveResult(xi=xi, eta=eta, theta=theta1, theta2=theta2)
 
 
@@ -197,7 +207,7 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     if np.any(Z <= 0):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
     M = params.delta * (z[:, None] + w[None, :]) * Z
-    inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, params.inner_iters)
+    inner = _inner_solve_raw(mu_hat, nu_hat, M, Z)
     pi = inner.xi[:, None] * Z * inner.eta[None, :]
     obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params, z, w)
     return obj, (inner, pi, rel, blocks)
@@ -258,7 +268,7 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     """Run the three-block alternation and return the best iterate.
 
     Each of the ``params.outer_iters`` iterations performs the inner scaling
-    solve (``params.inner_iters`` half-update pairs), one gradient step on A
+    solve (half-update pairs until the scalings settle), one gradient step on A
     with the step-halving guard every fit shares, and a refresh of the
     relaxation potentials from the pre-step plan. The result holds the
     iterate with the lowest relaxed objective: its A and plan, and the

@@ -171,12 +171,6 @@ class SweepResult:
     records: tuple
     aggregates: tuple
 
-    def cell(self, sigma, delta):
-        for agg in self.aggregates:
-            if agg["sigma"] == sigma and agg["delta"] == delta:
-                return agg
-        raise KeyError((sigma, delta))
-
 
 def _sweep_task(payload):
     (sigma_idx, sigma, delta_idx, delta, rep, seed,

@@ -92,7 +92,7 @@ class TestIotErrorLowerBound:
         inst = forward_instance(50, m=5, n=5, p=3, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 8e-3)
         fit = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                      HyperParams(step_size=10.0, outer_iters=60, inner_iters=20))
+                      HyperParams(step_size=10.0, outer_iters=60))
         dmu = inst["pi0"].entries.sum(1) - pi_hat.entries.sum(1)
         dnu = inst["pi0"].entries.sum(0) - pi_hat.entries.sum(0)
         bound = iot_error_lower_bound(dmu, dnu, 5, 5)

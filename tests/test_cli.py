@@ -5,7 +5,7 @@ import pytest
 
 from otmatch import io as mio
 from otmatch.bounds import kl_divergence
-from otmatch.cli import EXIT_INPUT, EXIT_OK, main
+from otmatch.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from otmatch.containers import HyperParams
 from otmatch.synth import SynthConfig, generate_instance
 
@@ -13,7 +13,7 @@ from otmatch.synth import SynthConfig, generate_instance
 @pytest.fixture
 def workspace(tmp_path):
     cfg = SynthConfig(m=5, n=4, p=3, q=2, seed=3,
-                      hyper=HyperParams(step_size=5.0, outer_iters=4, inner_iters=10))
+                      hyper=HyperParams(step_size=5.0, outer_iters=4))
     inst = generate_instance(cfg)
     rng = np.random.default_rng(0)
     counts = rng.integers(1, 40, (5, 4))
@@ -32,7 +32,7 @@ def workspace(tmp_path):
     mio.write_matrix(paths["cost_v"], inst.C_v.entries)
     paths["config"].write_text(json.dumps({
         "kernel": {"kind": "polynomial", "gamma": 0.05, "c0": 1.0, "degree": 2},
-        "hyper": {"lambda": 1.0, "L": 4, "K": 10, "s": 5.0, "delta": 0.01},
+        "hyper": {"lambda": 1.0, "L": 4, "s": 5.0, "delta": 0.01},
         "seed": 3,
     }))
     return tmp_path, paths
@@ -172,6 +172,46 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"error: {name} must")
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("kernel, key", [
+        ({"kind": "linear", "degree": "abc"}, "degree"),
+        ({"kind": "polynomial", "gama": 3.0}, "gama")])
+    def test_kernel_key_the_kind_does_not_use_is_input_error(self, workspace, capsys,
+                                                             kernel, key):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps({"kernel": kernel}))
+        assert main(fit_args(paths, tmp / "nope", method="iot")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("key", ["K", "inner_iters"])
+    def test_inner_iteration_count_is_not_a_setting(self, workspace, capsys, key):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["hyper"][key] = 20
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp / "nope").exists()
+
+    def test_hyper_section_not_an_object_is_input_error(self, workspace, capsys):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps({"hyper": [1, 2]}))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: config section 'hyper'")
+        assert not (tmp / "nope").exists()
+
+    def test_solver_failure_exits_with_json_diagnostic(self, workspace, capsys):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps(
+            {"hyper": {"sinkhorn_max_iters": 1, "sinkhorn_tol": 1e-15}}))
+        assert main(fit_args(paths, tmp / "nope", method="iot")) == EXIT_SOLVER
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SinkhornConvergenceError"
+        assert not (tmp / "nope").exists()
+
     def test_reproducible_outputs(self, workspace):
         tmp, paths = workspace
         out1, out2 = tmp / "r1", tmp / "r2"
@@ -222,6 +262,46 @@ class TestPredict:
         assert main(args) == EXIT_INPUT
         assert "marginal masses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--mu", "--nu"])
+    @pytest.mark.parametrize("case", ["nan", "negative", "mass_two"])
+    def test_bad_marginal_is_input_error_naming_flag(self, workspace, capsys, flag, case):
+        tmp, paths = workspace
+        mio.write_matrix(tmp / "A0.csv", np.zeros((3, 2)))
+        marginals = {"--mu": np.full(5, 0.2), "--nu": np.full(4, 0.25)}
+        bad = marginals[flag]
+        if case == "nan":
+            bad[0] = np.nan
+        elif case == "negative":
+            bad[:2] = (-0.1, bad[0] + bad[1] + 0.1)
+        else:
+            bad *= 2.0
+        mio.write_vector(tmp / "mu.csv", marginals["--mu"])
+        mio.write_vector(tmp / "nu.csv", marginals["--nu"])
+        args = ["predict", "--interaction", str(tmp / "A0.csv"),
+                "--users", str(paths["users"]), "--items", str(paths["items"]),
+                "--mu", str(tmp / "mu.csv"), "--nu", str(tmp / "nu.csv"),
+                "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert not (tmp / "p.csv").exists()
+
+    def test_config_sinkhorn_settings_reach_the_solve(self, workspace, capsys):
+        tmp, paths = workspace
+        mio.write_matrix(tmp / "A.csv", np.random.default_rng(1).normal(0, 1, (3, 2)))
+        mio.write_vector(tmp / "mu.csv", np.full(5, 0.2))
+        mio.write_vector(tmp / "nu.csv", np.full(4, 0.25))
+        paths["config"].write_text(json.dumps(
+            {"hyper": {"sinkhorn_max_iters": 1, "sinkhorn_tol": 1e-15}}))
+        args = ["predict", "--interaction", str(tmp / "A.csv"),
+                "--users", str(paths["users"]), "--items", str(paths["items"]),
+                "--mu", str(tmp / "mu.csv"), "--nu", str(tmp / "nu.csv"),
+                "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
+        assert main(args) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "SinkhornConvergenceError"
+        assert not (tmp / "p.csv").exists()
+
     def test_constant_interaction_gives_product(self, workspace):
         tmp, paths = workspace
         mio.write_matrix(tmp / "A0.csv", np.zeros((3, 2)))
@@ -245,7 +325,7 @@ class TestSimulateAndEval:
             "synth": {"m": 5, "n": 5, "p": 3, "q": 2, "repetitions": 2,
                       "sigma_grid": [1e-3, 1e-2], "delta_grid": [0.01],
                       "noise_sigma": 5e-3},
-            "hyper": {"L": 3, "K": 8, "s": 5.0},
+            "hyper": {"L": 3, "s": 5.0},
         }))
         return cfg
 
@@ -297,6 +377,17 @@ class TestSimulateAndEval:
         assert {"d_riot", "d_iot"} <= set(summary)
         assert (out / "cost_true.csv").exists()
         assert (out / "cost_riot_aligned.csv").exists()
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"synth": [1, 2]}, "synth"), ({"synth": {"hyper": [1, 2]}}, "synth.hyper")])
+    def test_config_section_not_an_object_is_input_error(self, tmp_path, capsys, cfg, name):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: config section {name!r}")
+        assert not (tmp_path / "nope").exists()
 
     def test_eval_identity(self, tmp_path, capsys):
         plan = np.full((2, 2), 0.25)

@@ -95,8 +95,8 @@ class TestHyperParams:
         {"delta": -0.1}, {"sinkhorn_max_iters": 0},
         {"lam": np.inf}, {"lam_u": np.inf}, {"lam_v": np.inf}, {"delta": np.inf},
         {"step_size": np.inf}, {"sinkhorn_tol": np.inf}, {"delta": np.nan},
-        {"outer_iters": np.inf}, {"inner_iters": np.nan}, {"sinkhorn_max_iters": np.inf},
-        {"sinkhorn_max_iters": 2.5}, {"lam": "abc"}, {"inner_iters": None},
+        {"outer_iters": np.inf}, {"outer_iters": np.nan}, {"sinkhorn_max_iters": np.inf},
+        {"sinkhorn_max_iters": 2.5}, {"lam": "abc"}, {"outer_iters": None},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):

@@ -15,7 +15,7 @@ from conftest import forward_instance, noised, poly_kernel
 
 
 def hyper(**kwargs):
-    base = dict(lam=1.0, step_size=10.0, outer_iters=40, inner_iters=20)
+    base = dict(lam=1.0, step_size=10.0, outer_iters=40)
     base.update(kwargs)
     return HyperParams(**base)
 

@@ -207,7 +207,7 @@ class TestSideCostGradient:
         # projected starting points
         inst = forward_instance(34, m=4, n=4, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
-        params = HyperParams(delta=0.0, step_size=5.0, outer_iters=3, inner_iters=10)
+        params = HyperParams(delta=0.0, step_size=5.0, outer_iters=3)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.5)
         np.testing.assert_array_equal(
@@ -239,7 +239,7 @@ class TestJointFit:
     def _setup(self, seed):
         inst = forward_instance(seed, m=4, n=4, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
-        params = HyperParams(delta=0.01, step_size=5.0, outer_iters=6, inner_iters=40)
+        params = HyperParams(delta=0.01, step_size=5.0, outer_iters=6)
         return inst, pi_hat, params
 
     def test_frozen_side_costs_reproduce_fixed_cost_fit(self):
@@ -278,7 +278,7 @@ class TestJointFit:
     def test_side_below_three_rejected_before_any_solve(self, monkeypatch, m, n):
         inst = forward_instance(35, m=m, n=n, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
-        params = HyperParams(delta=0.01, step_size=5.0, outer_iters=2, inner_iters=10)
+        params = HyperParams(delta=0.01, step_size=5.0, outer_iters=2)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("the fit ran")
@@ -292,8 +292,7 @@ class TestJointFit:
     def test_default_init_is_uniform_hollow(self):
         inst, pi_hat, params = self._setup(33)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                       HyperParams(delta=0.01, step_size=5.0, outer_iters=0,
-                                   inner_iters=20))
+                       HyperParams(delta=0.01, step_size=5.0, outer_iters=0))
         expected = np.full((4, 4), 1.0 / 12.0)
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_allclose(jf.C_u.entries, expected, atol=1e-12)

@@ -32,9 +32,20 @@ class TestKernelSpec:
         spec = KernelSpec.from_dict({"kind": "polynomial", "degree": 3.0})
         assert spec.degree == 3 and isinstance(spec.degree, int)
 
-    def test_dict_round_trip(self):
-        spec = KernelSpec("sigmoid", gamma=0.3, c0=-0.2)
-        assert KernelSpec.from_dict(spec.to_dict()) == spec
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "linear", "degree": "abc"}, "degree"),
+        ({"kind": "linear", "gamma": 2.0}, "gamma"),
+        ({"kind": "linear", "c0": 1.0}, "c0"),
+        ({"kind": "sigmoid", "degree": 3}, "degree"),
+        ({"kind": "polynomial", "gama": 3.0}, "gama"),
+    ])
+    def test_from_dict_rejects_keys_the_kind_does_not_use(self, spec, key):
+        with pytest.raises(ValidationError, match=f"does not use '{key}'"):
+            KernelSpec.from_dict(spec)
+
+    def test_from_dict_reads_every_parameter(self):
+        spec = KernelSpec.from_dict({"kind": "sigmoid", "gamma": 0.3, "c0": -0.2})
+        assert spec == KernelSpec("sigmoid", gamma=0.3, c0=-0.2)
 
 
 class TestKernelCost:

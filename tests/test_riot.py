@@ -14,13 +14,14 @@ from otmatch.kernels import kernel_cost
 from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
                           _relaxed_objective, _theta_root, predict_matching, riot_fit)
 from otmatch.sinkhorn import rot_distance, sinkhorn
+from otmatch.synth import SynthConfig, add_noise, generate_instance
 
 from conftest import (conjugate_potential, forward_instance, inner_objective, noised,
                       random_coupling, random_marginal)
 
 
 def hyper(**kwargs):
-    base = dict(lam=1.0, delta=0.01, step_size=10.0, outer_iters=30, inner_iters=20)
+    base = dict(lam=1.0, delta=0.01, step_size=10.0, outer_iters=30)
     base.update(kwargs)
     return HyperParams(**base)
 
@@ -112,11 +113,12 @@ def test_theta_root_from_any_guess(problem):
 class TestInnerSolve:
     def test_zero_iterations_rescales_only(self, rng):
         inst = forward_instance(10, m=3, n=3)
-        res = point_at(inst["A0"], inst["pi0"], inst["U"], inst["V"], inst["kern"],
-                       np.zeros(3), np.zeros(3), hyper(inner_iters=0))[0]
+        pi0 = inst["pi0"].entries
         Z = np.exp(-inst["C0"].entries)
+        res = _inner_solve_raw(pi0.sum(1), pi0.sum(0), np.zeros((3, 3)), Z, 0)
         assert res.xi @ Z @ res.eta == pytest.approx(1.0, abs=1e-12)
         assert np.ptp(res.xi) == 0.0 and np.ptp(res.eta) == 0.0
+        assert res.theta == res.theta2 == 0.0
 
     def test_one_by_one_closed_form(self):
         Z = np.array([[0.6]])
@@ -145,6 +147,26 @@ class TestInnerSolve:
             kkt = -mu_hat / res.xi + M @ res.eta - res.theta * (Z @ res.eta)
             assert np.abs(kkt).max() <= 1e-8
             assert abs(res.xi @ Z @ res.eta - 1.0) <= 1e-8
+
+    def test_converged_at_large_lam(self):
+        """At lam = 10 the scalings need far more than 20 pairs to settle; the
+        solve runs until they do, so the KKT conditions hold to rounding."""
+        cfg = SynthConfig(seed=0, hyper=HyperParams(lam=10.0))
+        inst = generate_instance(cfg)
+        pi_hat = as_array(add_noise(inst.pi0, 8e-3, 0))
+        mu_hat, nu_hat = pi_hat.sum(1), pi_hat.sum(0)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            A = rng.standard_normal((cfg.p, cfg.q))
+            z, w = rng.standard_normal(cfg.m), rng.standard_normal(cfg.n)
+            blocks = (inst.C_u.entries, inst.C_v.entries, z, w)
+            res = _evaluate_at(A, pi_hat, mu_hat, nu_hat, inst.U, inst.V, cfg.kernel,
+                               blocks, cfg.hyper)[1][0]
+            Z = np.exp(-cfg.hyper.lam * kernel_cost(inst.U, inst.V, A, cfg.kernel).entries)
+            M = cfg.hyper.delta * (z[:, None] + w[None, :]) * Z
+            assert res.multiplier_gap <= 1e-10
+            kkt = -mu_hat + res.xi * (M @ res.eta - res.theta * (Z @ res.eta))
+            assert np.abs(kkt).max() <= 1e-10
 
 
 class TestRiotObjective:
@@ -195,7 +217,7 @@ class TestRiotGradient:
     def test_stationary_at_self_generated_data(self):
         inst = forward_instance(14, m=4, n=4, p=2, q=2)
         inst["pi_hat"] = inst["pi0"]
-        params = hyper(delta=0.0, inner_iters=200)
+        params = hyper(delta=0.0)
         point = self._point_at(inst, inst["A0"], np.zeros(4), np.zeros(4), params)
         g = self._gradient(inst, inst["A0"], point, params)
         assert np.linalg.norm(g) <= 1e-5
@@ -205,7 +227,7 @@ class TestRiotGradient:
         m = 3
         pi_hat = random_coupling(rng, m, m)
         z, w = rng.normal(0, 1, m), rng.normal(0, 1, m)
-        params = hyper(delta=0.02, inner_iters=120)
+        params = hyper(delta=0.02)
         C = rng.uniform(0, 2, (m, m))
         U = V = np.eye(m)
         kern = KernelSpec("linear")
@@ -221,7 +243,7 @@ class TestRiotGradient:
         inst = forward_instance(40 + seed, m=4, n=4, p=2, q=2)
         rng = inst["rng"]
         inst["pi_hat"] = noised(inst["pi0"], rng, 3e-3)
-        params = hyper(delta=0.01, inner_iters=250)
+        params = hyper(delta=0.01)
         z, w = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
         A = rng.normal(0, 0.3, (2, 2))
         g = self._gradient(inst, A, self._point_at(inst, A, z, w, params), params)
@@ -317,7 +339,7 @@ class TestDualUpdate:
 class TestRiotFit:
     def test_noise_free_recovery(self):
         inst = forward_instance(18, m=5, n=5, p=3, q=2)
-        params = hyper(delta=0.001, step_size=30.0, outer_iters=100, inner_iters=20)
+        params = hyper(delta=0.001, step_size=30.0, outer_iters=100)
         result = riot_fit(inst["pi0"], inst["U"], inst["V"], inst["kern"],
                           inst["C_u"], inst["C_v"], params)
         assert kl_divergence(inst["pi0"], result.fitted_plan) <= 1e-3
@@ -325,7 +347,7 @@ class TestRiotFit:
     def test_delta_zero_matches_iot_trajectory(self):
         inst = forward_instance(19, m=3, n=3, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 3e-3)
-        params = hyper(delta=0.0, step_size=5.0, outer_iters=10, inner_iters=80)
+        params = hyper(delta=0.0, step_size=5.0, outer_iters=10)
         zero_u = CostMatrix(np.zeros((3, 3)))
         zero_v = CostMatrix(np.zeros((3, 3)))
         fr = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], zero_u, zero_v, params)

@@ -10,7 +10,7 @@ from otmatch.synth import (SynthConfig, add_noise, cost_recovery_experiment,
 
 def small_config(**kwargs):
     base = dict(m=5, n=4, p=3, q=2, seed=11,
-                hyper=HyperParams(step_size=10.0, outer_iters=6, inner_iters=15),
+                hyper=HyperParams(step_size=10.0, outer_iters=6),
                 sigma_grid=(1e-3,), delta_grid=(0.01,), repetitions=1)
     base.update(kwargs)
     return SynthConfig(**base)
@@ -105,7 +105,8 @@ class TestRobustnessSweep:
         assert rec.rep == 0 and not rec.failed
         for val in (rec.kl_riot, rec.kl_iot, rec.kl_hat):
             assert np.isfinite(val) and val >= 0
-        agg = res.cell(1e-3, 0.01)
+        (agg,) = res.aggregates
+        assert (agg["sigma"], agg["delta"]) == (1e-3, 0.01)
         assert agg["n"] == 1 and agg["n_failed"] == 0 and not agg["incomplete"]
 
     def test_sigma_zero_baseline(self):
@@ -124,15 +125,14 @@ class TestCostRecoveryExperiment:
     def test_noise_free_recovery(self):
         cfg = small_config(
             m=6, n=6, p=3, q=2, noise_sigma=0.0, delta_grid=(1e-4,),
-            hyper=HyperParams(step_size=50.0, outer_iters=300, inner_iters=20))
+            hyper=HyperParams(step_size=50.0, outer_iters=300))
         res = cost_recovery_experiment(cfg)
         assert res.d_riot <= 1e-2
 
     def test_alignment_is_shift_exact(self):
         from otmatch.bounds import cost_shift_distance
         cfg = small_config(noise_sigma=5e-3,
-                           hyper=HyperParams(step_size=5.0, outer_iters=4,
-                                             inner_iters=10))
+                           hyper=HyperParams(step_size=5.0, outer_iters=4))
         res = cost_recovery_experiment(cfg)
         C_r = res.C_tilde_riot.entries
         assert cost_shift_distance(res.C_tilde_riot, res.C_tilde_riot) == 0.0
