@@ -252,6 +252,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_eval(args):
+    if not (np.isfinite(args.lam) and args.lam > 0):
+        raise ValidationError(f"--lambda must be finite and positive, got {args.lam!r}")
     pred = CouplingMatrix(mio.read_matrix(_require_file(args.pred, "--pred")))
     test = CouplingMatrix(mio.read_matrix(_require_file(args.test, "--test")))
     if pred.shape != test.shape:

@@ -16,7 +16,6 @@ plan.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .containers import CouplingMatrix, as_array
 from .errors import SinkhornConvergenceError, ValidationError
@@ -24,6 +23,15 @@ from .errors import SinkhornConvergenceError, ValidationError
 # Scaling magnitudes beyond which a sweep is absorbed into the potentials.
 _SCALE_HI = 1e150
 _SCALE_LO = 1e-150
+
+
+def _logsumexp(x, axis):
+    """log sum exp(x) along ``axis``, shifted by the finite max; a slice that
+    is all -inf gives -inf."""
+    shift = x.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - shift).sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -134,8 +142,8 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
             if _SCALE_LO <= lo and hi <= _SCALE_HI:
                 a, b = a_next, b_next
             else:
-                g = np.log(nu) - logsumexp(neg_lam_C + (f + np.log(a))[:, None], axis=0)
-                f = np.log(mu) - logsumexp(neg_lam_C + g[None, :], axis=1)
+                g = np.log(nu) - _logsumexp(neg_lam_C + (f + np.log(a))[:, None], axis=0)
+                f = np.log(mu) - _logsumexp(neg_lam_C + g[None, :], axis=1)
                 if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
                     raise SinkhornConvergenceError(
                         "scaling potentials degenerated to non-finite values",

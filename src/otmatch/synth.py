@@ -10,7 +10,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bounds import align_shift, cost_shift_distance, kl_divergence
 from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix,
@@ -121,8 +120,8 @@ def generate_instance(cfg):
         return SynthInstance(
             U=ProfileSet(U), V=ProfileSet(V), A0=InteractionMatrix(A0),
             mu0=mu0, nu0=nu0,
-            C_u=CostMatrix(cdist(pts_u, pts_u)),
-            C_v=CostMatrix(cdist(pts_v, pts_v)),
+            C_u=CostMatrix(np.linalg.norm(pts_u[:, None] - pts_u, axis=-1)),
+            C_v=CostMatrix(np.linalg.norm(pts_v[:, None] - pts_v, axis=-1)),
             pi0=pi0)
     raise ValidationError(
         f"could not generate a solvable instance in {_MAX_GENERATE_ATTEMPTS} "

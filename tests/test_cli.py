@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import otmatch
 from otmatch import io as mio
 from otmatch.bounds import kl_divergence
 from otmatch.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
@@ -388,6 +392,35 @@ class TestSimulateAndEval:
         assert main(args) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: config section {name!r}")
         assert not (tmp_path / "nope").exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import failing,
+        # the CLI still imports and runs a whole experiment.
+        cfg = self.simulate_config(tmp_path)
+        argv = ["simulate", "--figure", "3", "--seed", "5", "--config", str(cfg),
+                "--out", str(tmp_path / "plans")]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import otmatch.cli\n"
+                f"sys.exit(otmatch.cli.main({argv!r}))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(otmatch.__file__)))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "plans" / "summary.json").exists()
+
+    @pytest.mark.parametrize("lam", ["0", "-1", "nan", "inf"])
+    def test_eval_lambda_must_be_finite_and_positive(self, tmp_path, capsys, lam):
+        plan = np.full((2, 2), 0.25)
+        for name in ("a", "c"):
+            mio.write_matrix(tmp_path / f"{name}.csv", plan)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(tmp_path / "a.csv"), "--test", str(tmp_path / "a.csv"),
+                     "--cost-true", str(tmp_path / "c.csv"),
+                     "--cost-pred", str(tmp_path / "c.csv"),
+                     f"--lambda={lam}", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --lambda")
+        assert not out.exists()
 
     def test_eval_identity(self, tmp_path, capsys):
         plan = np.full((2, 2), 0.25)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from otmatch.errors import SinkhornConvergenceError, ValidationError
-from otmatch.sinkhorn import plan_entropy, rot_distance, sinkhorn
+from otmatch.sinkhorn import _logsumexp, plan_entropy, rot_distance, sinkhorn
 
 from conftest import conjugate_potential, random_marginal
 
@@ -113,6 +114,24 @@ class TestSinkhorn:
         C = rng.uniform(10, 30, (4, 4))
         res = sinkhorn(C, random_marginal(rng, 4), random_marginal(rng, 4), 60.0)
         assert res.final_marginal_error <= 1e-9
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("scale", [1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])
+    def test_matches_scipy(self, rng, scale, axis):
+        # Slices of 20 or more entries keep the value well away from 0, where
+        # two roundings of the same sum cannot agree to a relative 1e-15.
+        x = scale * rng.standard_normal((20, 30))
+        np.testing.assert_allclose(_logsumexp(x, axis), logsumexp(x, axis=axis),
+                                   rtol=1e-15, atol=0)
+
+    def test_all_minus_inf_slice_gives_minus_inf(self):
+        x = np.array([[-np.inf, 0.0, -np.inf], [-np.inf, 1.0, -np.inf]])
+        expected = logsumexp(x, axis=0)
+        assert expected[0] == expected[2] == -np.inf
+        np.testing.assert_allclose(_logsumexp(x, 0), expected, rtol=1e-15)
+        np.testing.assert_allclose(_logsumexp(x.T, 1), expected, rtol=1e-15)
 
 
 class TestRotDistance:
