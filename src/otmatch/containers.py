@@ -5,8 +5,8 @@ private copies with the writeable flag cleared, so instances can be shared
 freely across threads. Construction validates the container's invariants and
 raises :class:`~otmatch.errors.ValidationError` on violation.
 
-Probability-carrying containers accept sums within ``SUM_TOL`` of one and
-renormalize exactly (divide by the actual sum); sums further off are
+:class:`CouplingMatrix` accepts a total within ``SUM_TOL`` of one and
+renormalizes exactly (divides by the actual sum); totals further off are
 rejected. This absorbs the precision lost by CSV round-trips without letting
 genuinely unnormalized data through.
 """
@@ -34,38 +34,10 @@ def is_finite_real(value):
 
 def as_array(x):
     """The array a container wraps, or ``x`` itself as a float array."""
-    for attr in ("entries", "values", "features"):
+    for attr in ("entries", "features"):
         if hasattr(x, attr):
             return getattr(x, attr)
     return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Nonnegative vector of mass fractions summing to one."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        _require(arr.ndim == 1, f"probability vector must be 1-d, got shape {arr.shape}")
-        _require(arr.size >= 1, "probability vector must be non-empty")
-        _require(np.all(np.isfinite(arr)), "probability vector has non-finite entries")
-        _require(np.all(arr >= 0), "probability vector has negative entries")
-        total = arr.sum()
-        _require(abs(total - 1.0) <= SUM_TOL,
-                 f"probability vector sums to {total!r}, not 1 within {SUM_TOL}")
-        arr /= total
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class MarginalPair:
-    """Row and column marginals of a coupling."""
-
-    mu: ProbabilityVector
-    nu: ProbabilityVector
 
 
 @dataclass(frozen=True)
@@ -93,12 +65,6 @@ class CouplingMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-    def marginals(self):
-        """Row-sum and column-sum marginals as a :class:`MarginalPair`."""
-        return MarginalPair(ProbabilityVector(self.entries.sum(axis=1)),
-                            ProbabilityVector(self.entries.sum(axis=0)))
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -188,28 +154,6 @@ class ProfileSet:
 
 
 @dataclass(frozen=True)
-class MatchCounts:
-    """Raw co-occurrence counts N_ij between the two sides of a matching."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.counts)
-        _require(arr.ndim == 2, f"match counts must be 2-d, got shape {arr.shape}")
-        _require(np.all(np.isfinite(arr.astype(float))), "match counts have non-finite entries")
-        _require(np.all(arr == np.floor(arr)), "match counts must be integers")
-        _require(np.all(arr >= 0), "match counts must be nonnegative")
-        arr = arr.astype(np.int64)
-        _require(arr.sum() >= 1, "empty matching data")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class HyperParams:
     """Solver hyper-parameters shared by the fitting routines.
 
@@ -242,25 +186,24 @@ class HyperParams:
 
 
 def normalize_counts(counts):
-    """Turn raw match counts into the observed matching matrix N_ij / N.
+    """Turn raw match counts N_ij into the observed matching N_ij / N.
 
-    Parameters
-    ----------
-    counts : MatchCounts
-        Raw co-occurrence counts with positive total.
-
-    Returns
-    -------
-    CouplingMatrix
-        Counts divided by their total, renormalized to sum exactly to one.
+    Raises
+    ------
+    ValidationError
+        Unless the counts are a 2-d array of finite nonnegative integers with
+        a positive total; a negative entry is named by its 1-based row and
+        column.
     """
-    if not isinstance(counts, MatchCounts):
-        counts = MatchCounts(counts)
-    return CouplingMatrix(counts.counts / counts.total)
-
-
-def marginals(pi):
-    """Row and column marginals of a coupling as a :class:`MarginalPair`."""
-    if not isinstance(pi, CouplingMatrix):
-        pi = CouplingMatrix(pi)
-    return pi.marginals()
+    arr = np.array(counts)
+    _require(arr.ndim == 2, f"match counts must be 2-d, got shape {arr.shape}")
+    _require(np.all(np.isfinite(arr.astype(float))), "match counts have non-finite entries")
+    _require(np.all(arr == np.floor(arr)), "match counts must be integers")
+    bad = np.argwhere(arr < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"match counts: negative entry at row {i + 1}, column {j + 1}")
+    arr = arr.astype(np.int64)
+    total = arr.sum()
+    _require(total >= 1, "empty matching data")
+    return CouplingMatrix(arr / total)

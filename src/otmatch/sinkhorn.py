@@ -81,7 +81,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     ----------
     C : CostMatrix or array, shape (m, n)
         Pairwise transport costs.
-    mu, nu : ProbabilityVector or array
+    mu, nu : array
         Strictly positive row and column marginals of equal mass.
     lam : float
         Regularization strength (> 0); larger values sharpen the plan.
@@ -184,10 +184,4 @@ def regularized_value(plan, C, lam):
     """Regularized transport value <pi, C> - H(pi) / lam of a plan."""
     p = as_array(plan)
     return float((p * as_array(C)).sum() - plan_entropy(p) / lam)
-
-
-def rot_distance(C, mu, nu, lam, tol=1e-9, max_iters=10000):
-    """Regularized transport value <pi*, C> - H(pi*) / lam at the Sinkhorn plan."""
-    return regularized_value(sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters).plan,
-                             C, lam)
 

@@ -6,7 +6,6 @@ cell of a sweep is reproducible in isolation and the whole sweep is
 bit-identical regardless of execution order or parallelism.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -214,6 +213,9 @@ def robustness_sweep(cfg, max_workers=1):
                               cfg.hyper))
 
     if max_workers > 1:
+        # Imported here: the process pool pulls in multiprocessing, which a
+        # serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=1))
     else:

@@ -9,7 +9,7 @@ import pytest
 import otmatch
 from otmatch import io as mio
 from otmatch.bounds import kl_divergence
-from otmatch.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from otmatch.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, _synth_config, main
 from otmatch.containers import HyperParams
 from otmatch.synth import SynthConfig, generate_instance
 
@@ -206,6 +206,14 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: config section 'hyper'")
         assert not (tmp / "nope").exists()
 
+    def test_hyper_key_under_two_spellings_is_input_error(self, workspace, capsys):
+        tmp, paths = workspace
+        paths["config"].write_text(json.dumps({"hyper": {"lam": 1.0, "lambda": 2.0}}))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'lam'" in err and "'lambda'" in err
+        assert not (tmp / "nope").exists()
+
     def test_solver_failure_exits_with_json_diagnostic(self, workspace, capsys):
         tmp, paths = workspace
         paths["config"].write_text(json.dumps(
@@ -392,6 +400,37 @@ class TestSimulateAndEval:
         assert main(args) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: config section {name!r}")
         assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"hyper": {"L": 2, "outer_iters": 3}}, "hyper"),
+        ({"synth": {"hyper": {"s": 5.0, "step_size": 2.0}}}, "synth.hyper")])
+    def test_hyper_key_under_two_spellings_is_input_error(self, tmp_path, capsys, cfg,
+                                                          name):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config section {name!r}")
+        assert all(repr(key) in err for key in cfg.get("synth", cfg)["hyper"])
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("top, inner", [("lambda", "lam"), ("lam", "lambda")])
+    def test_synth_hyper_overrides_top_level_under_any_spelling(self, top, inner):
+        cfg = {"hyper": {top: 1.0, "L": 3}, "synth": {"hyper": {inner: 2.0}}}
+        hyper = _synth_config(cfg, 0).hyper
+        assert (hyper.lam, hyper.outer_iters) == (2.0, 3)
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # Only a parallel sweep needs the process pool; importing the CLI
+        # must not pay for multiprocessing.
+        code = "import sys, otmatch.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(otmatch.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: with every scipy import failing,

@@ -3,31 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from otmatch.containers import (CostMatrix, CouplingMatrix, HyperParams, MatchCounts,
-                                MetricMatrix, ProbabilityVector, ProfileSet,
-                                marginals, normalize_counts)
+from otmatch.containers import (CostMatrix, CouplingMatrix, HyperParams, MetricMatrix,
+                                ProfileSet, normalize_counts)
 from otmatch.errors import ValidationError
-
-
-class TestProbabilityVector:
-    def test_accepts_and_renormalizes_within_tolerance(self):
-        v = ProbabilityVector(np.array([0.5, 0.5 + 5e-10]))
-        assert v.values.sum() == pytest.approx(1.0, abs=0)
-
-    @pytest.mark.parametrize("bad", [
-        [0.5, 0.6],            # sum off by 0.1
-        [-0.1, 1.1],           # negative entry
-        [np.nan, 1.0],         # non-finite
-        [0.5, 0.5 + 1e-7],     # sum outside 1e-9
-    ])
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(ValidationError):
-            ProbabilityVector(np.array(bad))
-
-    def test_immutable(self):
-        v = ProbabilityVector(np.array([0.3, 0.7]))
-        with pytest.raises(ValueError):
-            v.values[0] = 0.0
 
 
 class TestCouplingMatrix:
@@ -43,12 +21,6 @@ class TestCouplingMatrix:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationError):
             CouplingMatrix(bad)
-
-    def test_marginals_are_probability_vectors(self):
-        mp = CouplingMatrix([[0.375, 0.125], [0.0, 0.5]]).marginals()
-        np.testing.assert_allclose(mp.mu.values, [0.5, 0.5])
-        np.testing.assert_allclose(mp.nu.values, [0.375, 0.625])
-
 
 class TestMetricMatrix:
     def test_accepts_euclidean_distances(self, rng):
@@ -105,38 +77,37 @@ class TestHyperParams:
 
 class TestNormalizeCounts:
     def test_equal_counts_uniform(self):
-        out = normalize_counts(MatchCounts([[1, 1], [1, 1]]))
+        out = normalize_counts([[1, 1], [1, 1]])
         np.testing.assert_allclose(out.entries, 0.25)
 
     def test_diagonal_counts(self):
-        out = normalize_counts(MatchCounts([[2, 0], [0, 2]]))
+        out = normalize_counts([[2, 0], [0, 2]])
         np.testing.assert_allclose(out.entries, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_direct_division(self):
-        out = normalize_counts(MatchCounts([[3, 1], [0, 4]]))
+        out = normalize_counts([[3, 1], [0, 4]])
         np.testing.assert_allclose(out.entries, [[0.375, 0.125], [0.0, 0.5]])
         assert out.entries.sum() == 1.0
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValidationError, match="empty matching data"):
-            MatchCounts([[0, 0], [0, 0]])
+            normalize_counts([[0, 0], [0, 0]])
 
     def test_marginal_composition(self, rng):
         counts = rng.integers(0, 9, (4, 6))
         counts[0, 0] += 1
-        mp = marginals(normalize_counts(MatchCounts(counts)))
+        pi = normalize_counts(counts).entries
         total = counts.sum()
-        np.testing.assert_allclose(mp.mu.values, counts.sum(axis=1) / total)
-        np.testing.assert_allclose(mp.nu.values, counts.sum(axis=0) / total)
+        np.testing.assert_allclose(pi.sum(axis=1), counts.sum(axis=1) / total)
+        np.testing.assert_allclose(pi.sum(axis=0), counts.sum(axis=0) / total)
 
-
-class TestMarginals:
-    def test_uniform(self):
-        mp = marginals([[0.25, 0.25], [0.25, 0.25]])
-        np.testing.assert_allclose(mp.mu.values, [0.5, 0.5])
-        np.testing.assert_allclose(mp.nu.values, [0.5, 0.5])
-
-    def test_permutation_mass(self):
-        mp = marginals([[0.5, 0.0], [0.0, 0.5]])
-        np.testing.assert_allclose(mp.mu.values, [0.5, 0.5])
-        np.testing.assert_allclose(mp.nu.values, [0.5, 0.5])
+    @pytest.mark.parametrize("bad, message", [
+        ([1, 2], "2-d"),
+        ([[1, np.nan], [1, 1]], "non-finite"),
+        ([[1, np.inf], [1, 1]], "non-finite"),
+        ([[1, 2.5], [1, 1]], "integers"),
+        ([[1, 2], [3, -4]], "row 2, column 2"),
+    ])
+    def test_rejects_invalid(self, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize_counts(bad)

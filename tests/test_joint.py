@@ -11,7 +11,7 @@ from otmatch.containers import CostMatrix, HyperParams
 from otmatch.errors import ProjectionError, ValidationError
 from otmatch.joint import _triangle_table, joint_fit, project_metric_simplex
 from otmatch.riot import _relaxation_dual, riot_fit
-from otmatch.sinkhorn import rot_distance
+from otmatch.sinkhorn import regularized_value, sinkhorn
 
 from conftest import (euclidean_cost, forward_instance, full_sweep_projection, noised,
                       random_marginal)
@@ -223,15 +223,19 @@ class TestSideCostGradient:
         C_u = rng.uniform(0.5, 2.0, (3, 3))
         params = HyperParams(sinkhorn_tol=1e-12)
         _, value, plan = _relaxation_dual(C_u, mu, mu_hat, 1.0, params)
-        assert value == rot_distance(C_u, mu, mu_hat, 1.0, tol=1e-12)
+        assert value == regularized_value(sinkhorn(C_u, mu, mu_hat, 1.0, tol=1e-12).plan,
+                                          C_u, 1.0)
         h = 1e-6
         fd = np.zeros_like(C_u)
         for i in range(3):
             for j in range(3):
                 dC = np.zeros_like(C_u)
                 dC[i, j] = h
-                fd[i, j] = (rot_distance(C_u + dC, mu, mu_hat, 1.0, tol=1e-12)
-                            - rot_distance(C_u - dC, mu, mu_hat, 1.0, tol=1e-12)) / (2 * h)
+                up, down = C_u + dC, C_u - dC
+                fd[i, j] = (regularized_value(sinkhorn(up, mu, mu_hat, 1.0, tol=1e-12).plan,
+                                              up, 1.0)
+                            - regularized_value(sinkhorn(down, mu, mu_hat, 1.0, tol=1e-12).plan,
+                                                down, 1.0)) / (2 * h)
         assert np.abs(plan - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-3
 
 

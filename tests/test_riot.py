@@ -13,7 +13,7 @@ from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
 from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
                           _relaxed_objective, _theta_root, predict_matching, riot_fit)
-from otmatch.sinkhorn import rot_distance, sinkhorn
+from otmatch.sinkhorn import regularized_value, sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 
 from conftest import (conjugate_potential, forward_instance, inner_objective, noised,
@@ -200,9 +200,11 @@ class TestRiotObjective:
         params = hyper(delta=0.07)
         val = relaxed_objective(inst["pi0"], pi_hat, inst["C_u"], inst["C_v"], params)
         mu, nu = inst["pi0"].entries.sum(1), inst["pi0"].entries.sum(0)
+        plan_u = sinkhorn(inst["C_u"], mu, pi_hat.entries.sum(1), 1.0).plan
+        plan_v = sinkhorn(inst["C_v"], nu, pi_hat.entries.sum(0), 1.0).plan
         expected = (_neg_log_likelihood(pi_hat.entries, inst["pi0"].entries)
-                    + 0.07 * (rot_distance(inst["C_u"], mu, pi_hat.entries.sum(1), 1.0)
-                              + rot_distance(inst["C_v"], nu, pi_hat.entries.sum(0), 1.0)))
+                    + 0.07 * (regularized_value(plan_u, inst["C_u"], 1.0)
+                              + regularized_value(plan_v, inst["C_v"], 1.0)))
         assert val == pytest.approx(expected, abs=1e-8)
 
 
@@ -312,7 +314,8 @@ class TestDualUpdate:
             mu = plan.entries.sum(1)
             z_conj = conjugate_potential(z, C_u, mu_hat, params.lam_u)
             dual = z @ mu + z_conj @ mu_hat - 1.0 / params.lam_u
-            primal = rot_distance(C_u, mu, mu_hat, params.lam_u)
+            primal = regularized_value(sinkhorn(C_u, mu, mu_hat, params.lam_u).plan,
+                                       C_u, params.lam_u)
             assert dual == pytest.approx(primal, abs=1e-6)
             if closed_form is not None:
                 assert dual == pytest.approx(closed_form, abs=1e-9)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from otmatch.errors import SinkhornConvergenceError, ValidationError
-from otmatch.sinkhorn import _logsumexp, plan_entropy, rot_distance, sinkhorn
+from otmatch.sinkhorn import _logsumexp, plan_entropy, regularized_value, sinkhorn
 
 from conftest import conjugate_potential, random_marginal
 
@@ -135,20 +135,24 @@ class TestLogSumExp:
 
 
 class TestRotDistance:
+    """The ROT distance: the regularized value at the Sinkhorn plan."""
+
     def test_constant_cost_closed_form(self):
         # uniform product plan: H = 1 + ln 4 at 2x2
-        val = rot_distance(np.full((2, 2), 2.0), [0.5, 0.5], [0.5, 0.5], 1.0)
+        C = np.full((2, 2), 2.0)
+        val = regularized_value(sinkhorn(C, [0.5, 0.5], [0.5, 0.5], 1.0).plan, C, 1.0)
         assert val == pytest.approx(2.0 - (1.0 + np.log(4.0)), abs=1e-9)
 
     def test_one_by_one(self):
-        assert rot_distance([[3.0]], [1.0], [1.0], 4.0) == pytest.approx(3.0 - 0.25)
+        plan = sinkhorn([[3.0]], [1.0], [1.0], 4.0).plan
+        assert regularized_value(plan, [[3.0]], 4.0) == pytest.approx(3.0 - 0.25)
 
     def test_matches_univariate_oracle(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         _, oracle_value = two_by_two_oracle(C, np.array([0.7, 0.3]), np.array([0.4, 0.6]), 1.0)
         assert oracle_value == pytest.approx(-1.8336560333441716, abs=1e-9)
-        assert rot_distance(C, [0.7, 0.3], [0.4, 0.6], 1.0) == pytest.approx(
-            oracle_value, abs=1e-7)
+        plan = sinkhorn(C, [0.7, 0.3], [0.4, 0.6], 1.0).plan
+        assert regularized_value(plan, C, 1.0) == pytest.approx(oracle_value, abs=1e-7)
 
 
 def scaling_dual_value(C, mu, nu, lam):
@@ -176,7 +180,7 @@ class TestRotDualValue:
             C = rng.uniform(0, 3, (3, 3))
             mu, nu = random_marginal(rng, 3), random_marginal(rng, 3)
             dual, _, _ = scaling_dual_value(C, mu, nu, 1.0)
-            primal = rot_distance(C, mu, nu, 1.0)
+            primal = regularized_value(sinkhorn(C, mu, nu, 1.0).plan, C, 1.0)
             assert abs(dual - primal) <= 1e-6
 
 
