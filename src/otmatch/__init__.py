@@ -9,13 +9,13 @@ provided: a fixed-marginal likelihood fit (IOT), a marginal-relaxed fit
 RIOT fit that also learns the two side costs. Supporting modules supply the
 forward transport solver, shift-invariant cost comparison with two
 identifiability bound checks, the synthetic experiment protocol, and a
-CSV/JSON command-line interface.
+CSV/JSON command-line interface. Costs, feature sets and interaction matrices
+are plain arrays; couplings and side-cost metrics are validated containers.
 """
 
 from .bounds import (BoundReport, align_shift, cost_error_bound_check, cost_shift_distance,
                      eval_matching, kl_divergence, prediction_error_bound_check)
-from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix,
-                         MetricMatrix, ProfileSet, normalize_counts)
+from .containers import CouplingMatrix, HyperParams, MetricMatrix, normalize_counts
 from .errors import (DivergenceError, OtmatchError, ProjectionError,
                      RootFindingError, SinkhornConvergenceError, ValidationError)
 from .iot import IotFitResult, iot_fit
@@ -31,10 +31,9 @@ from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "CostMatrix", "CostRecoveryResult", "CouplingMatrix",
-    "DivergenceError", "HyperParams", "InteractionMatrix", "IotFitResult",
-    "JointFitResult", "KernelSpec", "MetricMatrix", "OtmatchError", "ProfileSet",
-    "ProjectionError", "RiotFitResult", "RootFindingError",
+    "BoundReport", "CostRecoveryResult", "CouplingMatrix", "DivergenceError",
+    "HyperParams", "IotFitResult", "JointFitResult", "KernelSpec", "MetricMatrix",
+    "OtmatchError", "ProjectionError", "RiotFitResult", "RootFindingError",
     "SinkhornConvergenceError", "SinkhornResult", "SweepRecord", "SweepResult",
     "SynthConfig", "SynthInstance", "ValidationError", "add_noise", "align_shift",
     "cost_error_bound_check", "cost_recovery_experiment", "cost_shift_distance",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, as_array, is_finite_real
+from .containers import as_array, is_finite_real
 from .errors import ValidationError
 from .sinkhorn import sinkhorn
 
@@ -57,12 +57,14 @@ def cost_shift_distance(C1, C2):
     """Frobenius distance between cost matrices modulo the shift family.
 
     Equals min over (a, b) of ||a 1' + 1 b' - M||_F with M = C2 - C1, the
-    norm of M doubly centred.
+    norm of M doubly centred. Both must be 2-d and of one shape.
     """
-    M = as_array(C2) - as_array(C1)
-    if M.ndim != 2:
-        raise ValidationError("cost matrices must be 2-d")
-    return float(np.linalg.norm(_shift_fit(M)[2]))
+    C1 = as_array(C1)
+    C2 = as_array(C2)
+    if C1.ndim != 2 or C1.shape != C2.shape:
+        raise ValidationError(f"cost matrices must be 2-d of one shape, got {C1.shape} "
+                              f"and {C2.shape}")
+    return float(np.linalg.norm(_shift_fit(C2 - C1)[2]))
 
 
 def align_shift(C_learned, C_target):
@@ -73,7 +75,7 @@ def align_shift(C_learned, C_target):
     Cl = as_array(C_learned)
     Ct = as_array(C_target)
     a, b, _ = _shift_fit(Ct - Cl)
-    return CostMatrix(Cl + a[:, None] + b[None, :])
+    return Cl + a[:, None] + b[None, :]
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,7 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     return BoundReport(float(bound), float((dc * dc).sum()))
 
 
-def prediction_error_bound_check(C0, C_learned, mu, nu, lam,
-                                 tol=1e-9, max_iters=10000):
+def prediction_error_bound_check(C0, C_learned, mu, nu, lam):
     """Check the log-plan gap of predictions against its cost lower bound.
 
     Both plans are computed at the shared marginals; the bound is
@@ -126,8 +127,8 @@ def prediction_error_bound_check(C0, C_learned, mu, nu, lam,
     lam must be finite and positive.
     """
     _check_lam(lam)
-    plan0 = sinkhorn(as_array(C0), mu, nu, lam, tol=tol, max_iters=max_iters).plan
-    plan1 = sinkhorn(as_array(C_learned), mu, nu, lam, tol=tol, max_iters=max_iters).plan
+    plan0 = sinkhorn(C0, mu, nu, lam).plan
+    plan1 = sinkhorn(C_learned, mu, nu, lam).plan
     dlog = _log_ratio(plan0, plan1, "plans")
     resid = _shift_fit(as_array(C0) - as_array(C_learned))[2]
     bound = lam ** 2 * (resid * resid).sum()

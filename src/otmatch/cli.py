@@ -17,8 +17,7 @@ import numpy as np
 from . import io as mio
 from .bounds import (cost_error_bound_check, cost_shift_distance, eval_matching,
                      kl_divergence, prediction_error_bound_check)
-from .containers import (SUM_TOL, CostMatrix, CouplingMatrix, HyperParams,
-                         InteractionMatrix, ProfileSet, normalize_counts)
+from .containers import SUM_TOL, CouplingMatrix, HyperParams, normalize_counts
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .joint import joint_fit
@@ -95,8 +94,8 @@ def _require_file(path, flag):
 
 def _read_marginal(path, flag):
     values = mio.read_vector(_require_file(path, flag))
-    if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
-        raise ValidationError(f"{flag}: marginal masses must be finite and nonnegative")
+    if not np.all(values >= 0):
+        raise ValidationError(f"{flag}: marginal masses must be nonnegative")
     total = float(values.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"{flag}: marginal masses sum to {total!r}, "
@@ -130,15 +129,17 @@ def _cmd_fit(args):
     else:
         pi_hat = CouplingMatrix(mio.read_matrix(_require_file(args.coupling, "--coupling")))
 
-    U = ProfileSet(mio.read_matrix(_require_file(args.users, "--users")))
-    V = ProfileSet(mio.read_matrix(_require_file(args.items, "--items")))
+    U = mio.read_matrix(_require_file(args.users, "--users"))
+    V = mio.read_matrix(_require_file(args.items, "--items"))
     m, n = pi_hat.shape
-    if U.count != m or V.count != n:
-        raise ValidationError(
-            f"profile counts ({U.count}, {V.count}) do not match matching shape ({m}, {n})")
+    if U.shape[1] != m or V.shape[1] != n:
+        raise ValidationError(f"profile counts ({U.shape[1]}, {V.shape[1]}) do not match "
+                              f"matching shape ({m}, {n})")
 
     if args.joint_side_costs and args.method != "riot":
         raise ValidationError("--joint-side-costs needs --method riot")
+    if "side_step" in cfg and not args.joint_side_costs:
+        raise ValidationError("config key 'side_step' needs --joint-side-costs")
     # The fixed side costs, or the joint fit's optional starting points.
     side_costs = {}
     if args.method == "riot":
@@ -149,7 +150,7 @@ def _cmd_fit(args):
                         f"{flag} is required (or pass --joint-side-costs to learn "
                         f"the side costs)")
                 continue
-            side_costs[flag] = CostMatrix(mio.read_matrix(_require_file(path, flag)))
+            side_costs[flag] = mio.read_matrix(_require_file(path, flag))
             if side_costs[flag].shape != (size, size):
                 raise ValidationError(f"{flag}: side cost shape {side_costs[flag].shape} "
                                       f"does not match ({size}, {size})")
@@ -168,7 +169,7 @@ def _cmd_fit(args):
     if args.joint_side_costs:
         mio.write_matrix(os.path.join(args.out, "cost_u.csv"), result.C_u.entries)
         mio.write_matrix(os.path.join(args.out, "cost_v.csv"), result.C_v.entries)
-    mio.write_matrix(os.path.join(args.out, "A.csv"), result.A.entries)
+    mio.write_matrix(os.path.join(args.out, "A.csv"), result.A)
     mio.write_matrix(os.path.join(args.out, "fitted_plan.csv"), result.fitted_plan.entries)
     mio.write_vector(os.path.join(args.out, "objective_trace.csv"), result.objective_trace)
     _write_metadata(args.out, f"fit --method {args.method}", seed, cfg, started)
@@ -180,15 +181,15 @@ def _cmd_predict(args):
     kernel = _kernel_from_config(cfg)
     hyper = _hyper_from_config(cfg)
 
-    A = InteractionMatrix(mio.read_matrix(_require_file(args.interaction, "--interaction")))
-    U = ProfileSet(mio.read_matrix(_require_file(args.users, "--users")))
-    V = ProfileSet(mio.read_matrix(_require_file(args.items, "--items")))
+    A = mio.read_matrix(_require_file(args.interaction, "--interaction"))
+    U = mio.read_matrix(_require_file(args.users, "--users"))
+    V = mio.read_matrix(_require_file(args.items, "--items"))
     mu = _read_marginal(args.mu, "--mu")
     nu = _read_marginal(args.nu, "--nu")
-    if A.shape != (U.dim, V.dim):
-        raise ValidationError(
-            f"interaction shape {A.shape} does not match feature dims ({U.dim}, {V.dim})")
-    if mu.size != U.count or nu.size != V.count:
+    if A.shape != (U.shape[0], V.shape[0]):
+        raise ValidationError(f"interaction shape {A.shape} does not match feature dims "
+                              f"({U.shape[0]}, {V.shape[0]})")
+    if mu.size != U.shape[1] or nu.size != V.shape[1]:
         raise ValidationError("marginal lengths do not match profile counts")
 
     plan = predict_matching(A, U, V, mu, nu, kernel, hyper.lam, tol=hyper.sinkhorn_tol,
@@ -238,9 +239,9 @@ def _cmd_simulate(args):
                    "kl_iot": kl_divergence(pi0, pi_iot)}
     else:
         result = cost_recovery_experiment(scfg)
-        matrices = {"cost_true.csv": result.C0.entries,
-                    "cost_riot_aligned.csv": result.C_tilde_riot.entries,
-                    "cost_iot_aligned.csv": result.C_tilde_iot.entries}
+        matrices = {"cost_true.csv": result.C0,
+                    "cost_riot_aligned.csv": result.C_tilde_riot,
+                    "cost_iot_aligned.csv": result.C_tilde_iot}
         summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
                    "d_riot": result.d_riot, "d_iot": result.d_iot,
                    "kl_riot": result.kl_riot, "kl_iot": result.kl_iot,
@@ -259,17 +260,23 @@ def _cmd_simulate(args):
 def _cmd_eval(args):
     if not (np.isfinite(args.lam) and args.lam > 0):
         raise ValidationError(f"--lambda must be finite and positive, got {args.lam!r}")
+    if (args.cost_true is None) != (args.cost_pred is None):
+        raise ValidationError("--cost-true and --cost-pred must be given together")
     pred = CouplingMatrix(mio.read_matrix(_require_file(args.pred, "--pred")))
     test = CouplingMatrix(mio.read_matrix(_require_file(args.test, "--test")))
     if pred.shape != test.shape:
         raise ValidationError(f"shape mismatch: {pred.shape} vs {test.shape}")
+    costs = {}
+    for flag, path in (("--cost-true", args.cost_true), ("--cost-pred", args.cost_pred)):
+        if path is not None:
+            costs[flag] = mio.read_matrix(_require_file(path, flag))
+            if costs[flag].shape != test.shape:
+                raise ValidationError(f"{flag}: cost shape {costs[flag].shape} does not "
+                                      f"match plan shape {test.shape}")
     report = eval_matching(pred, test)
 
-    if (args.cost_true is None) != (args.cost_pred is None):
-        raise ValidationError("--cost-true and --cost-pred must be given together")
-    if args.cost_true is not None:
-        c_true = CostMatrix(mio.read_matrix(_require_file(args.cost_true, "--cost-true")))
-        c_pred = CostMatrix(mio.read_matrix(_require_file(args.cost_pred, "--cost-pred")))
+    if costs:
+        c_true, c_pred = costs["--cost-true"], costs["--cost-pred"]
         report["cost_shift_distance"] = cost_shift_distance(c_pred, c_true)
         checks = {}
         if np.all(pred.entries > 0) and np.all(test.entries > 0):

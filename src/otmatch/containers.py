@@ -1,5 +1,10 @@
 """Validated numerical containers shared by every solver.
 
+Only matrices with an invariant beyond "finite and 2-d" get a container: a
+coupling (unit mass) and a metric (triangle inequalities). Costs, feature
+sets and interaction matrices travel as plain arrays; the CSV reader rejects
+non-finite input where it enters.
+
 All containers are immutable after construction: the wrapped arrays are
 private copies with the writeable flag cleared, so instances can be shared
 freely across threads. Construction validates the container's invariants and
@@ -34,9 +39,8 @@ def is_finite_real(value):
 
 def as_array(x):
     """The array a container wraps, or ``x`` itself as a float array."""
-    for attr in ("entries", "features"):
-        if hasattr(x, attr):
-            return getattr(x, attr)
+    if hasattr(x, "entries"):
+        return x.entries
     return np.asarray(x, dtype=float)
 
 
@@ -59,23 +63,6 @@ class CouplingMatrix:
         _require(abs(total - 1.0) <= SUM_TOL,
                  f"coupling sums to {total!r}, not 1 within {SUM_TOL}")
         arr /= total
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Real m-by-n matrix of pairwise matching costs (any finite scale)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        _require(arr.ndim == 2, f"cost matrix must be 2-d, got shape {arr.shape}")
-        _require(np.all(np.isfinite(arr)), "cost matrix has non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -110,47 +97,6 @@ class MetricMatrix:
                  f"metric matrix violates a triangle inequality by {worst:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """p-by-q parameter of the kernel cost C_ij = f(u_i' A v_j)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        _require(arr.ndim == 2, f"interaction matrix must be 2-d, got shape {arr.shape}")
-        _require(np.all(np.isfinite(arr)), "interaction matrix has non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
-class ProfileSet:
-    """Feature matrix with one column per individual (dim-by-count)."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.features, dtype=float)
-        _require(arr.ndim == 2, f"profile set must be 2-d, got shape {arr.shape}")
-        _require(arr.shape[1] >= 1, "profile set must hold at least one individual")
-        _require(np.all(np.isfinite(arr)), "profile set has non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
-
-    @property
-    def dim(self):
-        return self.features.shape[0]
-
-    @property
-    def count(self):
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)

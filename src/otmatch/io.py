@@ -1,8 +1,9 @@
 """Plain numeric CSV readers and writers.
 
 One matrix row per line, comma separated, no header. Writers emit 17
-significant digits so doubles round-trip exactly; readers reject ragged rows
-and non-numeric fields with the offending line in the message.
+significant digits so doubles round-trip exactly; readers reject ragged rows,
+non-numeric fields and non-finite values with the offending line in the
+message.
 """
 
 import numpy as np
@@ -11,8 +12,9 @@ from .errors import ValidationError
 
 
 def read_matrix(path):
-    """Load a 2-d matrix from CSV, rejecting ragged or non-numeric rows."""
+    """Load a 2-d matrix from CSV, rejecting ragged, non-numeric or non-finite rows."""
     rows = []
+    linenos = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -26,6 +28,7 @@ def read_matrix(path):
                 raise ValidationError(
                     f"{path}: ragged row at line {lineno}: expected {width} "
                     f"columns, found {len(fields)}")
+            linenos.append(lineno)
             try:
                 rows.append([float(f) for f in fields])
             except ValueError:
@@ -34,7 +37,12 @@ def read_matrix(path):
                     f"{path}: non-numeric value at line {lineno}, column {bad + 1}")
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    return np.asarray(rows, dtype=float)
+    arr = np.asarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValidationError(
+            f"{path}: non-finite value at line {linenos[i]}, column {j + 1}")
+    return arr
 
 
 def _is_number(text):

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .containers import CouplingMatrix, HyperParams, InteractionMatrix, as_array
+from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import DivergenceError
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import sinkhorn
@@ -38,14 +38,14 @@ class IotFitResult:
     the fit objective up to the constant entropy of pihat.
     """
 
-    A: InteractionMatrix
+    A: np.ndarray
     fitted_plan: CouplingMatrix
     objective_trace: np.ndarray
     iterations: int
 
 
 def _model_plan(A, mu_hat, nu_hat, U, V, kernel, params):
-    C = kernel_cost(U, V, A, kernel).entries
+    C = kernel_cost(U, V, A, kernel)
     result = sinkhorn(C, mu_hat, nu_hat, params.lam,
                       tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
     return result.plan.entries
@@ -146,7 +146,7 @@ def iot_fit(pi_hat, U, V, kernel, params=None):
     mask = pi_hat > 0
     neg_entropy = float((pi_hat[mask] * np.log(pi_hat[mask])).sum())
     return IotFitResult(
-        A=InteractionMatrix(A),
+        A=A,
         fitted_plan=CouplingMatrix(pi),
         objective_trace=np.asarray(trace) + neg_entropy,
         iterations=steps,

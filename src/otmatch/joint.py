@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .containers import CostMatrix, CouplingMatrix, InteractionMatrix, MetricMatrix, as_array
+from .containers import CouplingMatrix, MetricMatrix, as_array, is_finite_real
 from .errors import ProjectionError, ValidationError
 from .riot import _alternating_fit
 # perfbench/tracing.py binds otmatch.joint.sinkhorn as its side-gradient span;
@@ -157,7 +157,7 @@ def project_metric_simplex(matrix):
 class JointFitResult:
     """Best iterate of the joint fit over (A, C_u, C_v)."""
 
-    A: InteractionMatrix
+    A: np.ndarray
     C_u: MetricMatrix
     C_v: MetricMatrix
     fitted_plan: CouplingMatrix
@@ -180,8 +180,8 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         raise ValidationError(f"joint fit needs at least 3 individuals per side, got {(m, n)}")
     if side_step is None:
         side_step = 0.1 * params.step_size
-    if side_step < 0:
-        raise ValidationError("side_step must be nonnegative")
+    if not (is_finite_real(side_step) and side_step >= 0):
+        raise ValidationError(f"side_step must be nonnegative and finite, got {side_step!r}")
 
     C_u0 = _initial_side_cost(C_u_init, m)
     C_v0 = _initial_side_cost(C_v_init, n)
@@ -196,7 +196,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         return c_u, c_v
 
     (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(
-        pi_hat, U, V, kernel, CostMatrix(C_u0), CostMatrix(C_v0), params,
+        pi_hat, U, V, kernel, C_u0, C_v0, params,
         side_block=side_block if side_step > 0 else None)
 
     final_u = MetricMatrix(c_u, tol=1e-7)
@@ -204,7 +204,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     _check_unit_sum(final_u.entries, "C_u")
     _check_unit_sum(final_v.entries, "C_v")
     return JointFitResult(
-        A=InteractionMatrix(A),
+        A=A,
         C_u=final_u,
         C_v=final_v,
         fitted_plan=CouplingMatrix(pi),

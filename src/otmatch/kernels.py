@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CostMatrix, as_array, is_finite_real
+from .containers import as_array, is_finite_real
 from .errors import ValidationError
 
 # The parameters each kernel kind reads.
@@ -101,14 +101,14 @@ def kernel_cost(U, V, A, kernel):
 
     Parameters
     ----------
-    U, V : ProfileSet or array
+    U, V : array
         Feature matrices, p-by-m and q-by-n (one column per individual).
-    A : InteractionMatrix or array, shape (p, q)
+    A : array, shape (p, q)
     kernel : KernelSpec
 
     Returns
     -------
-    CostMatrix
+    array, shape (m, n)
 
     Raises
     ------
@@ -121,7 +121,7 @@ def kernel_cost(U, V, A, kernel):
     if not np.all(np.isfinite(c)):
         i, j = np.argwhere(~np.isfinite(c))[0]
         raise ValidationError(f"kernel cost is non-finite at entry ({i}, {j})")
-    return CostMatrix(c)
+    return c
 
 
 def assemble_interaction_grad(U, V, A, kernel, weights):

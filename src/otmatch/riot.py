@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .containers import CouplingMatrix, HyperParams, InteractionMatrix, as_array
+from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import RootFindingError, ValidationError
 from .iot import _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
@@ -154,7 +154,7 @@ class RiotFitResult:
     is its final xi multiplier and ``z``, ``w`` the potentials it used.
     """
 
-    A: InteractionMatrix
+    A: np.ndarray
     fitted_plan: CouplingMatrix
     objective_trace: np.ndarray
     xi: np.ndarray
@@ -203,7 +203,7 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     The relaxation solves start from the potentials (z, w) of the blocks.
     """
     c_u, c_v, z, w = blocks
-    Z = np.exp(-params.lam * kernel_cost(U, V, A, kernel).entries)
+    Z = np.exp(-params.lam * kernel_cost(U, V, A, kernel))
     if np.any(Z <= 0):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
     M = params.delta * (z[:, None] + w[None, :]) * Z
@@ -278,10 +278,10 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     ----------
     pi_hat : CouplingMatrix
         Observed matching matrix with strictly positive marginals.
-    U, V : ProfileSet
+    U, V : array
         Feature matrices (p-by-m and q-by-n).
     kernel : KernelSpec
-    C_u, C_v : CostMatrix
+    C_u, C_v : array
         Side costs of the two relaxation terms, m-by-m and n-by-n.
     params : HyperParams
 
@@ -296,7 +296,7 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     (_, A, (inner, pi, _, (_, _, z, w))), trace = _alternating_fit(
         pi_hat, U, V, kernel, C_u, C_v, params)
     return RiotFitResult(
-        A=InteractionMatrix(A),
+        A=A,
         fitted_plan=CouplingMatrix(pi),
         objective_trace=np.asarray(trace),
         xi=inner.xi, eta=inner.eta, theta=inner.theta, z=z, w=w,

@@ -79,7 +79,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
 
     Parameters
     ----------
-    C : CostMatrix or array, shape (m, n)
+    C : array, shape (m, n)
         Pairwise transport costs.
     mu, nu : array
         Strictly positive row and column marginals of equal mass.

@@ -7,12 +7,12 @@ bit-identical regardless of execution order or parallelism.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .bounds import align_shift, cost_shift_distance, kl_divergence
-from .containers import (CostMatrix, CouplingMatrix, HyperParams, InteractionMatrix,
-                         ProfileSet, as_array)
+from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .kernels import KernelSpec, kernel_cost
@@ -78,13 +78,13 @@ def _stream(seed, *key):
 class SynthInstance:
     """Ground truth of one synthetic matching market."""
 
-    U: ProfileSet
-    V: ProfileSet
-    A0: InteractionMatrix
+    U: np.ndarray
+    V: np.ndarray
+    A0: np.ndarray
     mu0: np.ndarray
     nu0: np.ndarray
-    C_u: CostMatrix
-    C_v: CostMatrix
+    C_u: np.ndarray
+    C_v: np.ndarray
     pi0: CouplingMatrix
 
 
@@ -117,10 +117,9 @@ def generate_instance(cfg):
             last_error = exc
             continue
         return SynthInstance(
-            U=ProfileSet(U), V=ProfileSet(V), A0=InteractionMatrix(A0),
-            mu0=mu0, nu0=nu0,
-            C_u=CostMatrix(np.linalg.norm(pts_u[:, None] - pts_u, axis=-1)),
-            C_v=CostMatrix(np.linalg.norm(pts_v[:, None] - pts_v, axis=-1)),
+            U=U, V=V, A0=A0, mu0=mu0, nu0=nu0,
+            C_u=np.linalg.norm(pts_u[:, None] - pts_u, axis=-1),
+            C_v=np.linalg.norm(pts_v[:, None] - pts_v, axis=-1),
             pi0=pi0)
     raise ValidationError(
         f"could not generate a solvable instance in {_MAX_GENERATE_ATTEMPTS} "
@@ -170,23 +169,19 @@ class SweepResult:
     aggregates: tuple
 
 
-def _sweep_task(payload):
-    (sigma_idx, sigma, delta_idx, delta, rep, seed,
-     pi0, U, V, kernel, C_u, C_v, hyper) = payload
-    rng = _stream(seed, 1, sigma_idx, delta_idx, rep)
-    # One wrapped pi0 for the noise and every KL, so sigma = 0 gives
-    # kl_hat = 0 exactly: add_noise returns this very object then.
-    pi0 = CouplingMatrix(pi0)
-    pi_hat = add_noise(pi0, sigma, rng)
-    kl_hat = kl_divergence(pi0, pi_hat)
-    params = replace(hyper, delta=delta)
+def _sweep_task(cfg, inst, cell):
+    sigma_idx, sigma, delta_idx, delta, rep = cell
+    rng = _stream(cfg.seed, 1, sigma_idx, delta_idx, rep)
+    # sigma = 0 gives kl_hat = 0 exactly: add_noise returns pi0 itself then.
+    pi_hat = add_noise(inst.pi0, sigma, rng)
+    kl_hat = kl_divergence(inst.pi0, pi_hat)
+    params = replace(cfg.hyper, delta=delta)
     try:
-        fit_r = riot_fit(pi_hat, ProfileSet(U), ProfileSet(V), kernel,
-                         CostMatrix(C_u), CostMatrix(C_v), params)
-        fit_i = iot_fit(pi_hat, ProfileSet(U), ProfileSet(V), kernel, params)
+        fit_r = riot_fit(pi_hat, inst.U, inst.V, cfg.kernel, inst.C_u, inst.C_v, params)
+        fit_i = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
         return SweepRecord(sigma=sigma, delta=delta, rep=rep,
-                           kl_riot=kl_divergence(pi0, fit_r.fitted_plan),
-                           kl_iot=kl_divergence(pi0, fit_i.fitted_plan),
+                           kl_riot=kl_divergence(inst.pi0, fit_r.fitted_plan),
+                           kl_iot=kl_divergence(inst.pi0, fit_i.fitted_plan),
                            kl_hat=kl_hat)
     except OtmatchError:
         return SweepRecord(sigma=sigma, delta=delta, rep=rep,
@@ -202,24 +197,20 @@ def robustness_sweep(cfg, max_workers=1):
     exceeds one; the reduction is ordered, so parallel and serial runs
     produce identical results.
     """
-    inst = generate_instance(cfg)
-    tasks = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        for di, delta in enumerate(cfg.delta_grid):
-            for rep in range(cfg.repetitions):
-                tasks.append((si, sigma, di, delta, rep, cfg.seed,
-                              inst.pi0.entries, inst.U.features, inst.V.features,
-                              cfg.kernel, inst.C_u.entries, inst.C_v.entries,
-                              cfg.hyper))
+    task = partial(_sweep_task, cfg, generate_instance(cfg))
+    cells = [(si, sigma, di, delta, rep)
+             for si, sigma in enumerate(cfg.sigma_grid)
+             for di, delta in enumerate(cfg.delta_grid)
+             for rep in range(cfg.repetitions)]
 
     if max_workers > 1:
         # Imported here: the process pool pulls in multiprocessing, which a
         # serial run never needs.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=1))
+            records = list(pool.map(task, cells, chunksize=1))
     else:
-        records = [_sweep_task(t) for t in tasks]
+        records = [task(cell) for cell in cells]
 
     aggregates = []
     for si, sigma in enumerate(cfg.sigma_grid):
@@ -257,9 +248,9 @@ class CostRecoveryResult:
 
     d_riot: float
     d_iot: float
-    C_tilde_riot: CostMatrix
-    C_tilde_iot: CostMatrix
-    C0: CostMatrix
+    C_tilde_riot: np.ndarray
+    C_tilde_iot: np.ndarray
+    C0: np.ndarray
     kl_riot: float
     kl_iot: float
     kl_hat: float

@@ -4,7 +4,7 @@ from hypothesis import settings
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, ProfileSet, as_array
+from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.joint import _DRIFT_TOL, _FEAS_TOL, _MAX_CYCLES, _triangle_table
 from otmatch.kernels import KernelSpec, gram_products, kernel_cost
 from otmatch.sinkhorn import sinkhorn
@@ -83,10 +83,9 @@ def forward_instance(seed, m=6, n=5, p=3, q=2, lam=1.0, conc=5.0):
     C0 = kernel_cost(U, V, A0, kern)
     pi0 = sinkhorn(C0, mu0, nu0, lam).plan
     return {
-        "rng": rng, "U": ProfileSet(U), "V": ProfileSet(V), "A0": A0,
+        "rng": rng, "U": U, "V": V, "A0": A0,
         "mu0": mu0, "nu0": nu0, "kern": kern, "C0": C0, "pi0": pi0,
-        "C_u": CostMatrix(euclidean_cost(rng, m)),
-        "C_v": CostMatrix(euclidean_cost(rng, n)),
+        "C_u": euclidean_cost(rng, m), "C_v": euclidean_cost(rng, n),
     }
 
 

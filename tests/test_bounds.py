@@ -58,6 +58,13 @@ class TestCostShiftDistance:
         shifted = C + a[:, None] + b[None, :]
         assert cost_shift_distance(C, shifted) <= 1e-9
 
+    @pytest.mark.parametrize("shape1, shape2", [((3, 3), (4, 4)), ((4, 4), (1, 4)),
+                                                ((4,), (4,))], ids=["3x3-4x4", "4x4-1x4", "1-d"])
+    def test_shape_mismatch(self, shape1, shape2):
+        # no broadcasting: a 1-by-4 cost is not a 4-by-4 one
+        with pytest.raises(ValidationError, match="one shape"):
+            cost_shift_distance(np.zeros(shape1), np.zeros(shape2))
+
     def test_matches_dense_least_squares(self, rng):
         for _ in range(5):
             M = rng.normal(0, 1, (3, 4))
@@ -103,7 +110,7 @@ class TestCostShiftDistance:
         C_target = rng.normal(0, 1, (4, 5))
         aligned = align_shift(C_learned, C_target)
         assert cost_shift_distance(aligned, C_learned) <= 1e-9
-        assert np.linalg.norm(aligned.entries - C_target) == pytest.approx(
+        assert np.linalg.norm(aligned - C_target) == pytest.approx(
             cost_shift_distance(C_learned, C_target), abs=1e-9)
 
 

@@ -30,10 +30,10 @@ def workspace(tmp_path):
         "config": tmp_path / "config.json",
     }
     mio.write_matrix(paths["counts"], counts)
-    mio.write_matrix(paths["users"], inst.U.features)
-    mio.write_matrix(paths["items"], inst.V.features)
-    mio.write_matrix(paths["cost_u"], inst.C_u.entries)
-    mio.write_matrix(paths["cost_v"], inst.C_v.entries)
+    mio.write_matrix(paths["users"], inst.U)
+    mio.write_matrix(paths["items"], inst.V)
+    mio.write_matrix(paths["cost_u"], inst.C_u)
+    mio.write_matrix(paths["cost_v"], inst.C_v)
     paths["config"].write_text(json.dumps({
         "kernel": {"kind": "polynomial", "gamma": 0.05, "c0": 1.0, "degree": 2},
         "hyper": {"lambda": 1.0, "L": 4, "s": 5.0, "delta": 0.01},
@@ -100,6 +100,28 @@ class TestFit:
         args = fit_args(paths, tmp / "nope", method="iot", extra=["--joint-side-costs"])
         assert main(args) == EXIT_INPUT
         assert "--joint-side-costs" in capsys.readouterr().err
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "abc"])
+    def test_bad_side_step_is_input_error(self, workspace, capsys, value):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["side_step"] = value
+        paths["config"].write_text(json.dumps(cfg))
+        args = fit_args(paths, tmp / "nope", extra=["--joint-side-costs"])
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: side_step must")
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("method", ["iot", "riot"])
+    def test_side_step_without_joint_flag_is_input_error(self, workspace, capsys, method):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["side_step"] = 0.5
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "nope", method=method)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "side_step" in err and "--joint-side-costs" in err
         assert not (tmp / "nope").exists()
 
     @pytest.mark.parametrize("joint", [False, True])
@@ -295,7 +317,12 @@ class TestPredict:
                 "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
         assert main(args) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}: ")
+        if case == "nan":
+            # the CSV reader rejects it and names the file
+            path = tmp / f"{flag[2:]}.csv"
+            assert err.startswith(f"error: {path}: non-finite value at line 1, column 1")
+        else:
+            assert err.startswith(f"error: {flag}: ")
         assert not (tmp / "p.csv").exists()
 
     def test_config_sinkhorn_settings_reach_the_solve(self, workspace, capsys):
@@ -475,6 +502,21 @@ class TestSimulateAndEval:
         assert main(["eval", "--pred", str(tmp_path / "a.csv"),
                      "--test", str(tmp_path / "b.csv")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("shape_true, shape_pred, flag", [
+        ((3, 3), (4, 4), "--cost-pred"), ((4, 4), (3, 3), "--cost-true"),
+        ((4, 4), (4, 4), "--cost-true")], ids=["3x3-4x4", "4x4-3x3", "4x4-4x4"])
+    def test_eval_cost_shape_must_match_plans(self, tmp_path, capsys, shape_true,
+                                              shape_pred, flag):
+        mio.write_matrix(tmp_path / "a.csv", np.full((3, 3), 1 / 9))
+        mio.write_matrix(tmp_path / "ct.csv", np.ones(shape_true))
+        mio.write_matrix(tmp_path / "cp.csv", np.ones(shape_pred))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(tmp_path / "a.csv"), "--test", str(tmp_path / "a.csv"),
+                     "--cost-true", str(tmp_path / "ct.csv"),
+                     "--cost-pred", str(tmp_path / "cp.csv"), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {flag}: cost shape")
+        assert not out.exists()
+
     def test_eval_with_costs_reports_bounds(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         from otmatch.sinkhorn import sinkhorn
@@ -494,6 +536,50 @@ class TestSimulateAndEval:
         report = json.loads(capsys.readouterr().out)
         assert "cost_shift_distance" in report
         assert report["prediction_error_bound"]["satisfied"]
+
+
+# The flags each command reads a CSV matrix or vector from.
+_CSV_FLAGS = {
+    "fit": ("--counts", "--coupling", "--users", "--items", "--cost-u", "--cost-v"),
+    "predict": ("--interaction", "--users", "--items", "--mu", "--nu"),
+    "eval": ("--pred", "--test", "--cost-true", "--cost-pred"),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in _CSV_FLAGS.items() for flag in flags])
+    def test_non_finite_entry_names_the_file(self, workspace, capsys, command, flag):
+        tmp, paths = workspace
+        plan = mio.read_matrix(paths["counts"])
+        plan /= plan.sum()
+        files = {"--counts": paths["counts"], "--users": paths["users"],
+                 "--items": paths["items"], "--cost-u": paths["cost_u"],
+                 "--cost-v": paths["cost_v"]}
+        for name, arr in (("--coupling", plan), ("--interaction", np.zeros((3, 2))),
+                          ("--mu", plan.sum(axis=1)), ("--nu", plan.sum(axis=0)),
+                          ("--pred", plan), ("--test", plan),
+                          ("--cost-true", np.ones(plan.shape)),
+                          ("--cost-pred", np.ones(plan.shape))):
+            files[name] = tmp / f"{name[2:]}.csv"
+            mio.write_matrix(files[name], np.atleast_2d(arr))
+        bad = mio.read_matrix(files[flag])
+        bad[-1, -1] = np.inf
+        mio.write_matrix(files[flag], bad)
+
+        flags = list(_CSV_FLAGS[command])
+        if command == "fit":
+            # one matching source: the coupling only when it holds the bad entry
+            flags.remove("--counts" if flag == "--coupling" else "--coupling")
+        out = tmp / "nope"
+        args = [command] + (["--method", "riot"] if command == "fit" else [])
+        for f in flags:
+            args += [f, str(files[f])]
+        assert main(args + ["--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[flag]}: non-finite value at line "
+                              f"{bad.shape[0]}, column {bad.shape[1]}\n")
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from otmatch.containers import (CostMatrix, CouplingMatrix, HyperParams, MetricMatrix,
-                                ProfileSet, normalize_counts)
+from otmatch.containers import CouplingMatrix, HyperParams, MetricMatrix, normalize_counts
 from otmatch.errors import ValidationError
 
 
@@ -44,18 +43,6 @@ class TestMetricMatrix:
             MetricMatrix([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError):
             MetricMatrix([[1.0, 1.0], [1.0, 0.0]])
-
-
-class TestCostAndProfiles:
-    def test_cost_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            CostMatrix([[1.0, np.nan]])
-
-    def test_profile_set_requires_columns(self):
-        with pytest.raises(ValidationError):
-            ProfileSet(np.zeros((3, 0)))
-        p = ProfileSet(np.ones((3, 4)))
-        assert (p.dim, p.count) == (3, 4)
 
 
 class TestHyperParams:

@@ -37,6 +37,15 @@ class TestReaderRejections:
         with pytest.raises(ValidationError, match="line 2, column 2"):
             mio.read_matrix(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite(self, tmp_path, token):
+        # blank lines are skipped but counted: the row is the file's line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(f"\n1,2\n\n\n3,{token}\n")
+        with pytest.raises(ValidationError) as exc:
+            mio.read_matrix(path)
+        assert str(exc.value) == f"{path}: non-finite value at line 5, column 2"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

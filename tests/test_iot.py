@@ -101,7 +101,7 @@ class TestIotFit:
         inst = forward_instance(4)
         result = iot_fit(inst["pi0"], inst["U"], inst["V"], inst["kern"],
                          hyper(outer_iters=0))
-        np.testing.assert_allclose(result.A.entries, 0.0)
+        np.testing.assert_allclose(result.A, 0.0)
         assert result.iterations == 0
         assert result.objective_trace.size == 1
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmatch import joint
-from otmatch.containers import CostMatrix, HyperParams
+from otmatch.containers import HyperParams
 from otmatch.errors import ProjectionError, ValidationError
 from otmatch.joint import _triangle_table, joint_fit, project_metric_simplex
 from otmatch.riot import _relaxation_dual, riot_fit
@@ -211,9 +211,9 @@ class TestSideCostGradient:
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.5)
         np.testing.assert_array_equal(
-            jf.C_u.entries, project_metric_simplex(inst["C_u"].entries).entries)
+            jf.C_u.entries, project_metric_simplex(inst["C_u"]).entries)
         np.testing.assert_array_equal(
-            jf.C_v.entries, project_metric_simplex(inst["C_v"].entries).entries)
+            jf.C_v.entries, project_metric_simplex(inst["C_v"]).entries)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
@@ -250,11 +250,10 @@ class TestJointFit:
         inst, pi_hat, params = self._setup(30)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.0)
-        cu_p = project_metric_simplex(inst["C_u"].entries).entries
-        cv_p = project_metric_simplex(inst["C_v"].entries).entries
-        rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                      CostMatrix(cu_p), CostMatrix(cv_p), params)
-        np.testing.assert_allclose(jf.A.entries, rf.A.entries, atol=1e-8)
+        cu_p = project_metric_simplex(inst["C_u"]).entries
+        cv_p = project_metric_simplex(inst["C_v"]).entries
+        rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], cu_p, cv_p, params)
+        np.testing.assert_allclose(jf.A, rf.A, atol=1e-8)
         np.testing.assert_allclose(jf.fitted_plan.entries, rf.fitted_plan.entries,
                                    atol=1e-8)
         np.testing.assert_allclose(jf.objective_trace, rf.objective_trace, atol=1e-8)
@@ -264,8 +263,8 @@ class TestJointFit:
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.01)
         rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                      CostMatrix(project_metric_simplex(inst["C_u"].entries).entries),
-                      CostMatrix(project_metric_simplex(inst["C_v"].entries).entries),
+                      project_metric_simplex(inst["C_u"]).entries,
+                      project_metric_simplex(inst["C_v"]).entries,
                       params)
         assert jf.objective_trace.min() <= rf.objective_trace.min() + 1e-6
 

@@ -52,19 +52,19 @@ class TestKernelCost:
     def test_zero_interaction_polynomial(self):
         U, V = np.ones((3, 4)), np.ones((2, 5))
         C = kernel_cost(U, V, np.zeros((3, 2)), poly_kernel())
-        np.testing.assert_allclose(C.entries, 1.0)
+        np.testing.assert_allclose(C, 1.0)
 
     def test_single_entry_hand_value(self):
         U = np.array([[1.0], [2.0]])
         V = np.array([[3.0], [1.0]])
         C = kernel_cost(U, V, np.eye(2), poly_kernel())
         # u'Av = 1*3 + 2*1 = 5, (0.05*5 + 1)^2 = 1.5625
-        assert C.entries[0, 0] == pytest.approx(1.5625)
+        assert C[0, 0] == pytest.approx(1.5625)
 
     def test_linear_kernel_identity_features(self, rng):
         A = rng.normal(0, 1, (3, 3))
         C = kernel_cost(np.eye(3), np.eye(3), A, KernelSpec("linear"))
-        np.testing.assert_allclose(C.entries, A)
+        np.testing.assert_allclose(C, A)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

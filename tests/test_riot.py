@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otmatch.containers import CostMatrix, CouplingMatrix, HyperParams, as_array
+from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.errors import ValidationError
 from otmatch.iot import iot_fit, _neg_log_likelihood
 from otmatch.bounds import kl_divergence, cost_shift_distance
@@ -114,7 +114,7 @@ class TestInnerSolve:
     def test_zero_iterations_rescales_only(self, rng):
         inst = forward_instance(10, m=3, n=3)
         pi0 = inst["pi0"].entries
-        Z = np.exp(-inst["C0"].entries)
+        Z = np.exp(-inst["C0"])
         res = _inner_solve_raw(pi0.sum(1), pi0.sum(0), np.zeros((3, 3)), Z, 0)
         assert res.xi @ Z @ res.eta == pytest.approx(1.0, abs=1e-12)
         assert np.ptp(res.xi) == 0.0 and np.ptp(res.eta) == 0.0
@@ -159,10 +159,10 @@ class TestInnerSolve:
         for _ in range(3):
             A = rng.standard_normal((cfg.p, cfg.q))
             z, w = rng.standard_normal(cfg.m), rng.standard_normal(cfg.n)
-            blocks = (inst.C_u.entries, inst.C_v.entries, z, w)
+            blocks = (inst.C_u, inst.C_v, z, w)
             res = _evaluate_at(A, pi_hat, mu_hat, nu_hat, inst.U, inst.V, cfg.kernel,
                                blocks, cfg.hyper)[1][0]
-            Z = np.exp(-cfg.hyper.lam * kernel_cost(inst.U, inst.V, A, cfg.kernel).entries)
+            Z = np.exp(-cfg.hyper.lam * kernel_cost(inst.U, inst.V, A, cfg.kernel))
             M = cfg.hyper.delta * (z[:, None] + w[None, :]) * Z
             assert res.multiplier_gap <= 1e-10
             kkt = -mu_hat + res.xi * (M @ res.eta - res.theta * (Z @ res.eta))
@@ -183,7 +183,7 @@ class TestRiotObjective:
         pi0 = inst["pi0"]
         mu = pi0.entries.sum(1)
         nu = pi0.entries.sum(0)
-        zero3 = CostMatrix(np.zeros((3, 3)))
+        zero3 = np.zeros((3, 3))
         params = hyper(delta=0.5)
         val = relaxed_objective(pi0, pi0, zero3, zero3, params)
         # constant-cost relaxation: d = -H(product coupling of the marginals)/lam
@@ -269,8 +269,8 @@ class TestRiotGradient:
 class TestDualUpdate:
     def test_constant_cost_matching_uniform_marginals_gives_constant_potentials(self):
         plan = CouplingMatrix(np.full((3, 4), 1.0 / 12.0))
-        zero_u = CostMatrix(np.zeros((3, 3)))
-        zero_v = CostMatrix(np.zeros((4, 4)))
+        zero_u = np.zeros((3, 3))
+        zero_v = np.zeros((4, 4))
         z, w = potentials(plan, np.full(3, 1 / 3), np.full(4, 0.25),
                           zero_u, zero_v, hyper())
         assert np.ptp(z) <= 1e-9 and np.ptp(w) <= 1e-9
@@ -281,8 +281,8 @@ class TestDualUpdate:
         inst = forward_instance(16, m=3, n=4)
         plan = inst["pi0"]
         mu_hat, nu_hat = plan.entries.sum(1), plan.entries.sum(0)
-        zero_u = CostMatrix(np.zeros((3, 3)))
-        zero_v = CostMatrix(np.zeros((4, 4)))
+        zero_u = np.zeros((3, 3))
+        zero_v = np.zeros((4, 4))
         z, w = potentials(plan, mu_hat, nu_hat, zero_u, zero_v, hyper())
         assert np.ptp(z - np.log(mu_hat)) <= 1e-9
         assert np.ptp(w - np.log(nu_hat)) <= 1e-9
@@ -290,7 +290,7 @@ class TestDualUpdate:
     def test_one_by_one(self):
         plan = CouplingMatrix([[1.0]])
         z, w = potentials(plan, np.array([1.0]), np.array([1.0]),
-                          CostMatrix([[0.0]]), CostMatrix([[0.0]]), hyper())
+                          np.array([[0.0]]), np.array([[0.0]]), hyper())
         assert np.isfinite(z[0]) and np.isfinite(w[0])
 
     def test_duality_identity(self, rng):
@@ -299,12 +299,12 @@ class TestDualUpdate:
         # constant cost (the uniform product plan, -(1 + log 4)/lam_u at 2x2)
         inst = forward_instance(17, m=4, n=3)
         uniform = np.full(2, 0.5)
-        zero = CostMatrix(np.zeros((2, 2)))
+        zero = np.zeros((2, 2))
         cases = [
             (noised(inst["pi0"], inst["rng"], 4e-3), random_marginal(rng, 4),
              random_marginal(rng, 3), inst["C_u"], inst["C_v"], None),
             (CouplingMatrix([[1.0]]), np.ones(1), np.ones(1),
-             CostMatrix([[2.5]]), CostMatrix([[2.5]]), 1.5),
+             np.array([[2.5]]), np.array([[2.5]]), 1.5),
             (CouplingMatrix(np.full((2, 2), 0.25)), uniform, uniform, zero, zero,
              -(1.0 + np.log(4.0))),
         ]
@@ -351,8 +351,8 @@ class TestRiotFit:
         inst = forward_instance(19, m=3, n=3, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 3e-3)
         params = hyper(delta=0.0, step_size=5.0, outer_iters=10)
-        zero_u = CostMatrix(np.zeros((3, 3)))
-        zero_v = CostMatrix(np.zeros((3, 3)))
+        zero_u = np.zeros((3, 3))
+        zero_v = np.zeros((3, 3))
         fr = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], zero_u, zero_v, params)
         fi = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
         ph = pi_hat.entries
@@ -368,7 +368,7 @@ class TestRiotFit:
         params = hyper(outer_iters=5)
         result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
                           inst["C_u"], inst["C_v"], params)
-        C = kernel_cost(inst["U"], inst["V"], result.A, inst["kern"]).entries
+        C = kernel_cost(inst["U"], inst["V"], result.A, inst["kern"])
         Z = np.exp(-params.lam * C)
         assert abs(result.xi @ Z @ result.eta - 1.0) <= 1e-8
 
@@ -392,11 +392,11 @@ class TestRiotFit:
         params = hyper(delta=0.0)
         fi = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
         fr = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                      CostMatrix(np.zeros((4, 4))), CostMatrix(np.zeros((3, 3))), params)
+                      np.zeros((4, 4)), np.zeros((3, 3)), params)
         assert fi.iterations == 0
         for fit in (fi, fr):
             assert fit.objective_trace.size == 1
-            np.testing.assert_allclose(fit.A.entries, 0.0)
+            np.testing.assert_allclose(fit.A, 0.0)
 
     @pytest.mark.parametrize("joint", [False, True])
     @pytest.mark.parametrize("delta", [0.0, 0.01])

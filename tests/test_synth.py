@@ -36,23 +36,23 @@ class TestGenerateInstance:
     def test_shapes_match_config(self):
         cfg = SynthConfig(m=20, n=20, p=10, q=8, seed=1)
         inst = generate_instance(cfg)
-        assert inst.U.features.shape == (10, 20)
-        assert inst.V.features.shape == (8, 20)
-        assert inst.A0.entries.shape == (10, 8)
+        assert inst.U.shape == (10, 20)
+        assert inst.V.shape == (8, 20)
+        assert inst.A0.shape == (10, 8)
         assert inst.pi0.shape == (20, 20)
         assert inst.C_u.shape == (20, 20)
 
     def test_deterministic_per_seed(self):
         a = generate_instance(small_config())
         b = generate_instance(small_config())
-        np.testing.assert_array_equal(a.U.features, b.U.features)
+        np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.pi0.entries, b.pi0.entries)
         c = generate_instance(small_config(seed=12))
-        assert np.abs(a.U.features - c.U.features).max() > 0
+        assert np.abs(a.U - c.U).max() > 0
 
     def test_side_costs_are_euclidean_metrics(self):
         inst = generate_instance(small_config())
-        cu = inst.C_u.entries
+        cu = inst.C_u
         assert np.abs(np.diag(cu)).max() == 0.0
         np.testing.assert_allclose(cu, cu.T)
 
@@ -61,8 +61,8 @@ class TestGenerateInstance:
         inst = generate_instance(cfg)
         from otmatch.kernels import kernel_cost
         np.testing.assert_array_equal(
-            ground_truth_cost(cfg, inst).entries,
-            kernel_cost(inst.U, inst.V, inst.A0, cfg.kernel).entries)
+            ground_truth_cost(cfg, inst),
+            kernel_cost(inst.U, inst.V, inst.A0, cfg.kernel))
 
 
 class TestAddNoise:
@@ -134,8 +134,8 @@ class TestCostRecoveryExperiment:
         cfg = small_config(noise_sigma=5e-3,
                            hyper=HyperParams(step_size=5.0, outer_iters=4))
         res = cost_recovery_experiment(cfg)
-        C_r = res.C_tilde_riot.entries
+        C_r = res.C_tilde_riot
         assert cost_shift_distance(res.C_tilde_riot, res.C_tilde_riot) == 0.0
         # aligned copy differs from the truth by exactly d
-        assert np.linalg.norm(C_r - res.C0.entries) == pytest.approx(
+        assert np.linalg.norm(C_r - res.C0) == pytest.approx(
             res.d_riot, abs=1e-9)
