@@ -33,8 +33,9 @@ def _require(condition, message):
 
 
 def is_finite_real(value):
-    """Whether ``value`` is a finite real number (a string or None is not)."""
-    return isinstance(value, Real) and bool(np.isfinite(value))
+    """Whether ``value`` is a finite real number (a string, a bool or None is
+    not)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def as_array(x):
@@ -57,8 +58,10 @@ class CouplingMatrix:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
         _require(arr.ndim == 2, f"coupling must be 2-d, got shape {arr.shape}")
-        _require(np.all(np.isfinite(arr)), "coupling has non-finite entries")
-        _require(np.all(arr >= 0), "coupling has negative entries")
+        # Reductions, not m-by-n masks; NaN propagates through both.
+        lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+        _require(np.isfinite(lo) and np.isfinite(hi), "coupling has non-finite entries")
+        _require(lo >= 0, "coupling has negative entries")
         total = arr.sum()
         _require(abs(total - 1.0) <= SUM_TOL,
                  f"coupling sums to {total!r}, not 1 within {SUM_TOL}")

@@ -3,7 +3,8 @@
 One matrix row per line, comma separated, no header. Writers emit 17
 significant digits so doubles round-trip exactly; readers reject ragged rows,
 non-numeric fields and non-finite values with the offending line in the
-message.
+message. The reader streams each row into its own float array, so the Python
+float objects of only one row are alive at a time, and stacks the rows once.
 """
 
 import numpy as np
@@ -30,14 +31,14 @@ def read_matrix(path):
                     f"columns, found {len(fields)}")
             linenos.append(lineno)
             try:
-                rows.append([float(f) for f in fields])
+                rows.append(np.fromiter(map(float, fields), float, width))
             except ValueError:
                 bad = next(i for i, f in enumerate(fields) if not _is_number(f))
                 raise ValidationError(
                     f"{path}: non-numeric value at line {lineno}, column {bad + 1}")
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    arr = np.asarray(rows, dtype=float)
+    arr = np.array(rows)
     if not np.isfinite(arr).all():
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise ValidationError(

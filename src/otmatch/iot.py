@@ -4,9 +4,12 @@ model plan's marginals pinned to the empirical ones.
 
 Equivalently this minimizes KL(pihat || pi(A)) over A, where pi(A) is the
 Sinkhorn plan of the kernel cost C(A) at the empirical marginals. The
-gradient with respect to the cost is lam * (pihat - pi), chained through the
-kernel derivative. :func:`_evaluate_at` and :func:`_gradient_at` compute the
-two at A.
+likelihood is read from the Sinkhorn log-potentials, never from the log of the
+plan: log pi_ij = log_left_i - lam C_ij + log_right_j holds in log space, so a
+plan entry that underflows to zero under pihat > 0 scores its finite model
+value, and the objective is finite whenever the solve converges. The gradient
+with respect to the cost is lam * (pihat - pi), chained through the kernel
+derivative. :func:`_evaluate_at` and :func:`_gradient_at` compute the two at A.
 
 This module also holds :func:`descend`, the backtracking gradient driver that
 every fit runs: :func:`iot_fit` here, and the relaxed and joint fits through
@@ -45,33 +48,35 @@ class IotFitResult:
 
 
 def _model_plan(A, mu_hat, nu_hat, U, V, kernel, params):
+    """The cost C(A) and its Sinkhorn solution at the marginals (mu_hat, nu_hat)."""
     C = kernel_cost(U, V, A, kernel)
-    result = sinkhorn(C, mu_hat, nu_hat, params.lam,
-                      tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
-    return result.plan.entries
-
-
-def _neg_log_likelihood(pi_hat, pi):
-    mask = pi_hat > 0
-    # +inf, without a warning, where the plan has a zero under pihat > 0
-    with np.errstate(divide="ignore"):
-        return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
+    return C, sinkhorn(C, mu_hat, nu_hat, params.lam,
+                       tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
 
 
 def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, params):
     """Negative log-likelihood -sum pihat_ij log pi_ij at the model plan, and
-    the plan: the Sinkhorn solution of C(A) at the marginals (mu_hat, nu_hat)
-    of the array ``pi_hat``. Entries with zero empirical mass contribute
-    nothing."""
-    pi = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
-    return _neg_log_likelihood(pi_hat, pi), pi
+    the plan: the Sinkhorn solution of C(A) at the marginals (mu_hat, nu_hat),
+    the row and column sums of the array ``pi_hat``.
+
+    With log pi_ij = log_left_i - lam C_ij + log_right_j the sum is
+    lam <pihat, C> - mu_hat . log_left - nu_hat . log_right: no m-by-n
+    temporary, entries with zero empirical mass contribute nothing, and a plan
+    entry that underflows to zero scores its finite log-space value.
+    """
+    C, result = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
+    value = (params.lam * np.vdot(pi_hat, C)
+             - mu_hat @ result.log_left - nu_hat @ result.log_right)
+    return float(value), result.plan.entries
 
 
 def _gradient_at(A, pi, pi_hat, U, V, kernel, params):
     """Gradient in A of the likelihood at the plan ``pi`` of A: the cost-space
     gradient lam (pihat - pi) chained through the kernel,
     sum_ij lam (pihat_ij - pi_ij) f'(u_i' A v_j) u_i v_j'."""
-    return assemble_interaction_grad(U, V, A, kernel, params.lam * (pi_hat - pi))
+    weights = pi_hat - pi
+    weights *= params.lam
+    return assemble_interaction_grad(U, V, A, kernel, weights)
 
 
 def descend(A, evaluate, gradient, params, after_step=None):

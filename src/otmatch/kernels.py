@@ -3,7 +3,9 @@
 The cost between user i and item j is C_ij = f(u_i' A v_j), where f is the
 activation of a linear, polynomial, or sigmoid kernel and A is the
 interaction matrix to be learned. Both the entrywise cost and its derivative
-with respect to A are assembled from the Gram products U' A V.
+with respect to A are assembled from the Gram products U' A V, and each
+applies its activation in place on that product (``out=``), so an m-by-n
+evaluation allocates one m-by-n array.
 """
 
 from dataclasses import dataclass
@@ -48,29 +50,52 @@ class KernelSpec:
                     f"polynomial degree must be a positive integer, got {degree!r}")
             object.__setattr__(self, "degree", int(degree))
 
-    def activation(self, t):
+    def _affine(self, t, out):
+        """gamma t + c0, written into ``out`` when it is given."""
+        inner = np.multiply(t, self.gamma, out=out)
+        inner += self.c0
+        return inner
+
+    def activation(self, t, out=None):
+        """f(t), written into ``out`` (which may be ``t`` itself) when it is
+        given. Without ``out`` the result is a fresh array, except that the
+        linear kind returns ``t``."""
         t = np.asarray(t, dtype=float)
         if self.kind == "linear":
-            return t
+            if out is None:
+                return t
+            np.copyto(out, t)
+            return out
+        inner = self._affine(t, out)
         if self.kind == "polynomial":
-            inner = self.gamma * t + self.c0
-            if np.any(np.abs(inner) > _POLY_INPUT_LIMIT):
+            # NaN passes here and fails the caller's finiteness check.
+            if max(inner.max(initial=0.0), -inner.min(initial=0.0)) > _POLY_INPUT_LIMIT:
                 idx = np.unravel_index(int(np.argmax(np.abs(inner))), inner.shape)
                 raise ValidationError(
                     f"polynomial kernel input overflow at entry {idx}: "
                     f"|gamma*t + c0| = {np.abs(inner).max():.3e} > {_POLY_INPUT_LIMIT:g}")
-            return inner ** self.degree
-        return np.tanh(self.gamma * t + self.c0)
+            inner **= self.degree
+            return inner
+        return np.tanh(inner, out=inner)
 
-    def derivative(self, t):
-        """f'(t), the scalar chain-rule factor of the cost derivative."""
+    def derivative(self, t, out=None):
+        """f'(t), the scalar chain-rule factor of the cost derivative; written
+        into ``out`` (which may be ``t`` itself) when it is given, else a
+        fresh array."""
         t = np.asarray(t, dtype=float)
         if self.kind == "linear":
-            return np.ones_like(t)
+            if out is None:
+                return np.ones_like(t)
+            out.fill(1.0)
+            return out
+        inner = self._affine(t, out)
         if self.kind == "polynomial":
-            inner = self.gamma * t + self.c0
-            return self.degree * self.gamma * inner ** (self.degree - 1)
-        return self.gamma / np.cosh(self.gamma * t + self.c0) ** 2
+            inner **= self.degree - 1
+            inner *= self.degree * self.gamma
+            return inner
+        np.cosh(inner, out=inner)
+        np.square(inner, out=inner)
+        return np.divide(self.gamma, inner, out=inner)
 
     @classmethod
     def from_dict(cls, d):
@@ -116,9 +141,9 @@ def kernel_cost(U, V, A, kernel):
         On dimension mismatch or a non-finite cost entry (the message names
         the offending entry).
     """
-    t = gram_products(U, V, A)
-    c = kernel.activation(t)
-    if not np.all(np.isfinite(c)):
+    c = gram_products(U, V, A)
+    kernel.activation(c, out=c)
+    if not np.isfinite((c.max(initial=0.0), c.min(initial=0.0))).all():
         i, j = np.argwhere(~np.isfinite(c))[0]
         raise ValidationError(f"kernel cost is non-finite at entry ({i}, {j})")
     return c
@@ -132,6 +157,7 @@ def assemble_interaction_grad(U, V, A, kernel, weights):
     """
     U = as_array(U)
     V = as_array(V)
-    t = gram_products(U, V, A)
-    g = as_array(weights) * kernel.derivative(t)
+    g = gram_products(U, V, A)
+    kernel.derivative(g, out=g)
+    g *= as_array(weights)
     return U @ g @ V.T

@@ -33,7 +33,7 @@ import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import RootFindingError, ValidationError
-from .iot import _neg_log_likelihood, descend
+from .iot import descend
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import regularized_value, sinkhorn
 
@@ -178,6 +178,13 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
     plan = res.plan.entries
     return (np.log(res.left_scaling) / lam_side,
             regularized_value(plan, C_side, lam_side), plan)
+
+
+def _neg_log_likelihood(pi_hat, pi):
+    mask = pi_hat > 0
+    # +inf, without a warning, where the plan has a zero under pihat > 0
+    with np.errstate(divide="ignore"):
+        return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
 
 
 def _relaxed_objective(pi_hat, plan, C_u, C_v, params, z=None, w=None):

@@ -40,7 +40,12 @@ class SinkhornResult:
 
     The plan satisfies plan = diag(a) exp(-lam C) diag(b), and
     ``final_marginal_error`` is the column l1 error after the last row
-    update, which leaves the rows exact.
+    update, which leaves the rows exact. The scalings a and b are
+    gauge-balanced and can over- or underflow at extreme lam C; the
+    log-potentials ``log_left`` and ``log_right`` are the same solution before
+    the gauge balance, always finite, with
+    log plan_ij = log_left_i - lam C_ij + log_right_j even where the plan
+    entry underflows to zero (up to the plan's renormalization to unit mass).
     """
 
     plan: CouplingMatrix
@@ -48,6 +53,8 @@ class SinkhornResult:
     right_scaling: np.ndarray
     iterations: int
     final_marginal_error: float
+    log_left: np.ndarray
+    log_right: np.ndarray
 
 
 def _check_inputs(C, mu, nu, lam, tol):
@@ -74,8 +81,9 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     pre-sweep left potential f + log a; the new potentials replace f and g,
     a and b become ones, and K is rebuilt. After the row update the rows are
     exact, so the sweep's error is the column l1 error
-    sum_j |b_j (K' a)_j - nu_j|, read from the K' a the next sweep uses. The
-    plan is formed once, on exit.
+    sum_j |b_j (K' a)_j - nu_j|, read from the K' a the next sweep uses. K is
+    the one m-by-n array of the loop (-lam C is formed only to absorb), and
+    the plan is formed once, on exit, in place on K.
 
     Parameters
     ----------
@@ -125,8 +133,8 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     b = np.ones(n)
     f = np.zeros(m)
     g = np.zeros(n)
-    neg_lam_C = -lam * C
-    K = np.exp(neg_lam_C)
+    K = np.multiply(C, -lam)
+    np.exp(K, out=K)
     err = np.inf
     it = 0
     # Every scaling is checked for range and finiteness below, so the
@@ -142,6 +150,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
             if _SCALE_LO <= lo and hi <= _SCALE_HI:
                 a, b = a_next, b_next
             else:
+                neg_lam_C = -lam * C
                 g = np.log(nu) - _logsumexp(neg_lam_C + (f + np.log(a))[:, None], axis=0)
                 f = np.log(mu) - _logsumexp(neg_lam_C + g[None, :], axis=1)
                 if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
@@ -150,12 +159,16 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
                         left_scaling=np.exp(f), right_scaling=np.exp(g), iterations=it)
                 a = np.ones(m)
                 b = np.ones(n)
-                K = np.exp(f[:, None] + neg_lam_C + g[None, :])
+                np.add(f[:, None], neg_lam_C, out=K)
+                K += g[None, :]
+                np.exp(K, out=K)
             Kt_a = K.T @ a
             err = float(np.abs(b * Kt_a - nu).sum())
             if err <= tol:
                 break
-        plan = a[:, None] * K * b[None, :]
+        plan = K
+        plan *= a[:, None]
+        plan *= b[None, :]
         # Balance the gauge so the factors stay representable as long as
         # possible; at extreme lam*C they overflow though the plan is fine.
         log_a = f + np.log(a)
@@ -170,7 +183,8 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
             plan=plan, left_scaling=left, right_scaling=right,
             iterations=it, marginal_error=err)
     return SinkhornResult(plan=CouplingMatrix(plan), left_scaling=left, right_scaling=right,
-                          iterations=it, final_marginal_error=err)
+                          iterations=it, final_marginal_error=err,
+                          log_left=log_a, log_right=log_b)
 
 
 def plan_entropy(plan):

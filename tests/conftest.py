@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -113,6 +115,18 @@ def kernel_cost_directional_grad(U, V, A, kernel, W):
     i.e. <C'_ij(A), W> for every cost entry.
     """
     return kernel.derivative(gram_products(U, V, A)) * (U.T @ W @ V)
+
+
+def peak_arrays(call, shape):
+    """Peak memory that ``call()`` allocates, in units of one float array of
+    ``shape``, as tracemalloc counts it (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (np.prod(shape) * np.dtype(float).itemsize)
 
 
 @pytest.fixture

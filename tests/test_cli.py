@@ -198,6 +198,21 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"error: {name} must")
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("section, key, message", [
+        ("hyper", "lambda", "lam must"), ("hyper", "L", "outer_iters must"),
+        ("kernel", "degree", "polynomial degree must"), ("kernel", "gamma", "kernel parameters"),
+        (None, "side_step", "side_step must")])
+    def test_boolean_number_is_input_error(self, workspace, capsys, section, key, message):
+        # JSON true is not the number 1
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        (cfg if section is None else cfg[section])[key] = True
+        paths["config"].write_text(json.dumps(cfg))
+        args = fit_args(paths, tmp / "nope", extra=["--joint-side-costs"])
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp / "nope").exists()
+
     @pytest.mark.parametrize("kernel, key", [
         ({"kind": "linear", "degree": "abc"}, "degree"),
         ({"kind": "polynomial", "gama": 3.0}, "gama")])

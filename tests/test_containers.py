@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from otmatch.containers import CouplingMatrix, HyperParams, MetricMatrix, normalize_counts
+from otmatch.containers import (CouplingMatrix, HyperParams, MetricMatrix, is_finite_real,
+                                normalize_counts)
 from otmatch.errors import ValidationError
 
 
@@ -20,6 +21,29 @@ class TestCouplingMatrix:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationError):
             CouplingMatrix(bad)
+
+    @pytest.mark.parametrize("bad, pattern", [
+        ([[np.nan, 0.5], [0.25, 0.25]], r"coupling has non-finite entries"),
+        ([[np.inf, 0.0], [0.0, 0.0]], r"coupling has non-finite entries"),
+        # negative too, but the finiteness message comes first
+        ([[-np.inf, 0.5], [0.25, 0.25]], r"coupling has non-finite entries"),
+        ([[-0.1, 0.6], [0.2, 0.3]], r"coupling has negative entries"),
+        # the total's repr is np.float64(0.0) under numpy 2
+        (np.empty((0, 3)), r"coupling sums to (np\.float64\()?0\.0\)?, not 1 within 1e-09"),
+        ([0.5, 0.5], r"coupling must be 2-d, got shape \(2,\)"),
+    ])
+    def test_rejection_messages(self, bad, pattern):
+        with pytest.raises(ValidationError) as exc:
+            CouplingMatrix(bad)
+        assert re.fullmatch(pattern, str(exc.value))
+
+    def test_copies_and_renormalizes(self):
+        src = np.array([[0.5, 0.25], [0.25, 0.0]]) * (1 + 1e-10)
+        c = CouplingMatrix(src)
+        assert c.entries is not src and not c.entries.flags.writeable
+        assert c.entries.sum() == 1.0
+        np.testing.assert_array_equal(src, np.array([[0.5, 0.25], [0.25, 0.0]]) * (1 + 1e-10))
+
 
 class TestMetricMatrix:
     def test_accepts_euclidean_distances(self, rng):
@@ -56,10 +80,17 @@ class TestHyperParams:
         {"step_size": np.inf}, {"sinkhorn_tol": np.inf}, {"delta": np.nan},
         {"outer_iters": np.inf}, {"outer_iters": np.nan}, {"sinkhorn_max_iters": np.inf},
         {"sinkhorn_max_iters": 2.5}, {"lam": "abc"}, {"outer_iters": None},
+        {"lam": True}, {"delta": False}, {"outer_iters": True}, {"sinkhorn_max_iters": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             HyperParams(**kwargs)
+
+
+def test_is_finite_real():
+    assert is_finite_real(2) and is_finite_real(np.float64(0.5)) and is_finite_real(np.int64(3))
+    for value in (True, False, np.bool_(True), None, "1", np.nan, np.inf):
+        assert not is_finite_real(value)
 
 
 class TestNormalizeCounts:

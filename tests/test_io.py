@@ -4,6 +4,8 @@ import pytest
 from otmatch import io as mio
 from otmatch.errors import ValidationError
 
+from conftest import peak_arrays
+
 
 class TestMatrixRoundTrip:
     def test_doubles_survive_exactly(self, rng, tmp_path):
@@ -17,6 +19,16 @@ class TestMatrixRoundTrip:
         path = tmp_path / "v.csv"
         mio.write_vector(path, v)
         np.testing.assert_array_equal(mio.read_vector(path), v)
+
+    def test_read_peaks_below_two_and_a_half_arrays(self, rng, tmp_path):
+        # rows stream into float arrays; a list of Python floats per value
+        # would peak above five copies of the matrix
+        arr = rng.normal(0, 1, (300, 300))
+        path = tmp_path / "m.csv"
+        mio.write_matrix(path, arr)
+        got = []
+        assert peak_arrays(lambda: got.append(mio.read_matrix(path)), arr.shape) <= 2.5
+        np.testing.assert_array_equal(got[0], arr)
 
     def test_column_vector_accepted(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.errors import DivergenceError
@@ -11,7 +12,7 @@ from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import SynthConfig, generate_instance
 from otmatch.bounds import kl_divergence
 
-from conftest import forward_instance, noised, poly_kernel
+from conftest import forward_instance, noised, peak_arrays, poly_kernel
 
 
 def hyper(**kwargs):
@@ -54,6 +55,34 @@ class TestIotObjective:
         p = inst["pi0"].entries
         assert val == pytest.approx(-(p * np.log(p)).sum(), abs=1e-7)
 
+    def test_equals_cross_entropy_of_its_own_plan(self):
+        inst = forward_instance(8, m=7, n=6)
+        pi_hat = noised(inst["pi0"], inst["rng"], 5e-3)
+        val, plan = evaluate(0.5 * inst["A0"], pi_hat, inst["U"], inst["V"],
+                             inst["kern"], hyper())
+        expected = -(pi_hat.entries * np.log(plan)).sum()
+        assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_underflowed_plan_entry_scores_its_log_space_value(self, rng):
+        # identity features make C = A; exp(-lam C_00) underflows to zero
+        # while pihat_00 > 0, so the plan has an exact zero there
+        lam = 2.0
+        C = rng.uniform(0.0, 1.0, (3, 3))
+        C[0, 0] = 400.0
+        pi_hat = rng.dirichlet(np.ones(9)).reshape(3, 3)
+        val, plan = evaluate(C, pi_hat, np.eye(3), np.eye(3), KernelSpec("linear"),
+                             hyper(lam=lam, sinkhorn_tol=1e-13))
+        assert plan[0, 0] == 0.0
+        # oracle: log-domain Sinkhorn at the same marginals
+        log_mu, log_nu = np.log(pi_hat.sum(1)), np.log(pi_hat.sum(0))
+        f, g = np.zeros(3), np.zeros(3)
+        for _ in range(500):
+            g = log_nu - logsumexp(f[:, None] - lam * C, axis=0)
+            f = log_mu - logsumexp(g[None, :] - lam * C, axis=1)
+        expected = -(pi_hat * (f[:, None] - lam * C + g[None, :])).sum()
+        assert np.isfinite(val)
+        assert val == pytest.approx(expected, rel=1e-10)
+
 
 class TestIotGradient:
     def test_stationary_at_ground_truth(self):
@@ -88,6 +117,32 @@ class TestIotGradient:
                             - evaluate(A - dA, pi_hat, inst["U"], inst["V"],
                                        inst["kern"], params)[0]) / (2 * h)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) <= 1e-4
+
+
+@pytest.fixture(scope="module")
+def market_300():
+    inst = forward_instance(12, m=300, n=300, p=3, q=2)
+    pi_hat = noised(inst["pi0"], inst["rng"], 1e-5).entries
+    return inst, pi_hat, 0.5 * inst["A0"]
+
+
+class TestIotMemory:
+    """Peaks in units of one 300-by-300 float array. An evaluation holds the
+    cost, the kernel exp(-lam C) that becomes the plan, and the plan's
+    validated copy; a gradient holds its weights and one Gram product."""
+
+    def test_evaluate_peaks_below_three_and_a_half_arrays(self, market_300):
+        inst, pi_hat, A = market_300
+        peak = peak_arrays(lambda: evaluate(A, pi_hat, inst["U"], inst["V"], inst["kern"],
+                                            hyper()), pi_hat.shape)
+        assert peak <= 3.5
+
+    def test_gradient_peaks_below_three_and_a_half_arrays(self, market_300):
+        inst, pi_hat, A = market_300
+        pi = evaluate(A, pi_hat, inst["U"], inst["V"], inst["kern"], hyper())[1]
+        peak = peak_arrays(lambda: _gradient_at(A, pi, pi_hat, inst["U"], inst["V"],
+                                                inst["kern"], hyper()), pi_hat.shape)
+        assert peak <= 3.5
 
 
 class TestIotFit:
@@ -133,8 +188,9 @@ class TestIotFit:
         np.testing.assert_allclose(result.fitted_plan.entries, redo.entries, atol=1e-9)
 
     def test_large_lam_trial_plans_with_zeros_do_not_warn(self):
-        # at lam = 50 some backtracking trials have exact zeros under
-        # pihat > 0; their objective is +inf, which the backtracking rejects
+        # at lam = 50 some backtracking trials have plan entries that
+        # underflow to zero under pihat > 0; the likelihood is read from the
+        # log-potentials, so no log of zero is taken and every trial is finite
         cfg = SynthConfig()
         inst = generate_instance(cfg)
         with warnings.catch_warnings():

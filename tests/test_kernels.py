@@ -7,6 +7,11 @@ from otmatch.sinkhorn import sinkhorn
 
 from conftest import kernel_cost_directional_grad, poly_kernel, random_marginal
 
+KERNELS = [KernelSpec("linear"), KernelSpec("polynomial", gamma=0.3, c0=-0.5, degree=3),
+           KernelSpec("polynomial", gamma=0.7, c0=0.2, degree=1), poly_kernel(),
+           KernelSpec("sigmoid", gamma=0.4, c0=0.1)]
+KERNEL_IDS = ["linear", "poly3", "poly1", "poly2", "sigmoid"]
+
 
 class TestKernelSpec:
     def test_rejects_unknown_kind(self):
@@ -27,6 +32,27 @@ class TestKernelSpec:
     def test_rejects_non_numeric_parameter(self, field):
         with pytest.raises(ValidationError, match="kernel parameters"):
             KernelSpec.from_dict({"kind": "sigmoid", field: "abc"})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": True}, {"c0": False}, {"degree": True}, {"gamma": True, "degree": True}])
+    def test_rejects_boolean_parameter(self, kwargs):
+        with pytest.raises(ValidationError, match="kernel parameters|degree"):
+            KernelSpec("polynomial", **kwargs)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    def test_out_matches_fresh_and_input_is_kept(self, rng, kernel):
+        t = rng.normal(0, 2, (7, 5))
+        kept = t.copy()
+        for method in (kernel.activation, kernel.derivative):
+            fresh = method(t)
+            np.testing.assert_array_equal(t, kept)
+            into = np.full_like(t, np.nan)
+            assert method(t, out=into) is into
+            np.testing.assert_array_equal(into, fresh)
+            np.testing.assert_array_equal(t, kept)
+            in_place = t.copy()
+            assert method(in_place, out=in_place) is in_place
+            np.testing.assert_array_equal(in_place, fresh)
 
     def test_from_dict_integral_degree_is_int(self):
         spec = KernelSpec.from_dict({"kind": "polynomial", "degree": 3.0})
@@ -71,6 +97,12 @@ class TestKernelCost:
             kernel_cost(np.ones((3, 2)), np.ones((2, 2)), np.ones((2, 2)),
                         KernelSpec("linear"))
 
+    def test_nan_input_fails_the_finiteness_check(self):
+        # NaN passes the polynomial overflow guard and is named by the cost check
+        A = np.array([[np.nan]])
+        with pytest.raises(ValidationError, match=r"non-finite at entry \(0, 0\)"):
+            kernel_cost(np.ones((1, 2)), np.ones((1, 2)), A, poly_kernel())
+
     def test_polynomial_overflow_guard(self):
         U = np.full((1, 1), 1e5)
         V = np.full((1, 1), 1e5)
@@ -79,6 +111,17 @@ class TestKernelCost:
 
 
 class TestDirectionalGrad:
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    def test_assembly_leaves_inputs_unchanged(self, rng, kernel):
+        U, V, A = rng.normal(0, 1, (3, 6)), rng.normal(0, 1, (2, 4)), rng.normal(0, 1, (3, 2))
+        W = rng.normal(0, 1, (6, 4))
+        kept = [x.copy() for x in (U, V, A, W)]
+        g = assemble_interaction_grad(U, V, A, kernel, W)
+        for x, y in zip((U, V, A, W), kept):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_allclose(
+            g, U @ (W * kernel.derivative(U.T @ A @ V)) @ V.T, rtol=1e-13, atol=1e-13)
+
     def test_linear_kernel_exact(self, rng):
         U, V = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (2, 5))
         A, W = rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 2))

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.errors import ValidationError
-from otmatch.iot import iot_fit, _neg_log_likelihood
+from otmatch.iot import iot_fit
 from otmatch.bounds import kl_divergence, cost_shift_distance
 from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
-from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
-                          _relaxed_objective, _theta_root, predict_matching, riot_fit)
+from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _neg_log_likelihood,
+                          _relaxation_dual, _relaxed_objective, _theta_root,
+                          predict_matching, riot_fit)
 from otmatch.sinkhorn import regularized_value, sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 

@@ -115,6 +115,21 @@ class TestSinkhorn:
         res = sinkhorn(C, random_marginal(rng, 4), random_marginal(rng, 4), 60.0)
         assert res.final_marginal_error <= 1e-9
 
+    @pytest.mark.parametrize("lam, low", [(2.0, 0.0), (60.0, 10.0)])
+    def test_log_potentials_give_the_log_plan(self, rng, lam, low):
+        # at lam = 60 the scalings leave their range and are absorbed
+        C = rng.uniform(low, low + 20.0, (5, 4))
+        mu, nu = random_marginal(rng, 5), random_marginal(rng, 4)
+        res = sinkhorn(C, mu, nu, lam)
+        log_plan = res.log_left[:, None] - lam * C + res.log_right[None, :]
+        assert np.all(np.isfinite(log_plan))
+        np.testing.assert_allclose(logsumexp(log_plan, axis=1), np.log(mu), atol=1e-12)
+        # the columns are exact to the solve's l1 tolerance
+        np.testing.assert_allclose(np.exp(logsumexp(log_plan, axis=0)), nu, atol=1e-9)
+        pos = res.plan.entries > 0
+        np.testing.assert_allclose(np.log(res.plan.entries[pos]), log_plan[pos],
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestLogSumExp:
     @pytest.mark.parametrize("axis", [0, 1])
