@@ -95,16 +95,6 @@ def _check_lam(lam):
         raise ValidationError(f"lam must be finite and positive, got {lam!r}")
 
 
-def _log_ratio(p1, p2, what):
-    p1 = as_array(p1)
-    p2 = as_array(p2)
-    if p1.shape != p2.shape:
-        raise ValidationError(f"shape mismatch: {p1.shape} vs {p2.shape}")
-    if np.any(p1 <= 0) or np.any(p2 <= 0):
-        raise ValidationError(f"{what} must have strictly positive entries")
-    return np.log(p1) - np.log(p2)
-
-
 def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     """Check ||C0 - C_learned||_F^2 against its log-plan lower bound.
 
@@ -113,8 +103,14 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     strictly positive, and lam finite and positive.
     """
     _check_lam(lam)
+    p0 = as_array(pi0)
+    p1 = as_array(pi_hat)
+    if p0.shape != p1.shape:
+        raise ValidationError(f"shape mismatch: {p0.shape} vs {p1.shape}")
+    if np.any(p0 <= 0) or np.any(p1 <= 0):
+        raise ValidationError("couplings must have strictly positive entries")
     dc = as_array(C0) - as_array(C_learned)
-    resid = _shift_fit(_log_ratio(pi0, pi_hat, "couplings"))[2]
+    resid = _shift_fit(np.log(p0) - np.log(p1))[2]
     bound = (resid * resid).sum() / lam ** 2
     return BoundReport(float(bound), float((dc * dc).sum()))
 
@@ -122,15 +118,19 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
 def prediction_error_bound_check(C0, C_learned, mu, nu, lam):
     """Check the log-plan gap of predictions against its cost lower bound.
 
-    Both plans are computed at the shared marginals; the bound is
-    lam^2 ||R||_F^2 with R the shift-fit residual of dC = C0 - C_learned;
-    lam must be finite and positive.
+    Both plans are computed at the shared marginals, and their log ratio
+    log pi0 - log pi1 is read from the potentials, so it stays finite where a
+    plan entry underflows to zero. The bound is lam^2 ||R||_F^2 with R the
+    shift-fit residual of dC = C0 - C_learned; lam must be finite and
+    positive.
     """
     _check_lam(lam)
-    plan0 = sinkhorn(C0, mu, nu, lam).plan
-    plan1 = sinkhorn(C_learned, mu, nu, lam).plan
-    dlog = _log_ratio(plan0, plan1, "plans")
-    resid = _shift_fit(as_array(C0) - as_array(C_learned))[2]
+    res0 = sinkhorn(C0, mu, nu, lam)
+    res1 = sinkhorn(C_learned, mu, nu, lam)
+    dC = as_array(C0) - as_array(C_learned)
+    dlog = ((res0.log_left - res1.log_left)[:, None] - lam * dC
+            + (res0.log_right - res1.log_right)[None, :])
+    resid = _shift_fit(dC)[2]
     bound = lam ** 2 * (resid * resid).sum()
     return BoundReport(float(bound), float((dlog * dlog).sum()))
 

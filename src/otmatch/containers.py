@@ -64,7 +64,7 @@ class CouplingMatrix:
         _require(lo >= 0, "coupling has negative entries")
         total = arr.sum()
         _require(abs(total - 1.0) <= SUM_TOL,
-                 f"coupling sums to {total!r}, not 1 within {SUM_TOL}")
+                 f"coupling sums to {float(total)!r}, not 1 within {SUM_TOL}")
         arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)

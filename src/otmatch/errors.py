@@ -15,12 +15,9 @@ class SinkhornConvergenceError(OtmatchError, RuntimeError):
     Carries the last iterate so callers can inspect or accept it.
     """
 
-    def __init__(self, message, plan=None, left_scaling=None, right_scaling=None,
-                 iterations=0, marginal_error=float("inf")):
+    def __init__(self, message, plan=None, iterations=0, marginal_error=float("inf")):
         super().__init__(message)
         self.plan = plan
-        self.left_scaling = left_scaling
-        self.right_scaling = right_scaling
         self.iterations = iterations
         self.marginal_error = marginal_error
 

@@ -54,20 +54,25 @@ def _model_plan(A, mu_hat, nu_hat, U, V, kernel, params):
                        tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters)
 
 
-def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, params):
-    """Negative log-likelihood -sum pihat_ij log pi_ij at the model plan, and
-    the plan: the Sinkhorn solution of C(A) at the marginals (mu_hat, nu_hat),
-    the row and column sums of the array ``pi_hat``.
+def _neg_log_likelihood(pi_hat, mu_hat, nu_hat, C, log_left, log_right, lam):
+    """-sum pihat_ij log pi_ij of the plan pi_ij = exp(log_left_i - lam C_ij
+    + log_right_j), with (mu_hat, nu_hat) the row and column sums of the array
+    ``pi_hat``: lam <pihat, C> - mu_hat . log_left - nu_hat . log_right.
 
-    With log pi_ij = log_left_i - lam C_ij + log_right_j the sum is
-    lam <pihat, C> - mu_hat . log_left - nu_hat . log_right: no m-by-n
-    temporary, entries with zero empirical mass contribute nothing, and a plan
-    entry that underflows to zero scores its finite log-space value.
+    No m-by-n temporary, entries with zero empirical mass contribute nothing,
+    and a plan entry that underflows to zero scores its finite log-space value.
     """
+    return float(lam * np.vdot(pi_hat, C) - mu_hat @ log_left - nu_hat @ log_right)
+
+
+def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, params):
+    """Negative log-likelihood at the model plan, and the plan: the Sinkhorn
+    solution of C(A) at the marginals (mu_hat, nu_hat), the row and column
+    sums of the array ``pi_hat``."""
     C, result = _model_plan(A, mu_hat, nu_hat, U, V, kernel, params)
-    value = (params.lam * np.vdot(pi_hat, C)
-             - mu_hat @ result.log_left - nu_hat @ result.log_right)
-    return float(value), result.plan.entries
+    return (_neg_log_likelihood(pi_hat, mu_hat, nu_hat, C, result.log_left, result.log_right,
+                                params.lam),
+            result.plan.entries)
 
 
 def _gradient_at(A, pi, pi_hat, U, V, kernel, params):

@@ -223,4 +223,4 @@ def _initial_side_cost(init, d):
 def _check_unit_sum(entries, name):
     total = entries.sum()
     if abs(total - 1.0) > 1e-7:
-        raise ValidationError(f"{name} drifted off the simplex: sum = {total!r}")
+        raise ValidationError(f"{name} drifted off the simplex: sum = {float(total)!r}")

@@ -7,8 +7,11 @@ The fit minimizes, over the interaction matrix A and the plan's marginals,
 
 where pi is the regularized plan of the kernel cost C(A) and the d terms are
 regularized transport distances tying the plan's marginals softly to the
-empirical ones. By duality the relaxation terms turn into potentials (z, w),
-and each outer iteration alternates:
+empirical ones. By duality the relaxation terms turn into potentials (z, w):
+each term's value is the dual value of its Sinkhorn solve, and its potential
+is defined up to an additive constant, which the multiplier theta below
+absorbs (a shift t of z moves theta by delta t and leaves the plan and the
+gradient unchanged). Each outer iteration alternates:
 
   1. inner scaling solve for (xi, eta, theta) at fixed (A, z, w), run until
      the scalings settle,
@@ -19,7 +22,8 @@ The inner problem constrains the scalings by xi' Z eta = 1 (Z = exp(-lam C));
 each half-update requires the Lagrange multiplier theta solving the
 normalization equation p(theta) = 1, a monotone convex root problem. Each
 root starts from its side's previous multiplier, and each relaxation solve
-from the last refreshed potentials (z, w).
+from the last refreshed potentials (z, w). The likelihood is read from
+log xi, log eta and C(A), never from the log of the plan.
 
 :func:`_alternating_fit` runs the steps through the shared driver
 :func:`~otmatch.iot.descend`: :func:`_evaluate_at` does step 1 and the
@@ -33,9 +37,9 @@ import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import RootFindingError, ValidationError
-from .iot import descend
+from .iot import _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
-from .sinkhorn import regularized_value, sinkhorn
+from .sinkhorn import sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_STEPS = 200
@@ -167,38 +171,33 @@ class RiotFitResult:
 def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params, start=None):
     """Potential, transport value and plan of one marginal-relaxation term.
 
-    The potential is log(a)/lam_side from the left Sinkhorn scaling of
-    (C_side, plan_marginal, empirical_marginal), solved from a = exp(lam_side
-    start) if ``start`` is given. By the envelope theorem the plan is also the
-    gradient of the value with respect to C_side.
+    Solves (C_side, plan_marginal, empirical_marginal) from the left potential
+    lam_side * ``start`` if given. With its log-potentials (l, r) and plan P,
+    the potential is l / lam_side and the value, the regularized transport
+    value <P, C_side> - H(P) / lam_side, is the dual
+    (P1 . l + P'1 . r - log S - 1) / lam_side, where S = sum plan_marginal is
+    the plan's mass before its normalization. By the envelope theorem the
+    plan is also the gradient of the value with respect to C_side.
     """
     res = sinkhorn(C_side, plan_marginal, empirical_marginal, lam_side,
                    tol=params.sinkhorn_tol, max_iters=params.sinkhorn_max_iters,
-                   a_init=None if start is None else np.exp(lam_side * start))
+                   log_left_init=None if start is None else lam_side * start)
     plan = res.plan.entries
-    return (np.log(res.left_scaling) / lam_side,
-            regularized_value(plan, C_side, lam_side), plan)
+    value = (plan.sum(axis=1) @ res.log_left + plan.sum(axis=0) @ res.log_right
+             - np.log(plan_marginal.sum()) - 1.0) / lam_side
+    return res.log_left / lam_side, float(value), plan
 
 
-def _neg_log_likelihood(pi_hat, pi):
-    mask = pi_hat > 0
-    # +inf, without a warning, where the plan has a zero under pihat > 0
-    with np.errstate(divide="ignore"):
-        return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
-
-
-def _relaxed_objective(pi_hat, plan, C_u, C_v, params, z=None, w=None):
-    """-sum pihat log pi + delta (d_u + d_v) at a plan, with the relaxation
-    potentials and plans (z, w, plan_u, plan_v) of its marginals, or None
-    when delta is 0. The relaxation solves start from ``z``, ``w`` if given."""
-    value = _neg_log_likelihood(pi_hat, plan)
+def _relaxed_objective(likelihood, plan, mu_hat, nu_hat, C_u, C_v, params, z=None, w=None):
+    """likelihood + delta (d_u + d_v) at a plan, where d_u, d_v relax its
+    marginals towards (mu_hat, nu_hat), with the relaxation potentials and
+    plans (z, w, plan_u, plan_v), or None when delta is 0. The relaxation
+    solves start from ``z``, ``w`` if given."""
     if params.delta == 0:
-        return value, None
-    z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), pi_hat.sum(axis=1),
-                                      params.lam_u, params, z)
-    w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), pi_hat.sum(axis=0),
-                                      params.lam_v, params, w)
-    return value + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
+        return likelihood, None
+    z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), mu_hat, params.lam_u, params, z)
+    w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), nu_hat, params.lam_v, params, w)
+    return likelihood + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
 def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
@@ -210,13 +209,16 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     The relaxation solves start from the potentials (z, w) of the blocks.
     """
     c_u, c_v, z, w = blocks
-    Z = np.exp(-params.lam * kernel_cost(U, V, A, kernel))
+    C = kernel_cost(U, V, A, kernel)
+    Z = np.exp(-params.lam * C)
     if np.any(Z <= 0):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
     M = params.delta * (z[:, None] + w[None, :]) * Z
     inner = _inner_solve_raw(mu_hat, nu_hat, M, Z)
     pi = inner.xi[:, None] * Z * inner.eta[None, :]
-    obj, rel = _relaxed_objective(pi_hat, pi, c_u, c_v, params, z, w)
+    likelihood = _neg_log_likelihood(pi_hat, mu_hat, nu_hat, C, np.log(inner.xi),
+                                     np.log(inner.eta), params.lam)
+    obj, rel = _relaxed_objective(likelihood, pi, mu_hat, nu_hat, c_u, c_v, params, z, w)
     return obj, (inner, pi, rel, blocks)
 
 

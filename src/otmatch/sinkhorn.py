@@ -9,8 +9,7 @@ pi = diag(a) K diag(b) with K = exp(-lam C). :func:`sinkhorn` finds the
 scalings with one loop that absorbs large scalings into log-potentials
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
 regularized transport problems"; Peyre & Cuturi 2019, *Computational Optimal
-Transport*, section 4.4). The module also gives the regularized value of a
-plan.
+Transport*, section 4.4).
 """
 
 from dataclasses import dataclass
@@ -38,19 +37,16 @@ def _logsumexp(x, axis):
 class SinkhornResult:
     """Converged scaling solution of one regularized transport problem.
 
-    The plan satisfies plan = diag(a) exp(-lam C) diag(b), and
-    ``final_marginal_error`` is the column l1 error after the last row
-    update, which leaves the rows exact. The scalings a and b are
-    gauge-balanced and can over- or underflow at extreme lam C; the
-    log-potentials ``log_left`` and ``log_right`` are the same solution before
-    the gauge balance, always finite, with
-    log plan_ij = log_left_i - lam C_ij + log_right_j even where the plan
-    entry underflows to zero (up to the plan's renormalization to unit mass).
+    The finite log-potentials ``log_left`` and ``log_right`` are the
+    solution: log plan_ij = log_left_i - lam C_ij + log_right_j, even where
+    the plan entry underflows to zero (up to the plan's renormalization to
+    unit mass, which the exact row update keeps within rounding of sum mu).
+    They are defined up to a constant t, (log_left + t, log_right - t), which
+    is fixed so that both have the same mean. ``final_marginal_error`` is the
+    column l1 error after the last row update, which leaves the rows exact.
     """
 
     plan: CouplingMatrix
-    left_scaling: np.ndarray
-    right_scaling: np.ndarray
     iterations: int
     final_marginal_error: float
     log_left: np.ndarray
@@ -67,12 +63,13 @@ def _check_inputs(C, mu, nu, lam, tol):
             "marginals must be strictly positive; drop empty rows/columns first")
     if abs(mu.sum() - nu.sum()) > tol:
         raise ValidationError(
-            f"marginal masses {mu.sum()!r} and {nu.sum()!r} differ by more than tol={tol:g}")
+            f"marginal masses {float(mu.sum())!r} and {float(nu.sum())!r} differ by more "
+            f"than tol={tol:g}")
     if not lam > 0:
         raise ValidationError("lam must be positive")
 
 
-def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
+def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     """Solve regularized transport by alternating row/column scaling.
 
     Each sweep sets b = nu / (K' a), then a = mu / (K b), on the kernel
@@ -83,7 +80,8 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     exact, so the sweep's error is the column l1 error
     sum_j |b_j (K' a)_j - nu_j|, read from the K' a the next sweep uses. K is
     the one m-by-n array of the loop (-lam C is formed only to absorb), and
-    the plan is formed once, on exit, in place on K.
+    the plan is formed once, on exit, in place on K. The potentials are
+    f + log a and g + log b, balanced to equal means.
 
     Parameters
     ----------
@@ -98,10 +96,10 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
         every sweep.
     max_iters : int
         Sweep budget before giving up.
-    a_init : array, optional
-        Initial left scaling (defaults to all ones), a warm start such as the
-        scaling of an earlier solve. The converged plan does not depend on it,
-        up to ``tol``.
+    log_left_init : array, optional
+        Initial left potential f (defaults to zeros), a warm start such as the
+        ``log_left`` of an earlier solve. The converged plan does not depend on
+        it, up to ``tol``.
 
     Returns
     -------
@@ -124,22 +122,22 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
     _check_inputs(C, mu, nu, lam, tol)
     m, n = C.shape
 
-    if a_init is None:
-        a = np.ones(m)
-    else:
-        a = as_array(a_init)
-        if a.shape != mu.shape or np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise ValidationError("a_init must be a strictly positive finite vector of length m")
+    f = np.zeros(m) if log_left_init is None else as_array(log_left_init)
+    if f.shape != mu.shape or not np.all(np.isfinite(f)):
+        raise ValidationError("log_left_init must be a finite vector of length m")
+    a = np.ones(m)
     b = np.ones(n)
-    f = np.zeros(m)
     g = np.zeros(n)
     K = np.multiply(C, -lam)
-    np.exp(K, out=K)
+    if log_left_init is not None:
+        K += f[:, None]
     err = np.inf
     it = 0
     # Every scaling is checked for range and finiteness below, so the
-    # floating-point warnings of a sweep that leaves the range are silenced.
+    # floating-point warnings of a sweep that leaves the range (or of a warm
+    # start whose kernel overflows) are silenced.
     with np.errstate(all="ignore"):
+        np.exp(K, out=K)
         Kt_a = K.T @ a
         while it < max_iters:
             it += 1
@@ -155,8 +153,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
                 f = np.log(mu) - _logsumexp(neg_lam_C + g[None, :], axis=1)
                 if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
                     raise SinkhornConvergenceError(
-                        "scaling potentials degenerated to non-finite values",
-                        left_scaling=np.exp(f), right_scaling=np.exp(g), iterations=it)
+                        "scaling potentials degenerated to non-finite values", iterations=it)
                 a = np.ones(m)
                 b = np.ones(n)
                 np.add(f[:, None], neg_lam_C, out=K)
@@ -169,33 +166,16 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, a_init=None):
         plan = K
         plan *= a[:, None]
         plan *= b[None, :]
-        # Balance the gauge so the factors stay representable as long as
-        # possible; at extreme lam*C they overflow though the plan is fine.
-        log_a = f + np.log(a)
-        log_b = g + np.log(b)
-        shift = 0.5 * (np.mean(log_b) - np.mean(log_a))
-        left = np.exp(log_a + shift)
-        right = np.exp(log_b - shift)
     if not err <= tol:
         raise SinkhornConvergenceError(
             f"no convergence to tol={tol:g} within {max_iters} sweeps "
             f"(marginal error {err:.3e})",
-            plan=plan, left_scaling=left, right_scaling=right,
-            iterations=it, marginal_error=err)
-    return SinkhornResult(plan=CouplingMatrix(plan), left_scaling=left, right_scaling=right,
-                          iterations=it, final_marginal_error=err,
-                          log_left=log_a, log_right=log_b)
-
-
-def plan_entropy(plan):
-    """Entropy H(pi) = -sum pi_ij (log pi_ij - 1), with 0 log 0 = 0."""
-    p = as_array(plan)
-    pos = p > 0
-    return float(-(p[pos] * (np.log(p[pos]) - 1.0)).sum())
-
-
-def regularized_value(plan, C, lam):
-    """Regularized transport value <pi, C> - H(pi) / lam of a plan."""
-    p = as_array(plan)
-    return float((p * as_array(C)).sum() - plan_entropy(p) / lam)
+            plan=plan, iterations=it, marginal_error=err)
+    log_left = f + np.log(a)
+    log_right = g + np.log(b)
+    shift = 0.5 * (np.mean(log_right) - np.mean(log_left))
+    log_left += shift
+    log_right -= shift
+    return SinkhornResult(plan=CouplingMatrix(plan), iterations=it, final_marginal_error=err,
+                          log_left=log_left, log_right=log_right)
 

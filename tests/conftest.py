@@ -103,6 +103,29 @@ def conjugate_potential(z, C, nu, lam):
     return np.log(nu) / lam - logsumexp(lam * (z[:, None] - C), axis=0) / lam
 
 
+def plan_entropy(plan):
+    """Entropy H(pi) = -sum pi_ij (log pi_ij - 1), with 0 log 0 = 0."""
+    p = as_array(plan)
+    pos = p > 0
+    return float(-(p[pos] * (np.log(p[pos]) - 1.0)).sum())
+
+
+def regularized_value(plan, C, lam):
+    """Regularized transport value <pi, C> - H(pi) / lam of a plan."""
+    p = as_array(plan)
+    return float((p * as_array(C)).sum() - plan_entropy(p) / lam)
+
+
+def neg_log_likelihood(pi_hat, pi):
+    """-sum pihat_ij log pi_ij from the plan's entries; +inf, without a
+    warning, where the plan has a zero under pihat > 0."""
+    pi_hat = as_array(pi_hat)
+    pi = as_array(pi)
+    mask = pi_hat > 0
+    with np.errstate(divide="ignore"):
+        return float(-(pi_hat[mask] * np.log(pi[mask])).sum())
+
+
 def inner_objective(xi, eta, mu_hat, nu_hat, M):
     """Inner scaling objective -<muhat, log xi> - <nuhat, log eta> + xi' M eta."""
     return float(-(mu_hat @ np.log(xi)) - (nu_hat @ np.log(eta)) + xi @ (M @ eta))

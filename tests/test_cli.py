@@ -552,6 +552,19 @@ class TestSimulateAndEval:
         assert "cost_shift_distance" in report
         assert report["prediction_error_bound"]["satisfied"]
 
+    def test_eval_bounds_finite_where_plans_underflow(self, tmp_path, capsys):
+        # exp(-800) is 0 in float64, so both predicted plans have zero entries
+        C0 = 800.0 * (1.0 - np.eye(3))
+        C1 = C0 + np.array([[0.0, 0.1, 0.2], [0.3, 0.0, 0.1], [0.2, 0.3, 0.0]])
+        uniform = np.full((3, 3), 1 / 9)
+        for name, matrix in (("u.csv", uniform), ("c0.csv", C0), ("c1.csv", C1)):
+            mio.write_matrix(tmp_path / name, matrix)
+        assert main(["eval", "--pred", str(tmp_path / "u.csv"), "--test", str(tmp_path / "u.csv"),
+                     "--cost-true", str(tmp_path / "c0.csv"),
+                     "--cost-pred", str(tmp_path / "c1.csv")]) == EXIT_OK
+        bound = json.loads(capsys.readouterr().out)["prediction_error_bound"]
+        assert np.isfinite(bound["bound"]) and np.isfinite(bound["observed"])
+
 
 # The flags each command reads a CSV matrix or vector from.
 _CSV_FLAGS = {

@@ -28,8 +28,7 @@ class TestCouplingMatrix:
         # negative too, but the finiteness message comes first
         ([[-np.inf, 0.5], [0.25, 0.25]], r"coupling has non-finite entries"),
         ([[-0.1, 0.6], [0.2, 0.3]], r"coupling has negative entries"),
-        # the total's repr is np.float64(0.0) under numpy 2
-        (np.empty((0, 3)), r"coupling sums to (np\.float64\()?0\.0\)?, not 1 within 1e-09"),
+        (np.empty((0, 3)), r"coupling sums to 0\.0, not 1 within 1e-09"),
         ([0.5, 0.5], r"coupling must be 2-d, got shape \(2,\)"),
     ])
     def test_rejection_messages(self, bad, pattern):

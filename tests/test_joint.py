@@ -11,10 +11,10 @@ from otmatch.containers import HyperParams
 from otmatch.errors import ProjectionError, ValidationError
 from otmatch.joint import _triangle_table, joint_fit, project_metric_simplex
 from otmatch.riot import _relaxation_dual, riot_fit
-from otmatch.sinkhorn import regularized_value, sinkhorn
+from otmatch.sinkhorn import sinkhorn
 
 from conftest import (euclidean_cost, forward_instance, full_sweep_projection, noised,
-                      random_marginal)
+                      random_marginal, regularized_value)
 
 
 def all_triangle_violations(d):
@@ -223,8 +223,8 @@ class TestSideCostGradient:
         C_u = rng.uniform(0.5, 2.0, (3, 3))
         params = HyperParams(sinkhorn_tol=1e-12)
         _, value, plan = _relaxation_dual(C_u, mu, mu_hat, 1.0, params)
-        assert value == regularized_value(sinkhorn(C_u, mu, mu_hat, 1.0, tol=1e-12).plan,
-                                          C_u, 1.0)
+        assert value == pytest.approx(
+            regularized_value(sinkhorn(C_u, mu, mu_hat, 1.0, tol=1e-12).plan, C_u, 1.0), abs=1e-12)
         h = 1e-6
         fd = np.zeros_like(C_u)
         for i in range(3):
@@ -240,6 +240,11 @@ class TestSideCostGradient:
 
 
 class TestJointFit:
+    def test_off_simplex_message_prints_a_plain_float(self):
+        with pytest.raises(ValidationError) as exc:
+            joint._check_unit_sum(np.full((2, 2), 0.125), "C_u")
+        assert str(exc.value) == "C_u drifted off the simplex: sum = 0.5"
+
     def _setup(self, seed):
         inst = forward_instance(seed, m=4, n=4, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)

@@ -11,14 +11,14 @@ from otmatch.iot import iot_fit
 from otmatch.bounds import kl_divergence, cost_shift_distance
 from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
-from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _neg_log_likelihood,
-                          _relaxation_dual, _relaxed_objective, _theta_root,
-                          predict_matching, riot_fit)
-from otmatch.sinkhorn import regularized_value, sinkhorn
+from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
+                          _relaxed_objective, _theta_root, predict_matching, riot_fit)
+from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 
-from conftest import (conjugate_potential, forward_instance, inner_objective, noised,
-                      random_coupling, random_marginal)
+from conftest import (conjugate_potential, euclidean_cost, forward_instance, inner_objective,
+                      neg_log_likelihood, noised, random_coupling, random_marginal,
+                      regularized_value)
 
 
 def hyper(**kwargs):
@@ -37,7 +37,10 @@ def point_at(A, pi_hat, U, V, kern, z, w, params):
 
 
 def relaxed_objective(plan, pi_hat, C_u, C_v, params):
-    return _relaxed_objective(as_array(pi_hat), as_array(plan), C_u, C_v, params)[0]
+    """The relaxed objective at a plan, with the likelihood from the oracle."""
+    pi_hat, plan = as_array(pi_hat), as_array(plan)
+    return _relaxed_objective(neg_log_likelihood(pi_hat, plan), plan, pi_hat.sum(1),
+                              pi_hat.sum(0), C_u, C_v, params)[0]
 
 
 def potentials(plan, mu_hat, nu_hat, C_u, C_v, params):
@@ -172,12 +175,17 @@ class TestInnerSolve:
 
 class TestRiotObjective:
     def test_delta_zero_reduces_to_likelihood(self, rng):
+        # the objective read from log xi, log eta and C(A) is the likelihood
+        # of the plan's entries
         inst = forward_instance(11)
-        pi_hat = noised(inst["pi0"], inst["rng"], 3e-3)
-        state = inst["pi0"]
-        val = relaxed_objective(state, pi_hat, inst["C_u"], inst["C_v"], hyper(delta=0.0))
-        expected = _neg_log_likelihood(pi_hat.entries, inst["pi0"].entries)
-        assert val == pytest.approx(expected, abs=1e-12)
+        pi_hat = noised(inst["pi0"], inst["rng"], 3e-3).entries
+        m, n = pi_hat.shape
+        blocks = (inst["C_u"], inst["C_v"], np.zeros(m), np.zeros(n))
+        A = inst["A0"] + inst["rng"].normal(0.0, 0.3, inst["A0"].shape)
+        val, (_, pi, rel, _) = _evaluate_at(A, pi_hat, pi_hat.sum(1), pi_hat.sum(0), inst["U"],
+                                            inst["V"], inst["kern"], blocks, hyper(delta=0.0))
+        assert rel is None
+        assert val == pytest.approx(neg_log_likelihood(pi_hat, pi), abs=1e-12)
 
     def test_constant_side_costs_closed_form(self):
         inst = forward_instance(12, m=3, n=3)
@@ -203,7 +211,7 @@ class TestRiotObjective:
         mu, nu = inst["pi0"].entries.sum(1), inst["pi0"].entries.sum(0)
         plan_u = sinkhorn(inst["C_u"], mu, pi_hat.entries.sum(1), 1.0).plan
         plan_v = sinkhorn(inst["C_v"], nu, pi_hat.entries.sum(0), 1.0).plan
-        expected = (_neg_log_likelihood(pi_hat.entries, inst["pi0"].entries)
+        expected = (neg_log_likelihood(pi_hat, inst["pi0"])
                     + 0.07 * (regularized_value(plan_u, inst["C_u"], 1.0)
                               + regularized_value(plan_v, inst["C_v"], 1.0)))
         assert val == pytest.approx(expected, abs=1e-8)
@@ -254,7 +262,7 @@ class TestRiotGradient:
         def energy(A_):
             pi_ = self._point_at(inst, A_, z, w, params)[1]
             ph = inst["pi_hat"].entries
-            return (_neg_log_likelihood(ph, pi_)
+            return (neg_log_likelihood(ph, pi_)
                     + params.delta * (z @ pi_.sum(1) + w @ pi_.sum(0)))
 
         h = 1e-6
@@ -338,6 +346,18 @@ class TestDualUpdate:
                                    atol=tol / (params.lam_u * min(mu.min(), mu_hat.min())))
         assert value_warm == pytest.approx(value, abs=tol)
         assert np.abs(plan_warm - plan).sum() <= tol
+
+    def test_costly_row_keeps_the_potential_finite(self, rng):
+        # exp(lam_u z_0) overflows: the balanced potential z_0 is about 1749
+        C_u = euclidean_cost(rng, 4)
+        C_u[0] += 2000.0
+        uniform = np.full(4, 0.25)
+        params = hyper()
+        z, value, plan = _relaxation_dual(C_u, uniform, uniform, 1.0, params)
+        assert np.all(np.isfinite(z)) and z[0] > 1000.0
+        assert value == pytest.approx(regularized_value(plan, C_u, 1.0), rel=1e-12)
+        _, _, plan_warm = _relaxation_dual(C_u, uniform, uniform, 1.0, params, z)
+        assert np.abs(plan_warm - plan).sum() <= params.sinkhorn_tol
 
 
 class TestRiotFit:

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
+from otmatch.containers import HyperParams
 from otmatch.errors import SinkhornConvergenceError, ValidationError
-from otmatch.sinkhorn import _logsumexp, plan_entropy, regularized_value, sinkhorn
+from otmatch.riot import _relaxation_dual
+from otmatch.sinkhorn import _logsumexp, sinkhorn
 
-from conftest import conjugate_potential, random_marginal
+from conftest import conjugate_potential, plan_entropy, random_marginal, regularized_value
 
 
 def entropy_value(p, lam):
@@ -56,7 +58,7 @@ class TestSinkhorn:
     def test_scaling_form_identity(self, rng):
         C = rng.uniform(0, 3, (5, 4))
         res = sinkhorn(C, random_marginal(rng, 5), random_marginal(rng, 4), 2.0)
-        rebuilt = res.left_scaling[:, None] * np.exp(-2.0 * C) * res.right_scaling[None, :]
+        rebuilt = np.exp(res.log_left[:, None] - 2.0 * C + res.log_right[None, :])
         np.testing.assert_allclose(rebuilt, res.plan.entries, rtol=1e-10)
 
     def test_marginal_feasibility_random(self, rng):
@@ -68,20 +70,20 @@ class TestSinkhorn:
             assert np.abs(res.plan.entries.sum(1) - mu).sum() <= 1e-9
             assert np.abs(res.plan.entries.sum(0) - nu).sum() <= 1e-9
             assert res.final_marginal_error <= 1e-9
-            assert np.all(res.left_scaling > 0) and np.all(res.right_scaling > 0)
+            assert np.all(np.isfinite(res.log_left)) and np.all(np.isfinite(res.log_right))
 
     def test_scaling_gauge_invariance(self, rng):
         C = rng.uniform(0, 2, (3, 3))
         res = sinkhorn(C, random_marginal(rng, 3), random_marginal(rng, 3), 1.0)
-        c = 17.3
-        rebuilt = (res.left_scaling * c)[:, None] * np.exp(-C) * (res.right_scaling / c)
+        t = np.log(17.3)
+        rebuilt = np.exp((res.log_left + t)[:, None] - C + (res.log_right - t)[None, :])
         np.testing.assert_allclose(rebuilt, res.plan.entries, rtol=1e-10)
 
     def test_uniqueness_across_initializations(self, rng):
         C = rng.uniform(0, 4, (6, 5))
         mu, nu = random_marginal(rng, 6), random_marginal(rng, 5)
         base = sinkhorn(C, mu, nu, 1.5)
-        other = sinkhorn(C, mu, nu, 1.5, a_init=rng.uniform(0.1, 10.0, 6))
+        other = sinkhorn(C, mu, nu, 1.5, log_left_init=np.log(rng.uniform(0.1, 10.0, 6)))
         np.testing.assert_allclose(base.plan.entries, other.plan.entries, atol=1e-8)
 
     def test_entropy_decreases_with_lambda(self, rng):
@@ -97,8 +99,14 @@ class TestSinkhorn:
 
     def test_unbalanced_marginals_rejected(self):
         # the column error after a row update is at least the mass gap
-        with pytest.raises(ValidationError, match="marginal masses"):
+        with pytest.raises(ValidationError,
+                           match=r"^marginal masses 0\.5 and 1\.0 differ by more than tol=1e-09$"):
             sinkhorn(np.zeros((2, 2)), [0.25, 0.25], [0.5, 0.5], 1.0)
+
+    @pytest.mark.parametrize("init", [[0.0], [0.0, np.inf], [np.nan, 0.0]])
+    def test_log_left_init_must_be_finite_of_length_m(self, init):
+        with pytest.raises(ValidationError, match="log_left_init must be a finite vector"):
+            sinkhorn(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], 1.0, log_left_init=init)
 
     def test_nonconvergence_carries_iterate(self, rng):
         C = rng.uniform(0, 5, (4, 4))
@@ -149,33 +157,40 @@ class TestLogSumExp:
         np.testing.assert_allclose(_logsumexp(x.T, 1), expected, rtol=1e-15)
 
 
+def rot_distance(C, mu, nu, lam):
+    """The relaxation term's value: the ROT distance read from the dual."""
+    C, mu, nu = (np.asarray(x, dtype=float) for x in (C, mu, nu))
+    return _relaxation_dual(C, mu, nu, lam, HyperParams())[1]
+
+
 class TestRotDistance:
     """The ROT distance: the regularized value at the Sinkhorn plan."""
 
     def test_constant_cost_closed_form(self):
         # uniform product plan: H = 1 + ln 4 at 2x2
         C = np.full((2, 2), 2.0)
-        val = regularized_value(sinkhorn(C, [0.5, 0.5], [0.5, 0.5], 1.0).plan, C, 1.0)
+        val = rot_distance(C, [0.5, 0.5], [0.5, 0.5], 1.0)
         assert val == pytest.approx(2.0 - (1.0 + np.log(4.0)), abs=1e-9)
+        assert regularized_value(sinkhorn(C, [0.5, 0.5], [0.5, 0.5], 1.0).plan, C, 1.0) \
+            == pytest.approx(val, abs=1e-12)
 
     def test_one_by_one(self):
-        plan = sinkhorn([[3.0]], [1.0], [1.0], 4.0).plan
-        assert regularized_value(plan, [[3.0]], 4.0) == pytest.approx(3.0 - 0.25)
+        assert rot_distance([[3.0]], [1.0], [1.0], 4.0) == pytest.approx(3.0 - 0.25)
 
     def test_matches_univariate_oracle(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         _, oracle_value = two_by_two_oracle(C, np.array([0.7, 0.3]), np.array([0.4, 0.6]), 1.0)
         assert oracle_value == pytest.approx(-1.8336560333441716, abs=1e-9)
-        plan = sinkhorn(C, [0.7, 0.3], [0.4, 0.6], 1.0).plan
-        assert regularized_value(plan, C, 1.0) == pytest.approx(oracle_value, abs=1e-7)
+        assert rot_distance(C, [0.7, 0.3], [0.4, 0.6], 1.0) == pytest.approx(oracle_value,
+                                                                           abs=1e-7)
 
 
 def scaling_dual_value(C, mu, nu, lam):
-    """Dual value <z, mu> + <z^C, nu> - 1/lam with z = log(a)/lam read from
-    the Sinkhorn left scaling a; returns (value, z, z^C)."""
+    """Dual value <z, mu> + <z^C, nu> - 1/lam with z = log_left/lam read from
+    the Sinkhorn left potential; returns (value, z, z^C)."""
     C = np.asarray(C, dtype=float)
     res = sinkhorn(C, mu, nu, lam)
-    z = np.log(res.left_scaling) / lam
+    z = res.log_left / lam
     z_conj = conjugate_potential(z, C, np.asarray(nu, dtype=float), lam)
     return float(z @ np.asarray(mu) + z_conj @ np.asarray(nu) - 1.0 / lam), z, z_conj
 
@@ -202,7 +217,8 @@ class TestRotDualValue:
 @st.composite
 def transport_problems(draw):
     """C in [0, 30], m, n <= 8, lam in [1e-2, 1e2] (log-uniform), and an
-    optional initial left scaling spanning 1e-300 to 1e300."""
+    optional initial left potential in [-690, 690], the logs of 1e-300 to
+    1e300."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 8))
     C = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 30.0)))
@@ -210,14 +226,13 @@ def transport_problems(draw):
     mu = draw(hnp.arrays(float, m, elements=weights))
     nu = draw(hnp.arrays(float, n, elements=weights))
     lam = 10.0 ** draw(st.floats(-2.0, 2.0))
-    a_init = draw(st.none() | hnp.arrays(
-        float, m, elements=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
-    return C, mu / mu.sum(), nu / nu.sum(), lam, a_init
+    log_left_init = draw(st.none() | hnp.arrays(float, m, elements=st.floats(-690.0, 690.0)))
+    return C, mu / mu.sum(), nu / nu.sum(), lam, log_left_init
 
 
 def _one_costly_row(shape, row, costs, nu_weights):
-    """lam = 100 problem, found by hypothesis, whose solve returns a left
-    scaling of inf beside a right scaling of 0: C is zero except ``row``."""
+    """lam = 100 problem, found by hypothesis, whose balanced potentials lie
+    beyond the range of exp: C is zero except ``row``."""
     C = np.zeros(shape)
     C[row] = costs
     nu = np.asarray(nu_weights, dtype=float)
@@ -229,14 +244,16 @@ def _one_costly_row(shape, row, costs, nu_weights):
 @example(_one_costly_row((6, 3), 5, [0.0, 10.0, 10.0], [1.0, 10.0, 10.0]))
 @example(_one_costly_row((4, 4), 2, [10.0, 10.0, 0.0, 10.0], [10.0, 10.0, 1.0, 10.0]))
 def test_single_path_converges_or_carries_iterate(problem):
-    """Every solve returns a feasible plan that its scalings rebuild, or
-    raises SinkhornConvergenceError with its last iterate; nothing else."""
-    C, mu, nu, lam, a_init = problem
+    """Every solve returns a feasible plan that its balanced potentials
+    rebuild and whose regularized value is their dual value, or raises
+    SinkhornConvergenceError with its last iterate; nothing else."""
+    C, mu, nu, lam, log_left_init = problem
     tol, max_iters = 1e-9, 2000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            res = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters, a_init=a_init)
+            res = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=max_iters,
+                           log_left_init=log_left_init)
         except SinkhornConvergenceError as err:
             assert err.iterations == max_iters
             assert np.all(np.isfinite(err.plan)) and err.marginal_error > tol
@@ -244,12 +261,16 @@ def test_single_path_converges_or_carries_iterate(problem):
         plan = res.plan.entries
         assert np.abs(plan.sum(axis=1) - mu).sum() <= tol
         assert np.abs(plan.sum(axis=0) - nu).sum() <= tol
-        left, right = res.left_scaling, res.right_scaling
-        # the product in log space, so that an underflowing exp(-lam C)
-        # between large finite factors is still checked; an inf factor
-        # beside a 0 factor gives nan here, and the mask drops it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_left, log_right = np.log(left), np.log(right)
-            rebuilt = np.exp(log_left[:, None] - lam * C + log_right[None, :])
-        finite = np.isfinite(log_left)[:, None] & np.isfinite(log_right)[None, :]
-        np.testing.assert_allclose(rebuilt[finite], plan[finite], rtol=1e-6, atol=1e-12)
+        log_left, log_right = res.log_left, res.log_right
+        scale = 1.0 + np.abs(log_left).max() + np.abs(log_right).max()
+        assert abs(log_left.mean() - log_right.mean()) <= 1e-12 * scale
+        # log plan = log_left - lam C + log_right, compared after exp: a
+        # kernel entry may be subnormal between scalings of up to 1e150 each,
+        # so such a plan entry is exact only to 5e-324 * 1e300 absolute
+        log_plan = log_left[:, None] - lam * C + log_right[None, :]
+        np.testing.assert_allclose(plan, np.exp(log_plan), rtol=1e-9, atol=1e-20)
+        # S = sum mu is the plan's mass before its normalization
+        dual = (plan.sum(axis=1) @ log_left + plan.sum(axis=0) @ log_right
+                - np.log(mu.sum()) - 1.0) / lam
+        primal = regularized_value(plan, C, lam)
+        assert abs(dual - primal) <= 1e-9 * max(1.0, abs(primal))
