@@ -108,9 +108,10 @@ class HyperParams:
 
     ``lam`` is the main transport regularization, ``lam_u``/``lam_v`` the
     regularizations of the two marginal-relaxation terms, ``delta`` the
-    relaxation weight, ``step_size`` the gradient step, ``outer_iters`` the
-    outer loop budget, and the two ``sinkhorn_*`` fields the scaling solver's
-    stopping rule.
+    relaxation weight, ``step_size`` the steepest-descent step (which also
+    seeds the first step of a quasi-Newton fit), ``outer_iters`` a cap on the
+    outer steps (a fit may stop earlier on its gradient tolerance), and the
+    two ``sinkhorn_*`` fields the scaling solver's stopping rule.
     """
 
     lam: float = 1.0

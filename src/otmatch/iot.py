@@ -11,18 +11,22 @@ value, and the objective is finite whenever the solve converges. The gradient
 with respect to the cost is lam * (pihat - pi), chained through the kernel
 derivative. :func:`_evaluate_at` and :func:`_gradient_at` compute the two at A.
 
-This module also holds :func:`descend`, the backtracking gradient driver that
-every fit runs: :func:`iot_fit` here, and the relaxed and joint fits through
-``otmatch.riot._alternating_fit``.
+This module also holds :func:`descend`, the driver that every fit runs:
+:func:`iot_fit` here, and the relaxed and joint fits through
+``otmatch.riot._alternating_fit``. It is L-BFGS (Liu & Nocedal 1989) with a
+step-halving search while the function stays fixed, as in :func:`iot_fit`,
+and steepest descent with the same search while a refresh changes it between
+steps, as in the relaxed fits at delta > 0.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
-from .errors import DivergenceError
+from .errors import DivergenceError, SinkhornConvergenceError
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import sinkhorn
 
@@ -30,7 +34,10 @@ from .sinkhorn import sinkhorn
 # iteration before keeping the current iterate.
 MAX_HALVINGS = 20
 
-_GRAD_NORM_EXIT = 1e-10
+# Curvature pairs the L-BFGS direction is built from.
+_MEMORY = 10
+
+_GRAD_NORM_EXIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,39 @@ def _gradient_at(A, pi, pi_hat, U, V, kernel, params):
     return assemble_interaction_grad(U, V, A, kernel, weights)
 
 
+def _two_loop(grad, memory):
+    """The L-BFGS direction H grad by the two-loop recursion over the stored
+    (s, y, s'y) pairs, oldest first, with the initial Hessian scaled by
+    s'y / y'y of the newest pair (Nocedal & Wright 2006, Alg. 7.4)."""
+    q = grad.copy()
+    alphas = []
+    for s, y, sy in reversed(memory):
+        alphas.append(np.vdot(s, q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = memory[-1]
+    q *= sy / np.vdot(y, y)
+    for (s, y, sy), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - np.vdot(y, q) / sy) * s
+    return q
+
+
 def descend(A, evaluate, gradient, params, after_step=None):
-    """Backtracking gradient descent on A, the loop of every fit.
+    """L-BFGS descent on A, the loop of every fit.
 
     ``evaluate(A)`` returns ``(objective, point)``, with ``point`` whatever
-    ``gradient(A, point)`` and the caller need. Each of at most
-    ``params.outer_iters`` steps starts at ``params.step_size`` and halves
-    until the objective does not increase, at most ``MAX_HALVINGS`` times,
-    else keeps the current iterate. ``after_step(A_next, point)`` refreshes the caller's
-    other blocks from the pre-step point and returns ``A_next`` re-evaluated.
-    A gradient norm of at most 1e-10 ends the loop.
+    ``gradient(A, point)`` and the caller need. Each step tries the two-loop
+    direction at t = 1 over at most ``_MEMORY`` curvature pairs, or, with an
+    empty memory, the gradient at ``params.step_size``. It halves the trial
+    step until the objective does not increase, at most ``MAX_HALVINGS``
+    times; a quasi-Newton trial whose Sinkhorn solve does not converge counts
+    as an increase. A failed search clears the memory and keeps the current
+    iterate; one that fails with an empty memory ends the loop, unless
+    ``after_step(A_next, point)`` is given. That callback refreshes the
+    caller's other blocks from the pre-step point and returns ``A_next``
+    re-evaluated; the refresh changes the function, so no curvature pair is
+    stored and the fit runs steepest descent with halving. The loop ends at a
+    gradient norm of at most ``_GRAD_NORM_EXIT`` or after
+    ``params.outer_iters`` steps.
 
     Returns ``((objective, A, point) of the best iterate, trace, steps)``.
     Raises :class:`DivergenceError`, carrying the trace so far, on a
@@ -103,28 +133,56 @@ def descend(A, evaluate, gradient, params, after_step=None):
     trace = []
     best = None
     steps = 0
+    memory = deque(maxlen=_MEMORY)
+    previous = None
     while True:
         if not np.isfinite(obj):
             raise DivergenceError("objective became non-finite", trace=trace)
         trace.append(obj)
-        if best is None or obj < best[0]:
+        # Ties go to the later iterate, the one the gradient test sees.
+        if best is None or obj <= best[0]:
             best = (obj, A, point)
         if steps == params.outer_iters:
             break
         grad = gradient(A, point)
         if np.linalg.norm(grad) <= _GRAD_NORM_EXIT:
             break
-        step = params.step_size
+        if previous is not None:
+            s, y = A - previous[0], grad - previous[1]
+            sy = np.vdot(s, y)
+            if sy > 0:
+                memory.append((s, y, sy))
+        if memory:
+            direction, step = _two_loop(grad, memory), 1.0
+        else:
+            direction, step = grad, params.step_size
         for _ in range(MAX_HALVINGS + 1):
-            A_next = A - step * grad
-            obj_next, point_next = evaluate(A_next)
+            A_next = A - step * direction
+            try:
+                obj_next, point_next = evaluate(A_next)
+            except SinkhornConvergenceError:
+                # A unit quasi-Newton step can land where the solve does not
+                # converge; it is rejected like an increase. A steepest-
+                # descent trial's failure propagates to the caller.
+                if not memory:
+                    raise
+                obj_next = np.inf
             if obj_next <= obj:
                 break
             step *= 0.5
         else:
-            # No halving found a decrease: keep the current iterate.
+            # No halving found a decrease: keep the current iterate (s = 0
+            # then stores no pair). The same search from an unchanged
+            # function would fail again.
+            if after_step is None and not memory:
+                break
             A_next, obj_next, point_next = A, obj, point
-        if after_step is not None:
+            memory.clear()
+        if after_step is None:
+            previous = (A, grad)
+        else:
+            # The refresh changes the function, so no pair spans it and the
+            # memory stays empty.
             obj_next, point_next = after_step(A_next, point)
         A, obj, point = A_next, obj_next, point_next
         steps += 1
@@ -132,11 +190,12 @@ def descend(A, evaluate, gradient, params, after_step=None):
 
 
 def iot_fit(pi_hat, U, V, kernel, params=None):
-    """Gradient descent on the fixed-marginal likelihood.
+    """L-BFGS descent on the fixed-marginal likelihood.
 
-    Runs :func:`descend` from A = 0 for at most ``params.outer_iters`` steps
-    of size ``params.step_size``, halving the step within an iteration
-    whenever it would increase the objective. Returns the best iterate by
+    Runs :func:`descend` from A = 0 until the gradient norm is at most
+    ``_GRAD_NORM_EXIT`` or ``params.outer_iters`` steps are taken; the first
+    step is the gradient at ``params.step_size``, and every trial step is
+    halved while it would increase the objective. Returns the best iterate by
     objective.
 
     Raises

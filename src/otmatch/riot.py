@@ -279,9 +279,11 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     Each of the ``params.outer_iters`` iterations performs the inner scaling
     solve (half-update pairs until the scalings settle), one gradient step on A
     with the step-halving guard every fit shares, and a refresh of the
-    relaxation potentials from the pre-step plan. The result holds the
-    iterate with the lowest relaxed objective: its A and plan, and the
-    scalings, multiplier and potentials of its inner solve.
+    relaxation potentials from the pre-step plan. At ``delta == 0`` there is
+    nothing to refresh, so the fit runs the quasi-Newton path of
+    :func:`~otmatch.iot.descend` and may stop on its gradient tolerance. The
+    result holds the iterate with the lowest relaxed objective: its A and
+    plan, and the scalings, multiplier and potentials of its inner solve.
 
     Parameters
     ----------

@@ -256,9 +256,10 @@ class CostRecoveryResult:
     kl_hat: float
 
 
-# Budget under which the fixed-marginal baseline is considered converged for
-# cost-recovery comparisons (it also exits early on a vanishing gradient).
-IOT_CONVERGED_BUDGET = {"step_size": 10.0, "outer_iters": 1000}
+# Step cap of the fixed-marginal baseline in cost-recovery comparisons. The
+# fit stops on its gradient tolerance first: at the synth defaults it took
+# 51-83 steps on seeds 0-2 at sigma in {0, 1e-3, 8e-3}, beyond the default 50.
+IOT_CONVERGED_BUDGET = {"outer_iters": 1000}
 
 
 def cost_recovery_experiment(cfg):

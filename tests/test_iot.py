@@ -2,14 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
-from otmatch.errors import DivergenceError
+from otmatch.errors import DivergenceError, OtmatchError, SinkhornConvergenceError
+import otmatch.iot
 from otmatch.iot import MAX_HALVINGS, _evaluate_at, _gradient_at, descend, iot_fit
 from otmatch.kernels import KernelSpec
 from otmatch.sinkhorn import sinkhorn
-from otmatch.synth import SynthConfig, generate_instance
+from otmatch.synth import SynthConfig, add_noise, generate_instance
 from otmatch.bounds import kl_divergence
 
 from conftest import forward_instance, noised, peak_arrays, poly_kernel
@@ -187,6 +189,17 @@ class TestIotFit:
                         tol=params.sinkhorn_tol).plan
         np.testing.assert_allclose(result.fitted_plan.entries, redo.entries, atol=1e-9)
 
+    def test_far_quasi_newton_trial_does_not_end_the_fit(self):
+        # On this market (found by the property below) a unit quasi-Newton
+        # step reaches a cost whose Sinkhorn solve does not converge; the
+        # search halves past it and the fit converges.
+        inst = forward_instance(3, m=4, n=3, lam=0.1)
+        pi_hat = noised(inst["pi0"], inst["rng"], 0.008382009313692856)
+        params = hyper(lam=0.1, outer_iters=100)
+        result = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
+        g = gradient(result.A, pi_hat, inst["U"], inst["V"], inst["kern"], params)
+        assert np.linalg.norm(g) <= 1e-6
+
     def test_large_lam_trial_plans_with_zeros_do_not_warn(self):
         # at lam = 50 some backtracking trials have plan entries that
         # underflow to zero under pihat > 0; the likelihood is read from the
@@ -198,6 +211,91 @@ class TestIotFit:
             result = iot_fit(inst.pi0, inst.U, inst.V, cfg.kernel,
                              HyperParams(lam=50.0, outer_iters=5))
         assert np.all(np.isfinite(result.objective_trace))
+
+
+def steepest_descent(A, evaluate, gradient, params, steps):
+    """Reference fixed-step descent: ``steps`` steps of ``params.step_size``,
+    each halved until the objective does not increase. Returns the final
+    objective."""
+    obj, point = evaluate(A)
+    for _ in range(steps):
+        grad = gradient(A, point)
+        step = params.step_size
+        for _ in range(MAX_HALVINGS + 1):
+            obj_next, point_next = evaluate(A - step * grad)
+            if obj_next <= obj:
+                A, obj, point = A - step * grad, obj_next, point_next
+                break
+            step *= 0.5
+    return obj
+
+
+class TestIotConvergence:
+    """The fit stops on its gradient tolerance, not on its step budget, at the
+    synth defaults (m = n = 20, lam = 1, step size 10)."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 8e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reaches_gradient_tolerance_within_200_evaluations(self, seed, sigma,
+                                                               monkeypatch):
+        cfg = SynthConfig(seed=seed, noise_sigma=sigma)
+        inst = generate_instance(cfg)
+        pi_hat = add_noise(inst.pi0, sigma, seed)
+        solves = []
+        model_plan = otmatch.iot._model_plan
+        monkeypatch.setattr(otmatch.iot, "_model_plan",
+                            lambda *args: solves.append(1) or model_plan(*args))
+        params = HyperParams(outer_iters=200)
+        result = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
+        assert len(solves) <= 200
+        g = gradient(result.A, pi_hat, inst.U, inst.V, cfg.kernel, params)
+        assert np.linalg.norm(g) <= 1e-6
+
+    def test_no_worse_than_3000_steepest_descent_steps(self):
+        cfg = SynthConfig(seed=0, noise_sigma=1e-3)
+        inst = generate_instance(cfg)
+        pi_hat = add_noise(inst.pi0, cfg.noise_sigma, 0).entries
+        params = HyperParams(outer_iters=200)
+        data = dict(pi_hat=pi_hat, U=inst.U, V=inst.V, kern=cfg.kernel, params=params)
+        reference = steepest_descent(
+            np.zeros((cfg.p, cfg.q)), lambda A: evaluate(A, **data),
+            lambda A, pi: _gradient_at(A, pi, pi_hat, inst.U, inst.V, cfg.kernel, params),
+            params, 3000)
+        result = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
+        assert evaluate(result.A, **data)[0] <= reference + 1e-7
+
+
+@st.composite
+def small_markets(draw):
+    """A kernel market with m, n in [2, 6], noise sigma in [0, 1e-2] and
+    lam in [0.1, 10]."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    sigma = draw(st.floats(0.0, 1e-2))
+    lam = draw(st.floats(0.1, 10.0))
+    inst = forward_instance(seed, m=m, n=n, lam=lam)
+    return inst, noised(inst["pi0"], inst["rng"], sigma), lam
+
+
+@settings(max_examples=100)
+@given(small_markets())
+def test_iot_fit_converges_or_uses_its_budget(market):
+    """A fit returns a non-increasing finite trace and a plan at the empirical
+    marginals, and stops at the gradient tolerance or its step cap; anything
+    it raises is typed."""
+    inst, pi_hat, lam = market
+    params = hyper(lam=lam, outer_iters=100)
+    try:
+        result = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
+    except OtmatchError:
+        return
+    trace = result.objective_trace
+    assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
+    fitted, p = result.fitted_plan.entries, pi_hat.entries
+    np.testing.assert_allclose(fitted.sum(1), p.sum(1), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(fitted.sum(0), p.sum(0), rtol=0, atol=1e-8)
+    g = gradient(result.A, pi_hat, inst["U"], inst["V"], inst["kern"], params)
+    assert np.linalg.norm(g) <= 1e-6 or result.iterations == params.outer_iters
 
 
 class TestDescend:
@@ -235,13 +333,77 @@ class TestDescend:
             return self.evaluate(A)
 
         params = hyper(step_size=0.25, outer_iters=2)
-        # An ascent direction: every trial step increases the objective.
+        # An ascent direction: every trial step increases the objective. With
+        # an empty memory and nothing to refresh, the same search would fail
+        # again, so the loop ends after one.
         (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate,
                                             lambda A, p: -self.gradient(A, p), params)
+        assert steps == 0
+        assert trace == [1.0] and obj == 1.0
+        np.testing.assert_array_equal(A, 0.0)
+        assert len(evaluations) == 1 + (MAX_HALVINGS + 1)
+
+    def test_failed_search_is_retried_after_a_refresh(self):
+        evaluations = []
+
+        def evaluate(A):
+            evaluations.append(A)
+            return self.evaluate(A)
+
+        params = hyper(step_size=0.25, outer_iters=2)
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate,
+                                            lambda A, p: -self.gradient(A, p), params,
+                                            lambda A, p: self.evaluate(A))
         assert steps == 2
         assert trace == [1.0, 1.0, 1.0] and obj == 1.0
         np.testing.assert_array_equal(A, 0.0)
         assert len(evaluations) == 1 + 2 * (MAX_HALVINGS + 1)
+
+    def test_failed_search_with_memory_clears_it_and_keeps_the_point(self):
+        evaluations = []
+
+        def evaluate(A):
+            evaluations.append(A)
+            return self.evaluate(A)
+
+        def gradient(A, point):
+            # True at A = 0, reversed afterwards: the stored pair has
+            # s'y = 1.5 > 0, yet the direction it builds is one of ascent.
+            return self.gradient(A, point) * (1.0 if A[0, 0] == 0.0 else -1.0)
+
+        params = hyper(step_size=0.25, outer_iters=10)
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate, gradient, params)
+        # One accepted step to 0.5, a failed quasi-Newton search that counts
+        # as a step, then a failed steepest-descent search that ends the loop.
+        assert steps == 2
+        assert trace == [1.0, 0.25, 0.25] and obj == 0.25
+        np.testing.assert_array_equal(A, 0.5)
+        assert len(evaluations) == 2 + 2 * (MAX_HALVINGS + 1)
+
+    def test_quasi_newton_trial_whose_solve_fails_is_halved(self):
+        failures = []
+
+        def evaluate(A):
+            if A[0, 0] >= 1.0:
+                failures.append(A)
+                raise SinkhornConvergenceError("no convergence")
+            return self.evaluate(A)
+
+        # On a quadratic every unit quasi-Newton step lands on the minimum 1,
+        # where the solve fails; the search halves to the midpoint instead.
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate, self.gradient,
+                                            hyper(step_size=0.25, outer_iters=100))
+        assert A[0, 0] < 1.0 and np.linalg.norm(self.gradient(A, None)) <= 1e-6
+        assert len(failures) == steps - 1
+
+    def test_gradient_trial_whose_solve_fails_raises(self):
+        def evaluate(A):
+            if A[0, 0] > 0.5:
+                raise SinkhornConvergenceError("no convergence")
+            return self.evaluate(A)
+
+        with pytest.raises(SinkhornConvergenceError):
+            descend(np.zeros((1, 1)), evaluate, self.gradient, hyper(step_size=4.0))
 
     def test_stops_on_vanishing_gradient(self):
         _, trace, steps = descend(np.ones((1, 1)), self.evaluate, self.gradient,
@@ -256,3 +418,52 @@ class TestDescend:
         with pytest.raises(DivergenceError) as err:
             descend(np.zeros((1, 1)), self.evaluate, self.gradient, params, after_step)
         assert err.value.trace == [1.0, 0.25]
+
+
+class TestDescendIllConditioned:
+    """The driver on ||D (A - 1)||^2 over 1-by-2 A with D = diag(1, 30)."""
+
+    D = np.array([[1.0, 30.0]])
+
+    def evaluate(self, A):
+        return float(((self.D * (A - 1.0)) ** 2).sum()), None
+
+    def gradient(self, A, point):
+        return 2.0 * self.D ** 2 * (A - 1.0)
+
+    def test_reaches_the_gradient_tolerance_in_few_evaluations(self):
+        # Steepest descent with halving is still at a gradient norm of 0.39
+        # after 1000 steps from here.
+        evaluations = []
+
+        def evaluate(A):
+            evaluations.append(A)
+            return self.evaluate(A)
+
+        (obj, A, _), trace, steps = descend(np.zeros((1, 2)), evaluate, self.gradient,
+                                            hyper(step_size=0.25, outer_iters=1000))
+        assert np.linalg.norm(self.gradient(A, None)) <= 1e-6
+        assert len(evaluations) <= 30
+        assert obj == trace[-1] and np.all(np.diff(trace) <= 0)
+
+    def test_refresh_keeps_steepest_descent_bit_for_bit(self):
+        # Each refresh clears the memory, so every accepted iterate is
+        # A - step_size 2^-h grad(A) for some number h of halvings.
+        params = hyper(step_size=0.25, outer_iters=20)
+        path = [np.zeros((1, 2))]
+
+        def after_step(A, point):
+            path.append(A)
+            return self.evaluate(A)
+
+        descend(path[0], self.evaluate, self.gradient, params, after_step)
+        assert len(path) == 21
+        halvings = set()
+        for A, A_next in zip(path, path[1:]):
+            grad = self.gradient(A, None)
+            h = next(h for h in range(MAX_HALVINGS + 1)
+                     if np.array_equal(A_next, A - params.step_size * 0.5 ** h * grad))
+            halvings.add(h)
+        # The path needs halvings, so a quasi-Newton step would leave it.
+        assert max(halvings) > 0
+
