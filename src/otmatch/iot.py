@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
-from .errors import DivergenceError, SinkhornConvergenceError
+from .errors import DivergenceError, OtmatchError
 from .kernels import assemble_interaction_grad, kernel_cost
 from .sinkhorn import sinkhorn
 
@@ -37,7 +37,11 @@ MAX_HALVINGS = 20
 # Curvature pairs the L-BFGS direction is built from.
 _MEMORY = 10
 
+# Gradient norm at which the loop stops. A fit that refreshes its other
+# blocks between steps keeps the tighter exit: its gradient at the current
+# blocks does not say that the alternation has settled.
 _GRAD_NORM_EXIT = 1e-6
+_REFRESHED_GRAD_NORM_EXIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,14 +119,16 @@ def descend(A, evaluate, gradient, params, after_step=None):
     direction at t = 1 over at most ``_MEMORY`` curvature pairs, or, with an
     empty memory, the gradient at ``params.step_size``. It halves the trial
     step until the objective does not increase, at most ``MAX_HALVINGS``
-    times; a quasi-Newton trial whose Sinkhorn solve does not converge counts
-    as an increase. A failed search clears the memory and keeps the current
-    iterate; one that fails with an empty memory ends the loop, unless
-    ``after_step(A_next, point)`` is given. That callback refreshes the
-    caller's other blocks from the pre-step point and returns ``A_next``
-    re-evaluated; the refresh changes the function, so no curvature pair is
-    stored and the fit runs steepest descent with halving. The loop ends at a
-    gradient norm of at most ``_GRAD_NORM_EXIT`` or after
+    times. Once a quasi-Newton step has been tried, a trial whose evaluation
+    raises an :class:`~otmatch.errors.OtmatchError` counts as an increase;
+    before that the error propagates. A failed search clears the memory and
+    keeps the current iterate; one that fails with an empty memory ends the
+    loop, unless ``after_step(A_next, point)`` is given. That callback
+    refreshes the caller's other blocks from the pre-step point and returns
+    ``A_next`` re-evaluated; the refresh changes the function, so no curvature
+    pair is stored and the fit runs steepest descent with halving. The loop
+    ends at a gradient norm of at most ``_GRAD_NORM_EXIT``
+    (``_REFRESHED_GRAD_NORM_EXIT`` with ``after_step``) or after
     ``params.outer_iters`` steps.
 
     Returns ``((objective, A, point) of the best iterate, trace, steps)``.
@@ -135,6 +141,10 @@ def descend(A, evaluate, gradient, params, after_step=None):
     steps = 0
     memory = deque(maxlen=_MEMORY)
     previous = None
+    # Whether a quasi-Newton step has been tried: from then on the iterates
+    # leave the steepest-descent path.
+    quasi_newton = False
+    grad_exit = _GRAD_NORM_EXIT if after_step is None else _REFRESHED_GRAD_NORM_EXIT
     while True:
         if not np.isfinite(obj):
             raise DivergenceError("objective became non-finite", trace=trace)
@@ -145,7 +155,7 @@ def descend(A, evaluate, gradient, params, after_step=None):
         if steps == params.outer_iters:
             break
         grad = gradient(A, point)
-        if np.linalg.norm(grad) <= _GRAD_NORM_EXIT:
+        if np.linalg.norm(grad) <= grad_exit:
             break
         if previous is not None:
             s, y = A - previous[0], grad - previous[1]
@@ -154,17 +164,20 @@ def descend(A, evaluate, gradient, params, after_step=None):
                 memory.append((s, y, sy))
         if memory:
             direction, step = _two_loop(grad, memory), 1.0
+            quasi_newton = True
         else:
             direction, step = grad, params.step_size
         for _ in range(MAX_HALVINGS + 1):
             A_next = A - step * direction
             try:
                 obj_next, point_next = evaluate(A_next)
-            except SinkhornConvergenceError:
-                # A unit quasi-Newton step can land where the solve does not
-                # converge; it is rejected like an increase. A steepest-
-                # descent trial's failure propagates to the caller.
-                if not memory:
+            except OtmatchError:
+                # A quasi-Newton step can take the fit far out, where the
+                # evaluation fails (a Sinkhorn solve that does not converge,
+                # a kernel that underflows, an inner solve without a root);
+                # from then on a failed trial is rejected like an increase.
+                # On the steepest-descent path the failure propagates.
+                if not quasi_newton:
                     raise
                 obj_next = np.inf
             if obj_next <= obj:

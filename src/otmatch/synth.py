@@ -256,10 +256,12 @@ class CostRecoveryResult:
     kl_hat: float
 
 
-# Step cap of the fixed-marginal baseline in cost-recovery comparisons. The
-# fit stops on its gradient tolerance first: at the synth defaults it took
-# 51-83 steps on seeds 0-2 at sigma in {0, 1e-3, 8e-3}, beyond the default 50.
-IOT_CONVERGED_BUDGET = {"outer_iters": 1000}
+# Step size and step cap of the fixed-marginal baseline in cost-recovery
+# comparisons; the step seeds its first step and any steepest-descent restart,
+# whatever step the configured fits use. The fit stops on its gradient
+# tolerance first: at the synth defaults it took 51-83 steps on seeds 0-2 at
+# sigma in {0, 1e-3, 8e-3}, beyond the default 50.
+IOT_CONVERGED_BUDGET = {"step_size": 10.0, "outer_iters": 1000}
 
 
 def cost_recovery_experiment(cfg):

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
-from otmatch.errors import DivergenceError, OtmatchError, SinkhornConvergenceError
+from otmatch.errors import (DivergenceError, OtmatchError, RootFindingError,
+                            SinkhornConvergenceError, ValidationError)
 import otmatch.iot
 from otmatch.iot import MAX_HALVINGS, _evaluate_at, _gradient_at, descend, iot_fit
 from otmatch.kernels import KernelSpec
@@ -281,14 +282,27 @@ def small_markets(draw):
 @given(small_markets())
 def test_iot_fit_converges_or_uses_its_budget(market):
     """A fit returns a non-increasing finite trace and a plan at the empirical
-    marginals, and stops at the gradient tolerance or its step cap; anything
-    it raises is typed."""
+    marginals, and stops at the gradient tolerance or its step cap. It raises
+    only a typed error from a steepest-descent trial, which the fixed-step
+    descent of the same market raises too; a quasi-Newton trial whose
+    evaluation fails is rejected."""
     inst, pi_hat, lam = market
     params = hyper(lam=lam, outer_iters=100)
     try:
         result = iot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
-    except OtmatchError:
+    except OtmatchError as err:
+        event(f"raised {type(err).__name__}")
+        data = dict(pi_hat=pi_hat, U=inst["U"], V=inst["V"], kern=inst["kern"],
+                    params=params)
+        with pytest.raises(type(err)):
+            steepest_descent(
+                np.zeros((inst["U"].shape[0], inst["V"].shape[0])),
+                lambda A: evaluate(A, **data),
+                lambda A, pi: _gradient_at(A, pi, pi_hat.entries, inst["U"], inst["V"],
+                                           inst["kern"], params),
+                params, params.outer_iters)
         return
+    event("returned")
     trace = result.objective_trace
     assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
     fitted, p = result.fitted_plan.entries, pi_hat.entries
@@ -396,6 +410,22 @@ class TestDescend:
         assert A[0, 0] < 1.0 and np.linalg.norm(self.gradient(A, None)) <= 1e-6
         assert len(failures) == steps - 1
 
+    @pytest.mark.parametrize("error", [SinkhornConvergenceError, ValidationError,
+                                       RootFindingError])
+    def test_failed_trial_after_a_quasi_newton_step_is_rejected(self, error):
+        # From 0.5 every trial beyond 0.5 fails: the quasi-Newton search
+        # fails and clears the memory, the steepest-descent search after it
+        # fails too, and the loop ends at 0.5 instead of raising.
+        def evaluate(A):
+            if A[0, 0] > 0.5:
+                raise error("no evaluation here")
+            return self.evaluate(A)
+
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate, self.gradient,
+                                            hyper(step_size=0.25, outer_iters=100))
+        np.testing.assert_array_equal(A, 0.5)
+        assert trace == [1.0, 0.25, 0.25] and steps == 2
+
     def test_gradient_trial_whose_solve_fails_raises(self):
         def evaluate(A):
             if A[0, 0] > 0.5:
@@ -409,6 +439,16 @@ class TestDescend:
         _, trace, steps = descend(np.ones((1, 1)), self.evaluate, self.gradient,
                                   hyper(outer_iters=5))
         assert steps == 0 and trace == [0.0]
+
+    def test_refreshed_fit_keeps_the_tight_gradient_exit(self):
+        # A gradient norm of 2e-8 stops a fit with a fixed function but not
+        # one that refreshes its other blocks after every step.
+        A0 = np.full((1, 1), 1.0 + 1e-8)
+        params = hyper(step_size=0.25, outer_iters=3)
+        assert descend(A0, self.evaluate, self.gradient, params)[2] == 0
+        refreshed = descend(A0, self.evaluate, self.gradient, params,
+                            lambda A, point: self.evaluate(A))
+        assert refreshed[2] == 3
 
     def test_non_finite_objective_raises_with_trace(self):
         def after_step(A, point):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.errors import ValidationError
-from otmatch.iot import iot_fit
+from otmatch.iot import descend, iot_fit
 from otmatch.bounds import kl_divergence, cost_shift_distance
 from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
@@ -382,6 +382,38 @@ class TestRiotFit:
                                    atol=1e-6)
         np.testing.assert_allclose(fr.fitted_plan.entries, fi.fitted_plan.entries,
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("seed, m, n, lam, sigma", [
+        (3, 4, 3, 0.1, 0.008382009313692856),
+        (2610708129, 3, 4, 0.22911836204234587, 0.00446542243325757),
+    ])
+    def test_far_trials_at_delta_zero_do_not_end_the_fit(self, seed, m, n, lam, sigma):
+        # delta = 0 runs quasi-Newton steps. On the first market a unit step
+        # makes exp(-lam C) underflow; on the second the fit walks out to
+        # |A| ~ 580, where a steepest-descent trial after a failed
+        # quasi-Newton search has no multiplier root. Both trials are
+        # rejected, and the fit ends below the objective of 100 fixed steps.
+        inst = forward_instance(seed, m=m, n=n, lam=lam)
+        pi_hat = noised(inst["pi0"], inst["rng"], sigma)
+        params = hyper(lam=lam, delta=0.0, outer_iters=100)
+        result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
+                          inst["C_u"], inst["C_v"], params)
+        trace = result.objective_trace
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
+        ph = pi_hat.entries
+        blocks = (inst["C_u"], inst["C_v"], np.zeros(m), np.zeros(n))
+
+        def evaluate(A):
+            return _evaluate_at(A, ph, ph.sum(1), ph.sum(0), inst["U"], inst["V"],
+                                inst["kern"], blocks, params)
+
+        # A refresh that only re-evaluates keeps the fixed-step path.
+        (reference, _, _), _, _ = descend(
+            np.zeros_like(result.A), evaluate,
+            lambda A, point: _gradient_at(A, point, ph, inst["U"], inst["V"],
+                                          inst["kern"], params),
+            params, lambda A, point: evaluate(A))
+        assert trace[-1] < reference
 
     def test_constraint_maintained_in_state(self):
         inst = forward_instance(20, m=4, n=4, p=2, q=2)
