@@ -21,9 +21,13 @@ gradient unchanged). Each outer iteration alternates:
 The inner problem constrains the scalings by xi' Z eta = 1 (Z = exp(-lam C));
 each half-update requires the Lagrange multiplier theta solving the
 normalization equation p(theta) = 1, a monotone convex root problem. Each
-root starts from its side's previous multiplier, and each relaxation solve
-from the last refreshed potentials (z, w). The likelihood is read from
-log xi, log eta and C(A), never from the log of the plan.
+inner solve starts from the scalings of the current iterate's inner solve,
+rescaled onto the constraint, and its first roots from that solve's
+multipliers; it starts cold, from uniform scalings, at the first iterate or
+when that rescaling overflows or underflows. Each later root starts from its
+side's previous multiplier, and each relaxation solve from the last
+refreshed potentials (z, w). The likelihood is read from log xi, log eta and
+C(A), never from the log of the plan.
 
 :func:`_alternating_fit` runs the steps through the shared driver
 :func:`~otmatch.iot.descend`: :func:`_evaluate_at` does step 1 and the
@@ -31,7 +35,6 @@ objective, :func:`_gradient_at` step 2, and :func:`_relaxation_dual` step 3.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,6 +49,12 @@ _ROOT_MAX_STEPS = 200
 _INNER_TOL = 1e-12
 _INNER_MAX_PAIRS = 1000
 
+# The per-root reductions, called as ufuncs: the ndarray methods and np.min
+# add a Python-level wrapper to each call and compute the same values.
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
 
 def _theta_root(weights, r, s, guess=None):
     """Root of p(theta) = sum_i weights_i s_i / (r_i - theta s_i) = 1.
@@ -57,21 +66,31 @@ def _theta_root(weights, r, s, guess=None):
     A step leaving it is replaced by the midpoint or, while lo is unknown, a
     point 8 times as far below theta_max. Returns once |p - 1| <= 1e-13, or
     lo when no float lies between lo and hi.
+
+    A NaN in r or s, an infinite s_i, or r_i = -inf (as scalings that
+    overflowed give them) leaves no root to find, so RootFindingError is raised
+    before any Newton step. The weights sum to 1, so sum_i weights_i s_i is
+    finite exactly when s is.
     """
     ws = weights * s
-    theta_max = float(np.min(r / s))
+    theta_max = float(_min(r / s))
+    if not (-np.inf < theta_max < np.inf and _sum(ws) < np.inf):
+        raise RootFindingError("no multiplier root for non-finite r or s", hi=theta_max)
     scale = max(1.0, abs(theta_max))
     lo, hi = -np.inf, theta_max
     theta = guess if guess is not None and guess < theta_max else theta_max - scale
     for _ in range(_ROOT_MAX_STEPS):
         d = r - theta * s
         p = step = np.inf  # where the rounded theta_max leaves some d_i <= 0
-        if d.min() > 0:
+        if _min(d) > 0:
             t = ws / d
-            p = float(t.sum())
+            p = float(_sum(t))
             if abs(p - 1.0) <= _ROOT_RESIDUAL_TOL:
                 return theta
-            step = theta - (p - 1.0) / float((t * s / d).sum())
+            # Far above the root, near the pole of some d_i, p ~ c / d_i and a
+            # Newton step on p only doubles d_i; the step on 1 / p, p times as
+            # long, lands near the root.
+            step = theta - (p - 1.0) * (p if p > 2.0 else 1.0) / float(_sum(t * s / d))
         if p < 1.0:
             lo = theta
         else:
@@ -114,42 +133,57 @@ def _half_update(weights, M, Z, other, guess):
     s = Z @ other
     theta = _theta_root(weights, r, s, guess)
     denom = r - theta * s
-    if np.any(denom <= 0):
+    if _min(denom) <= 0:
         raise ValidationError("half-update produced a non-positive scaling")
     return weights / denom, theta
 
 
-def _inner_solve_raw(mu_hat, nu_hat, M, Z, max_pairs=_INNER_MAX_PAIRS):
+def _inner_solve_raw(mu_hat, nu_hat, M, Z, max_pairs=_INNER_MAX_PAIRS, start=None):
     """Alternating half-updates for the constrained scaling problem.
 
     Runs xi/eta half-update pairs on
     -<muhat, log xi> - <nuhat, log eta> + xi' M eta subject to xi' Z eta = 1,
-    from the all-ones vectors rescaled onto the constraint. Each half-update
-    solves its multiplier exactly, so the constraint holds after every update
-    and the objective is non-increasing along half-steps. Each multiplier root
-    starts from its side's previous multiplier, cold in the first pair. The
+    from :func:`_inner_start`: the scalings and multipliers of ``start``, an
+    :class:`InnerSolveResult` of a nearby problem, or a cold start. Each
+    half-update solves its multiplier exactly, so the constraint holds after
+    every update and the objective is non-increasing along half-steps. Each
+    later multiplier root starts from its side's previous multiplier. The
     loop stops after the first pair whose change
     sum_i muhat_i |xi_i / xi_i^- - 1| + sum_j nuhat_j |eta_j / eta_j^- - 1|
     is at most ``_INNER_TOL`` (1e-12), and otherwise returns the last iterate
     after ``max_pairs`` pairs. With ``max_pairs == 0`` both multipliers are 0.
     """
-    m, n = Z.shape
-    total = float(np.ones(m) @ Z @ np.ones(n))
-    xi = np.full(m, 1.0 / np.sqrt(total))
-    eta = np.full(n, 1.0 / np.sqrt(total))
     theta1 = theta2 = 0.0
-    # At an A far out the scalings can leave the float range; the multiplier
-    # root then fails with a RootFindingError, and an overflowing change only
-    # means the pair has not settled, so neither also warns.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # At an A far out the scalings can leave the float range; the start then
+    # falls back to the cold one, the multiplier root fails with a
+    # RootFindingError, and an overflowing change only means the pair has not
+    # settled, so none of them also warns.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xi, eta, guess1, guess2 = _inner_start(Z, start)
         for k in range(max_pairs):
-            xi_new, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else None)
-            eta_new, theta2 = _half_update(nu_hat, M.T, Z.T, xi_new, theta2 if k else None)
+            xi_new, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else guess1)
+            eta_new, theta2 = _half_update(nu_hat, M.T, Z.T, xi_new, theta2 if k else guess2)
             change = mu_hat @ np.abs(xi_new / xi - 1.0) + nu_hat @ np.abs(eta_new / eta - 1.0)
             xi, eta = xi_new, eta_new
             if change <= _INNER_TOL:
                 break
     return InnerSolveResult(xi=xi, eta=eta, theta=theta1, theta2=theta2)
+
+
+def _inner_start(Z, start):
+    """(xi, eta, guess1, guess2): the scalings of ``start`` rescaled onto
+    xi' Z eta = 1 and its multipliers as the first roots' guesses. Without a
+    start, or when that rescaling is not a finite positive pair (far from
+    ``start``, xi' Z eta can overflow), the all-ones vectors rescaled and
+    cold roots."""
+    if start is not None:
+        scale = 1.0 / np.sqrt(start.xi @ Z @ start.eta)
+        xi, eta = start.xi * scale, start.eta * scale
+        if min(_min(xi), _min(eta)) > 0 and max(_max(xi), _max(eta)) < np.inf:
+            return xi, eta, start.theta, start.theta2
+    m, n = Z.shape
+    total = float(np.ones(m) @ Z @ np.ones(n))
+    return np.full(m, 1.0 / np.sqrt(total)), np.full(n, 1.0 / np.sqrt(total)), None, None
 
 
 @dataclass(frozen=True)
@@ -204,13 +238,14 @@ def _relaxed_objective(likelihood, plan, mu_hat, nu_hat, C_u, C_v, params, z=Non
     return likelihood + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
-def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
+def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, start=None):
     """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
     objective of its plan: (objective, (inner, plan, relaxation, blocks)),
     with ``relaxation`` as :func:`_relaxed_objective` returns it.
 
-    The inner problem has Z = exp(-lam C(A)) and M_ij = delta (z_i + w_j) Z_ij.
-    The relaxation solves start from the potentials (z, w) of the blocks.
+    The inner problem has Z = exp(-lam C(A)) and M_ij = delta (z_i + w_j) Z_ij;
+    its solve starts from the inner result ``start`` if given. The relaxation
+    solves start from the potentials (z, w) of the blocks.
     """
     c_u, c_v, z, w = blocks
     C = kernel_cost(U, V, A, kernel)
@@ -218,7 +253,7 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params):
     if np.any(Z <= 0):
         raise ValidationError("exp(-lam * cost) underflowed; rescale the cost or lam")
     M = params.delta * (z[:, None] + w[None, :]) * Z
-    inner = _inner_solve_raw(mu_hat, nu_hat, M, Z)
+    inner = _inner_solve_raw(mu_hat, nu_hat, M, Z, start=start)
     pi = inner.xi[:, None] * Z * inner.eta[None, :]
     likelihood = _neg_log_likelihood(pi_hat, mu_hat, nu_hat, C, np.log(inner.xi),
                                      np.log(inner.eta), params.lam)
@@ -238,7 +273,8 @@ def _gradient_at(A, point, pi_hat, U, V, kernel, params):
 def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
-    Runs :func:`~otmatch.iot.descend` on A. ``side_block``, when given, is
+    Runs :func:`~otmatch.iot.descend` on A; every evaluation's inner solve
+    starts from that of the current iterate. ``side_block``, when given, is
     called once per iteration with the current side costs and the two
     relaxation plans of the pre-step point, and returns updated side costs.
     Returns ``descend``'s (objective, A, point) of the best iterate, whose
@@ -252,9 +288,17 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         raise ValidationError("empirical marginals must be strictly positive")
     # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
     blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
+    # The inner result of the current iterate, the point descend last took the
+    # gradient at: every later evaluation's inner solve starts from it.
+    current = None
 
     def evaluate(A):
-        return _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params)
+        return _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, current)
+
+    def gradient(A, point):
+        nonlocal current
+        current = point[0]
+        return _gradient_at(A, point, pi_hat, U, V, kernel, params)
 
     def after_step(A, point):
         # The other blocks use the pre-step point, in block order: side costs
@@ -270,7 +314,6 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         return evaluate(A)
 
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
-    gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
                              after_step=after_step if params.delta > 0 else None)

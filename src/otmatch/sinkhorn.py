@@ -10,6 +10,15 @@ scalings with one loop that absorbs large scalings into log-potentials
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
 regularized transport problems"; Peyre & Cuturi 2019, *Computational Optimal
 Transport*, section 4.4).
+
+After its first plain sweeps the loop over-relaxes both half-updates on the
+log-potentials, with the factor omega = 2 / (1 + sqrt(1 - theta)) that is
+optimal for a plain rate theta (Lehmann, von Renesse, Sambale & Uschmajew
+2022, "A note on overrelaxation in the Sinkhorn algorithm"), theta measured
+from the plain sweeps. As a safeguard in the spirit of Thibault, Chizat,
+Dossal & Papadakis 2021 ("Overrelaxed Sinkhorn-Knopp algorithm for
+regularized optimal transport"), a relaxed sweep that raises the error is
+dropped and the loop goes back to plain sweeps.
 """
 
 from dataclasses import dataclass
@@ -22,6 +31,29 @@ from .errors import SinkhornConvergenceError, ValidationError
 # Scaling magnitudes beyond which a sweep is absorbed into the potentials.
 _SCALE_HI = 1e150
 _SCALE_LO = 1e-150
+
+# Over-relaxation: the plain sweeps at the start and after each fallback, the
+# relative spread within which three successive plain contractions count as
+# the steady rate, and the largest factor used.
+_PLAIN_SWEEPS = 4
+_STEADY = 0.05
+_OMEGA_MAX = 1.9
+# Error reduction after which the first relaxed stretch measures theta again.
+_RECHECK = 1e-2
+
+# The per-sweep reductions, called as ufuncs: the ndarray methods add a
+# Python-level wrapper to each call and compute the same values.
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
+
+def _relax(old, new, omega):
+    """old^(1 - omega) new^omega: the over-relaxed step in log space."""
+    step = new / old
+    step **= omega
+    step *= old
+    return step
 
 
 def _logsumexp(x, axis):
@@ -58,9 +90,13 @@ def _check_inputs(C, mu, nu, lam, tol):
     if mu.shape != (m,) or nu.shape != (n,):
         raise ValidationError(
             f"marginal shapes {mu.shape}/{nu.shape} do not match cost shape {C.shape}")
-    if np.any(mu <= 0) or np.any(nu <= 0):
+    # A NaN fails every comparison, so these tests pass only numbers in range.
+    if not (0 < _min(mu) and _max(mu) < np.inf and 0 < _min(nu) and _max(nu) < np.inf):
         raise ValidationError(
-            "marginals must be strictly positive; drop empty rows/columns first")
+            "marginals must be finite and strictly positive; drop empty rows/columns first")
+    # +inf marks a forbidden pair (a zero kernel entry); NaN and -inf mean nothing.
+    if not _min(C, axis=None) > -np.inf:
+        raise ValidationError("costs must not be NaN or -inf")
     if abs(mu.sum() - nu.sum()) > tol:
         raise ValidationError(
             f"marginal masses {float(mu.sum())!r} and {float(nu.sum())!r} differ by more "
@@ -73,22 +109,37 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     """Solve regularized transport by alternating row/column scaling.
 
     Each sweep sets b = nu / (K' a), then a = mu / (K b), on the kernel
-    K = exp(f - lam C + g). A sweep that leaves a scaling outside
-    [1e-150, 1e150] or non-finite is redone exactly in log space from the
-    pre-sweep left potential f + log a; the new potentials replace f and g,
-    a and b become ones, and K is rebuilt. After the row update the rows are
-    exact, so the sweep's error is the column l1 error
-    sum_j |b_j (K' a)_j - nu_j|, read from the K' a the next sweep uses. K is
-    the one m-by-n array of the loop (-lam C is formed only to absorb), and
-    the plan is formed once, on exit, in place on K. The potentials are
-    f + log a and g + log b, balanced to equal means.
+    K = exp(f - lam C + g). After the row update the rows are exact, so the
+    sweep's error is the column l1 error sum_j |b_j (K' a)_j - nu_j|.
+
+    The first four sweeps are plain, so a solve that converges within them is
+    the plain Sinkhorn iteration bit for bit. Over-relaxation starts once
+    three successive plain contractions theta = err_k / err_{k-1} agree within
+    5%: each half-update becomes b <- b^(1 - omega) (nu / K' a)^omega, and
+    likewise for a, with omega = min(1.9, 2 / (1 + sqrt(1 - theta))). The
+    stop test still reads the column error after the exact row update
+    mu / (K b), and the plan, the potentials and a failed solve's last
+    iterate are formed from that exact update, so ``tol`` means what it means
+    for the plain iteration; the relaxed row scaling only feeds the next
+    column update. The loop returns to four plain sweeps, and
+    measures theta again, when a relaxed sweep raises the error (that sweep
+    is dropped: the loop resumes from the exact update before it) and once
+    when the first relaxed stretch has cut the error a hundredfold.
+
+    A sweep that leaves a scaling, plain or relaxed, outside [1e-150, 1e150]
+    or non-finite is redone exactly in log space from the pre-sweep left
+    potential f + log a; the new potentials replace f and g, a and b become
+    ones, K is rebuilt, and the loop falls back to plain sweeps. K is the one
+    m-by-n array of the loop (-lam C is formed only to absorb), and the plan
+    is formed once, on exit, in place on K. The potentials are f + log a and
+    g + log b, balanced to equal means.
 
     Parameters
     ----------
     C : array, shape (m, n)
         Pairwise transport costs.
     mu, nu : array
-        Strictly positive row and column marginals of equal mass.
+        Finite, strictly positive row and column marginals of equal mass.
     lam : float
         Regularization strength (> 0); larger values sharpen the plan.
     tol : float
@@ -108,9 +159,10 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     Raises
     ------
     ValidationError
-        On non-positive marginal entries, a shape mismatch, or marginal
-        masses |sum mu - sum nu| > tol: the column error after a row update
-        is at least that gap, so such a solve can never converge.
+        On marginal entries that are not finite and positive, a NaN or -inf
+        cost (+inf forbids a pair), a shape mismatch, or marginal masses
+        |sum mu - sum nu| > tol: the column error after a row update is at
+        least that gap, so such a solve can never converge.
     SinkhornConvergenceError
         When the tolerance is not reached within ``max_iters``, or the
         potentials stop being finite; the error carries the last iterate and
@@ -131,22 +183,32 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     K = np.multiply(C, -lam)
     if log_left_init is not None:
         K += f[:, None]
-    err = np.inf
+    err = prev_err = np.inf
     it = 0
+    omega = 1.0
+    plain = _PLAIN_SWEEPS  # plain sweeps left before omega may rise
+    theta = np.inf  # the last plain contraction err_k / err_{k-1}
+    steady = 0  # how many plain contractions in a row agreed with the one before
+    last = None  # (row scaling, b, K' row scaling) of the last kept sweep
+    recheck = np.inf  # error at which relaxing stops to measure theta again
     # Every scaling is checked for range and finiteness below, so the
     # floating-point warnings of a sweep that leaves the range (or of a warm
     # start whose kernel overflows) are silenced.
     with np.errstate(all="ignore"):
         np.exp(K, out=K)
         Kt_a = K.T @ a
+        row = a  # the exact row update that the error, plan and potentials use
         while it < max_iters:
             it += 1
             b_next = nu / Kt_a
-            a_next = mu / (K @ b_next)
-            lo = min(a_next.min(), b_next.min())
-            hi = max(a_next.max(), b_next.max())
+            if omega > 1.0:
+                b_next = _relax(b, b_next, omega)
+            row = mu / (K @ b_next)
+            a_next = row if omega == 1.0 else _relax(a, row, omega)
+            lo = min(_min(a_next), _min(b_next))
+            hi = max(_max(a_next), _max(b_next))
             if _SCALE_LO <= lo and hi <= _SCALE_HI:
-                a, b = a_next, b_next
+                b = b_next
             else:
                 neg_lam_C = -lam * C
                 g = np.log(nu) - _logsumexp(neg_lam_C + (f + np.log(a))[:, None], axis=0)
@@ -154,26 +216,56 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
                 if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
                     raise SinkhornConvergenceError(
                         "scaling potentials degenerated to non-finite values", iterations=it)
-                a = np.ones(m)
+                row = a_next = np.ones(m)
                 b = np.ones(n)
                 np.add(f[:, None], neg_lam_C, out=K)
                 K += g[None, :]
                 np.exp(K, out=K)
-            Kt_a = K.T @ a
-            err = float(np.abs(b * Kt_a - nu).sum())
+                omega, plain = 1.0, _PLAIN_SWEEPS
+            Kt_row = K.T @ row
+            residual = b * Kt_row
+            residual -= nu
+            err = _sum(np.abs(residual, out=residual))
             if err <= tol:
                 break
+            if omega > 1.0 and (err > prev_err or err <= recheck):
+                if err > prev_err:
+                    # Drop the relaxed sweep that raised the error.
+                    row, b, Kt_row = last
+                    err = prev_err
+                else:
+                    # The first theta can come from before the linear regime,
+                    # where the contraction still changes: measure it again.
+                    recheck = 0.0
+                # Plain sweeps, from the last exact row update.
+                a_next, omega, plain = row, 1.0, _PLAIN_SWEEPS
+            last = row, b, Kt_row
+            a = a_next
+            if omega > 1.0:
+                Kt_a = K.T @ a
+            else:
+                Kt_a = Kt_row
+                plain -= 1
+                contraction = err / prev_err
+                steady = steady + 1 if abs(contraction - theta) <= _STEADY * contraction else 0
+                theta = contraction
+                if plain <= 0 and steady >= 2 and theta < 1.0:
+                    omega = min(_OMEGA_MAX, 2.0 / (1.0 + (1.0 - theta) ** 0.5))
+                    if recheck:
+                        recheck = _RECHECK * err
+            prev_err = err
         plan = K
-        plan *= a[:, None]
+        plan *= row[:, None]
         plan *= b[None, :]
+    err = float(err)
     if not err <= tol:
         raise SinkhornConvergenceError(
             f"no convergence to tol={tol:g} within {max_iters} sweeps "
             f"(marginal error {err:.3e})",
             plan=plan, iterations=it, marginal_error=err)
-    log_left = f + np.log(a)
+    log_left = f + np.log(row)
     log_right = g + np.log(b)
-    shift = 0.5 * (np.mean(log_right) - np.mean(log_left))
+    shift = 0.5 * (_sum(log_right) / n - _sum(log_left) / m)
     log_left += shift
     log_right -= shift
     return SinkhornResult(plan=CouplingMatrix(plan), iterations=it, final_marginal_error=err,

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.joint import _DRIFT_TOL, _FEAS_TOL, _MAX_CYCLES, _triangle_table
 from otmatch.kernels import KernelSpec, gram_products, kernel_cost
-from otmatch.sinkhorn import sinkhorn
+from otmatch.sinkhorn import _logsumexp, sinkhorn
 
 # Property tests run without a wall-clock deadline (a solve may take a while)
 # and without an example database, so a run leaves no files behind.
@@ -67,6 +67,51 @@ def full_sweep_projection(matrix):
     out = np.zeros((d, d))
     out[iu] = x
     return out + out.T
+
+
+def plain_sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
+    """Reference plain Sinkhorn: the stabilized loop of ``sinkhorn`` without
+    over-relaxation, with the same floating-point operations sweep for sweep
+    (the absorption uses the same log-sum-exp), and the plan renormalized as
+    ``CouplingMatrix`` does it. Returns
+    (plan, sweeps, marginal error, log_left, log_right), or None when ``tol``
+    is not met within ``max_iters`` sweeps or the potentials degenerate."""
+    C, mu, nu = (np.asarray(x, dtype=float) for x in (C, mu, nu))
+    m, n = C.shape
+    f = np.zeros(m) if log_left_init is None else np.asarray(log_left_init, dtype=float)
+    g = np.zeros(n)
+    a, b = np.ones(m), np.ones(n)
+    K = np.multiply(C, -lam)
+    if log_left_init is not None:
+        K += f[:, None]
+    with np.errstate(all="ignore"):
+        K = np.exp(K)
+        Kt_a = K.T @ a
+        for sweeps in range(1, max_iters + 1):
+            b_next = nu / Kt_a
+            a_next = mu / (K @ b_next)
+            lo = min(a_next.min(), b_next.min())
+            hi = max(a_next.max(), b_next.max())
+            if 1e-150 <= lo and hi <= 1e150:
+                a, b = a_next, b_next
+            else:
+                neg_lam_C = -lam * C
+                g = np.log(nu) - _logsumexp(neg_lam_C + (f + np.log(a))[:, None], axis=0)
+                f = np.log(mu) - _logsumexp(neg_lam_C + g[None, :], axis=1)
+                if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+                    return None
+                a, b = np.ones(m), np.ones(n)
+                K = np.exp(f[:, None] + neg_lam_C + g[None, :])
+            Kt_a = K.T @ a
+            err = float(np.abs(b * Kt_a - nu).sum())
+            if err <= tol:
+                break
+        else:
+            return None
+        plan = CouplingMatrix(K * a[:, None] * b[None, :]).entries
+    log_left, log_right = f + np.log(a), g + np.log(b)
+    shift = 0.5 * (np.mean(log_right) - np.mean(log_left))
+    return plan, sweeps, err, log_left + shift, log_right - shift
 
 
 def poly_kernel():

@@ -3,16 +3,18 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
-from otmatch.errors import ValidationError
+from otmatch.errors import RootFindingError, ValidationError
 from otmatch.iot import descend, iot_fit
 from otmatch.bounds import kl_divergence, cost_shift_distance
 from otmatch.joint import joint_fit
 from otmatch.kernels import kernel_cost
-from otmatch.riot import (_evaluate_at, _gradient_at, _inner_solve_raw, _relaxation_dual,
-                          _relaxed_objective, _theta_root, predict_matching, riot_fit)
+import otmatch.riot as riot
+from otmatch.riot import (InnerSolveResult, _evaluate_at, _gradient_at, _inner_solve_raw,
+                          _relaxation_dual, _relaxed_objective, _theta_root, predict_matching,
+                          riot_fit)
 from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 
@@ -51,6 +53,19 @@ def potentials(plan, mu_hat, nu_hat, C_u, C_v, params):
             _relaxation_dual(C_v, p.sum(0), nu_hat, params.lam_v, params)[0])
 
 
+class _Counted(np.ndarray):
+    """An array that counts the subtractions it enters: a Newton step of the
+    multiplier root forms r - theta s once."""
+
+    subtractions = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.subtract:
+            _Counted.subtractions += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestThetaRoots:
     def test_scalar_closed_form(self):
         # p(theta) = 1 / (0.5 - theta) = 1  =>  theta = -0.5
@@ -75,6 +90,24 @@ class TestThetaRoots:
             theta = _theta_root(mu_hat, r, s)
             assert abs((mu_hat * s / (r - theta * s)).sum() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("r, s", [
+        ([0.5, np.nan, 1.0], [1.0, 1.0, 1.0]),
+        ([0.5, 1.0, 1.0], [1.0, np.nan, 1.0]),
+        ([0.5, 1.0, 1.0], [1.0, np.inf, 1.0]),
+        ([0.5, -np.inf, 1.0], [1.0, 1.0, 1.0]),
+        ([np.inf, -np.inf, np.inf], [np.inf, np.inf, np.inf]),
+    ])
+    def test_non_finite_input_raises_before_any_newton_step(self, r, s):
+        weights = np.full(3, 1.0 / 3.0)
+        _Counted.subtractions = 0
+        # inf / inf is invalid; the inner solve calls the root with that silenced
+        with np.errstate(invalid="ignore"), pytest.raises(RootFindingError, match="non-finite"):
+            _theta_root(weights, np.asarray(r).view(_Counted), np.asarray(s))
+        assert _Counted.subtractions == 0
+        # the count sees the Newton steps of a finite root
+        _theta_root(weights, np.array([0.5, 1.0, 1.0]).view(_Counted), np.ones(3))
+        assert _Counted.subtractions > 0
+
 
 @st.composite
 def theta_problems(draw):
@@ -90,10 +123,13 @@ def theta_problems(draw):
 
 @settings(max_examples=200)
 @given(theta_problems())
+@example((np.array([1.0]), np.array([2.8e-77]), np.array([1.0])))
 def test_theta_root_from_any_guess(problem):
     """The cold root meets the residual or sits where no float lies between
     it and the root; every guess returns it. p' >= 1 at the root (Jensen),
-    so the residual bounds the distance between two roots by about 2e-13."""
+    so the residual bounds the distance between two roots by about 2e-13.
+    The example puts a guess 1e-93 below the pole at theta_max, 1 above the
+    root: Newton steps on p would need about 300 doublings to get there."""
     weights, r, s = problem
     theta_max = float(np.min(r / s))
 
@@ -171,6 +207,67 @@ class TestInnerSolve:
             assert res.multiplier_gap <= 1e-10
             kkt = -mu_hat + res.xi * (M @ res.eta - res.theta * (Z @ res.eta))
             assert np.abs(kkt).max() <= 1e-10
+
+    def test_start_that_does_not_rescale_falls_back_to_the_cold_start(self, rng):
+        Z = np.exp(-rng.uniform(0, 2, (3, 4)))
+        M = 0.01 * (rng.normal(0, 1, 3)[:, None] + rng.normal(0, 1, 4)[None, :]) * Z
+        pi_hat = random_coupling(rng, 3, 4)
+        cold = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z)
+        # xi' Z eta overflows, or underflows to zero
+        for scale in (1e200, 1e-200):
+            start = InnerSolveResult(xi=np.full(3, scale), eta=np.full(4, scale),
+                                     theta=5.0, theta2=5.0)
+            warm = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z, start=start)
+            for attr in ("xi", "eta", "theta", "theta2"):
+                assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
+
+    def test_start_at_the_solution_settles_in_one_pair(self, rng):
+        Z = np.exp(-rng.uniform(0, 2, (3, 4)))
+        M = 0.01 * (rng.normal(0, 1, 3)[:, None] + rng.normal(0, 1, 4)[None, :]) * Z
+        pi_hat = random_coupling(rng, 3, 4)
+        cold = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z)
+        warm = _inner_solve_raw(pi_hat.sum(1), pi_hat.sum(0), M, Z, max_pairs=1, start=cold)
+        np.testing.assert_allclose(warm.xi, cold.xi, rtol=1e-12)
+        np.testing.assert_allclose(warm.eta, cold.eta, rtol=1e-12)
+
+
+@st.composite
+def inner_problems(draw):
+    """m, n <= 6; Z = exp(-C) with C in [0, 3]; M = delta (z_i + w_j) Z_ij with
+    delta in [0, 0.1] and z, w in [-3, 3]; a positive empirical plan; and a
+    start whose scalings span 1e-3 to 1e3 and whose multipliers lie in
+    [-10, 10]."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    Z = np.exp(-draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 3.0))))
+    delta = draw(st.floats(0.0, 0.1))
+    z = draw(hnp.arrays(float, m, elements=st.floats(-3.0, 3.0)))
+    w = draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    pi_hat = draw(hnp.arrays(float, (m, n), elements=st.floats(1e-3, 1.0)))
+    pi_hat /= pi_hat.sum()
+    decades = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    start = InnerSolveResult(xi=draw(hnp.arrays(float, m, elements=decades)),
+                             eta=draw(hnp.arrays(float, n, elements=decades)),
+                             theta=draw(st.floats(-10.0, 10.0)),
+                             theta2=draw(st.floats(-10.0, 10.0)))
+    return pi_hat.sum(1), pi_hat.sum(0), delta * (z[:, None] + w[None, :]) * Z, Z, start
+
+
+@settings(max_examples=100)
+@given(inner_problems())
+def test_inner_solve_from_cold_and_warm_starts(problem):
+    """Both starts meet xi' Z eta = 1 and reach the same solution. (t xi,
+    eta / t) is a solution too, since the marginals have equal mass, so the
+    plans xi_i Z_ij eta_j and the multipliers are compared."""
+    mu_hat, nu_hat, M, Z, start = problem
+    cold = _inner_solve_raw(mu_hat, nu_hat, M, Z)
+    warm = _inner_solve_raw(mu_hat, nu_hat, M, Z, start=start)
+    for res in (cold, warm):
+        assert abs(res.xi @ Z @ res.eta - 1.0) <= 1e-12
+    np.testing.assert_allclose(warm.xi[:, None] * Z * warm.eta[None, :],
+                               cold.xi[:, None] * Z * cold.eta[None, :], rtol=1e-9)
+    for attr in ("theta", "theta2"):
+        assert getattr(warm, attr) == pytest.approx(getattr(cold, attr), rel=1e-9, abs=1e-12)
 
 
 class TestRiotObjective:
@@ -338,14 +435,21 @@ class TestDualUpdate:
         nearby = z + inst["rng"].normal(0.0, 0.5, z.size)
         z_warm, value_warm, plan_warm = _relaxation_dual(
             inst["C_u"], mu, mu_hat, params.lam_u, params, nearby)
-        # each solve ends within sinkhorn_tol (l1) of the column marginal; a
-        # marginal error e on entry i moves the potential by about
-        # e / (lam_u mu_i)
-        tol = params.sinkhorn_tol
-        np.testing.assert_allclose(z_warm, z, rtol=0,
-                                   atol=tol / (params.lam_u * min(mu.min(), mu_hat.min())))
-        assert value_warm == pytest.approx(value, abs=tol)
-        assert np.abs(plan_warm - plan).sum() <= tol
+        exact = hyper(sinkhorn_tol=1e-15, sinkhorn_max_iters=100000)
+        z_ref, value_ref, plan_ref = _relaxation_dual(inst["C_u"], mu, mu_hat, params.lam_u, exact)
+        # Each solve ends within sinkhorn_tol (l1) of the column marginal. A
+        # marginal error e moves the plan by about e / gap and the potential
+        # on entry i by about e / (lam_u mu_i gap), where gap = 1 - s_2^2 is
+        # the spectral gap of the plan, s_2 the second singular value of
+        # diag(P1)^-1/2 P diag(P'1)^-1/2 (plain Sinkhorn contracts by s_2^2).
+        scaled = plan_ref / np.sqrt(np.outer(plan_ref.sum(1), plan_ref.sum(0)))
+        gap = 1.0 - np.linalg.svd(scaled, compute_uv=False)[1] ** 2
+        tol = params.sinkhorn_tol / gap
+        for z_k, value_k, plan_k in ((z, value, plan), (z_warm, value_warm, plan_warm)):
+            np.testing.assert_allclose(
+                z_k, z_ref, rtol=0, atol=tol / (params.lam_u * min(mu.min(), mu_hat.min())))
+            assert value_k == pytest.approx(value_ref, abs=tol)
+            assert np.abs(plan_k - plan_ref).sum() <= tol
 
     def test_costly_row_keeps_the_potential_finite(self, rng):
         # exp(lam_u z_0) overflows: the balanced potential z_0 is about 1749
@@ -414,6 +518,33 @@ class TestRiotFit:
                                           inst["kern"], params),
             params, lambda A, point: evaluate(A))
         assert trace[-1] < reference
+
+    def test_far_market_fails_its_multiplier_roots_fast(self, monkeypatch):
+        # The second market above: once the fit walks out to |A| ~ 580, the
+        # scalings of many trials overflow, and their roots see non-finite
+        # input (200 of 365 evaluations). Each raises before any Newton step,
+        # where it used to run all 200 first; the error type, and with it the
+        # fit, is the same. With every inner solve started cold the fit ends
+        # at 2.2843413159, as it did before; the warm starts move the far-out
+        # path, and the end objective by about 2.5e-8.
+        seed, m, n, lam, sigma = 2610708129, 3, 4, 0.22911836204234587, 0.00446542243325757
+        messages = []
+
+        def root(*args):
+            try:
+                return _theta_root(*args)
+            except RootFindingError as err:
+                messages.append(str(err))
+                raise
+
+        monkeypatch.setattr(riot, "_theta_root", root)
+        inst = forward_instance(seed, m=m, n=n, lam=lam)
+        pi_hat = noised(inst["pi0"], inst["rng"], sigma)
+        result = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], inst["C_u"], inst["C_v"],
+                          hyper(lam=lam, delta=0.0, outer_iters=100))
+        assert len(messages) >= 50
+        assert all("non-finite" in message for message in messages)
+        assert result.objective_trace[-1] == pytest.approx(2.2843413159423562, rel=1e-6)
 
     def test_constraint_maintained_in_state(self):
         inst = forward_instance(20, m=4, n=4, p=2, q=2)

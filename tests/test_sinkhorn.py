@@ -3,16 +3,17 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from otmatch.containers import HyperParams
 from otmatch.errors import SinkhornConvergenceError, ValidationError
 from otmatch.riot import _relaxation_dual
-from otmatch.sinkhorn import _logsumexp, sinkhorn
+from otmatch.sinkhorn import _PLAIN_SWEEPS, _logsumexp, sinkhorn
 
-from conftest import conjugate_potential, plan_entropy, random_marginal, regularized_value
+from conftest import (conjugate_potential, plain_sinkhorn, plan_entropy, random_marginal,
+                      regularized_value)
 
 
 def entropy_value(p, lam):
@@ -103,6 +104,31 @@ class TestSinkhorn:
                            match=r"^marginal masses 0\.5 and 1\.0 differ by more than tol=1e-09$"):
             sinkhorn(np.zeros((2, 2)), [0.25, 0.25], [0.5, 0.5], 1.0)
 
+    @pytest.mark.parametrize("mu, nu", [
+        ([0.5, np.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [np.inf, 0.5]),
+        ([0.5, 0.5], [0.5, -np.inf]),
+    ])
+    def test_non_finite_marginal_rejected(self, mu, nu):
+        # NaN fails a test written as "mu <= 0" and, in the masses, the one
+        # written as "gap > tol"
+        C = np.zeros((len(mu), len(nu)))
+        with pytest.raises(ValidationError, match="must be finite and strictly positive"):
+            sinkhorn(C, mu, nu, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_or_minus_inf_cost_rejected(self, bad):
+        C = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ValidationError, match="costs must not be NaN or -inf"):
+            sinkhorn(C, [0.5, 0.5], [0.5, 0.5], 1.0)
+
+    def test_infinite_cost_forbids_the_pair(self):
+        C = np.array([[0.0, np.inf], [1.0, 2.0]])
+        res = sinkhorn(C, [0.4, 0.6], [0.7, 0.3], 1.0)
+        plan = res.plan.entries
+        assert plan[0, 1] == 0.0
+        np.testing.assert_allclose(plan, [[0.4, 0.0], [0.3, 0.3]], atol=1e-9)
+
     @pytest.mark.parametrize("init", [[0.0], [0.0, np.inf], [np.nan, 0.0]])
     def test_log_left_init_must_be_finite_of_length_m(self, init):
         with pytest.raises(ValidationError, match="log_left_init must be a finite vector"):
@@ -137,6 +163,37 @@ class TestSinkhorn:
         pos = res.plan.entries > 0
         np.testing.assert_allclose(np.log(res.plan.entries[pos]), log_plan[pos],
                                    rtol=1e-12, atol=1e-12)
+
+
+    @staticmethod
+    def grid_problem():
+        """A 20-point grid cost (largest distance 10) and a target marginal
+        perturbed by 2e-3: at lam = 1 plain Sinkhorn needs about 80 sweeps."""
+        pts = np.array([(k // 5, k % 5) for k in range(20)], dtype=float)
+        C = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        C *= 10.0 / C.max()
+        mu = np.full(20, 0.05)
+        nu = mu + 2e-3 * np.sin(np.arange(20.0))
+        return C, mu, nu / nu.sum()
+
+    def test_slow_solve_takes_fewer_sweeps_than_plain(self):
+        C, mu, nu = self.grid_problem()
+        plain = plain_sinkhorn(C, mu, nu, 1.0)
+        res = sinkhorn(C, mu, nu, 1.0)
+        assert plain[1] >= 60
+        assert res.iterations <= 0.7 * plain[1]
+        assert np.abs(res.plan.entries - plain[0]).sum() <= 1e-8
+
+    def test_relaxed_nonconvergence_carries_the_exact_row_update(self):
+        # 20 sweeps end in the relaxed phase; the carried plan has exact rows
+        # and the column error that the error reports.
+        C, mu, nu = self.grid_problem()
+        with pytest.raises(SinkhornConvergenceError) as err:
+            sinkhorn(C, mu, nu, 1.0, max_iters=20)
+        plan = err.value.plan
+        assert np.abs(plan.sum(axis=1) - mu).sum() <= 1e-15
+        assert np.abs(plan.sum(axis=0) - nu).sum() == pytest.approx(err.value.marginal_error,
+                                                                    rel=1e-9)
 
 
 class TestLogSumExp:
@@ -274,3 +331,64 @@ def test_single_path_converges_or_carries_iterate(problem):
                 - np.log(mu.sum()) - 1.0) / lam
         primal = regularized_value(plan, C, lam)
         assert abs(dual - primal) <= 1e-9 * max(1.0, abs(primal))
+
+
+@settings(max_examples=80)
+@given(transport_problems())
+@example(_one_costly_row((6, 3), 5, [0.0, 10.0, 10.0], [1.0, 10.0, 10.0]))
+@example((np.array([[0.0, 0.0, 0.0], [0.0, 9.0, 10.0], [0.0, 10.0, 0.0]]),
+          np.array([1.0, 10.0, 10.0]) / 21.0, np.array([1.0, 10.0, 10.0]) / 21.0,
+          10.0 ** 0.75, None))
+def test_overrelaxed_solve_matches_the_plain_oracle(problem):
+    """Against plain Sinkhorn at tol 1e-12: a solve that the plain loop ends
+    within the plain sweeps is the same bit for bit. Every other solve that it
+    ends converges too, to a plan within 1e-9 in l1; it is asked for 1e-11,
+    since on a nearly degenerate plan rounding can stall either path a few
+    times 1e-12 above zero error, at a level that depends on the path."""
+    C, mu, nu, lam, log_left_init = problem
+    ref = plain_sinkhorn(C, mu, nu, lam, tol=1e-12, max_iters=2000,
+                         log_left_init=log_left_init)
+    event("plain solve ends" if ref is not None else "plain solve does not end")
+    if ref is None:
+        return
+    plan, sweeps, err, log_left, log_right = ref
+    if sweeps <= _PLAIN_SWEEPS:
+        res = sinkhorn(C, mu, nu, lam, tol=1e-12, log_left_init=log_left_init)
+        assert res.iterations == sweeps and res.final_marginal_error == err
+        assert np.array_equal(res.plan.entries, plan)
+        assert np.array_equal(res.log_left, log_left)
+        assert np.array_equal(res.log_right, log_right)
+    else:
+        res = sinkhorn(C, mu, nu, lam, tol=1e-11, max_iters=10000,
+                       log_left_init=log_left_init)
+        assert np.abs(res.plan.entries - plan).sum() <= 1e-9
+
+
+@st.composite
+def moderate_transport_problems(draw):
+    """C in [0, 10], m, n <= 8, lam in [0.1, 10] (log-uniform), marginal
+    weights from 1e-2 to 1, and an optional initial left potential in
+    [-50, 50]."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    C = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 10.0)))
+    weights = st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e)
+    mu = draw(hnp.arrays(float, m, elements=weights))
+    nu = draw(hnp.arrays(float, n, elements=weights))
+    lam = 10.0 ** draw(st.floats(-1.0, 1.0))
+    log_left_init = draw(st.none() | hnp.arrays(float, m, elements=st.floats(-50.0, 50.0)))
+    return C, mu / mu.sum(), nu / nu.sum(), lam, log_left_init
+
+
+@settings(max_examples=100)
+@given(moderate_transport_problems(), st.sampled_from([1e-9, 1e-12]))
+def test_overrelaxed_solve_takes_at_most_the_plain_sweeps(problem, tol):
+    """Where lam C stays below 100, over-relaxation never costs more than a
+    tenth of the plain sweeps, plus the one sweep a fallback drops."""
+    C, mu, nu, lam, log_left_init = problem
+    ref = plain_sinkhorn(C, mu, nu, lam, tol=tol, max_iters=2000, log_left_init=log_left_init)
+    event("plain solve ends" if ref is not None else "plain solve does not end")
+    if ref is None:
+        return
+    res = sinkhorn(C, mu, nu, lam, tol=tol, max_iters=10000, log_left_init=log_left_init)
+    assert res.iterations <= 1.1 * ref[1] + 1
