@@ -21,7 +21,7 @@ gradient unchanged). Each outer iteration alternates:
 The inner problem constrains the scalings by xi' Z eta = 1 (Z = exp(-lam C));
 each half-update requires the Lagrange multiplier theta solving the
 normalization equation p(theta) = 1, a monotone convex root problem. Each
-inner solve starts from the scalings of the current iterate's inner solve,
+inner solve starts from the scalings of the last evaluation's inner solve,
 rescaled onto the constraint, and its first roots from that solve's
 multipliers; it starts cold, from uniform scalings, at the first iterate or
 when that rescaling overflows or underflows. Each later root starts from its
@@ -35,6 +35,7 @@ objective, :func:`_gradient_at` step 2, and :func:`_relaxation_dual` step 3.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -274,7 +275,7 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
     Runs :func:`~otmatch.iot.descend` on A; every evaluation's inner solve
-    starts from that of the current iterate. ``side_block``, when given, is
+    starts from that of the last evaluation. ``side_block``, when given, is
     called once per iteration with the current side costs and the two
     relaxation plans of the pre-step point, and returns updated side costs.
     Returns ``descend``'s (objective, A, point) of the best iterate, whose
@@ -288,17 +289,17 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         raise ValidationError("empirical marginals must be strictly positive")
     # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
     blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
-    # The inner result of the current iterate, the point descend last took the
-    # gradient at: every later evaluation's inner solve starts from it.
-    current = None
+    # The inner result of the last evaluation that returned, where the next
+    # inner solve starts: the current iterate, or the trial before a halving,
+    # when a step is tried, and the accepted trial, at the same A, when a
+    # refresh re-evaluates it.
+    last = None
 
     def evaluate(A):
-        return _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, current)
-
-    def gradient(A, point):
-        nonlocal current
-        current = point[0]
-        return _gradient_at(A, point, pi_hat, U, V, kernel, params)
+        nonlocal last
+        obj, point = _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, last)
+        last = point[0]
+        return obj, point
 
     def after_step(A, point):
         # The other blocks use the pre-step point, in block order: side costs
@@ -314,6 +315,7 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         return evaluate(A)
 
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
+    gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
                              after_step=after_step if params.delta > 0 else None)

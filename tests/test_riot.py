@@ -522,11 +522,11 @@ class TestRiotFit:
     def test_far_market_fails_its_multiplier_roots_fast(self, monkeypatch):
         # The second market above: once the fit walks out to |A| ~ 580, the
         # scalings of many trials overflow, and their roots see non-finite
-        # input (200 of 365 evaluations). Each raises before any Newton step,
+        # input (244 of 373 evaluations). Each raises before any Newton step,
         # where it used to run all 200 first; the error type, and with it the
         # fit, is the same. With every inner solve started cold the fit ends
         # at 2.2843413159, as it did before; the warm starts move the far-out
-        # path, and the end objective by about 2.5e-8.
+        # path, and the end objective by about 1.5e-8.
         seed, m, n, lam, sigma = 2610708129, 3, 4, 0.22911836204234587, 0.00446542243325757
         messages = []
 
