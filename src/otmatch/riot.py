@@ -43,18 +43,12 @@ from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import RootFindingError, ValidationError
 from .iot import _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
-from .sinkhorn import sinkhorn
+from .sinkhorn import _max, _min, _sum, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_STEPS = 200
 _INNER_TOL = 1e-12
 _INNER_MAX_PAIRS = 1000
-
-# The per-root reductions, called as ufuncs: the ndarray methods and np.min
-# add a Python-level wrapper to each call and compute the same values.
-_min = np.minimum.reduce
-_max = np.maximum.reduce
-_sum = np.add.reduce
 
 
 def _theta_root(weights, r, s, guess=None):

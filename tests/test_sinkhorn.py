@@ -364,27 +364,32 @@ def test_overrelaxed_solve_matches_the_plain_oracle(problem):
         assert np.abs(res.plan.entries - plan).sum() <= 1e-9
 
 
-@st.composite
-def moderate_transport_problems(draw):
-    """C in [0, 10], m, n <= 8, lam in [0.1, 10] (log-uniform), marginal
-    weights from 1e-2 to 1, and an optional initial left potential in
-    [-50, 50]."""
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 8))
-    C = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 10.0)))
-    weights = st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e)
-    mu = draw(hnp.arrays(float, m, elements=weights))
-    nu = draw(hnp.arrays(float, n, elements=weights))
-    lam = 10.0 ** draw(st.floats(-1.0, 1.0))
-    log_left_init = draw(st.none() | hnp.arrays(float, m, elements=st.floats(-50.0, 50.0)))
-    return C, mu / mu.sum(), nu / nu.sum(), lam, log_left_init
-
-
 @settings(max_examples=100)
-@given(moderate_transport_problems(), st.sampled_from([1e-9, 1e-12]))
+@given(transport_problems(), st.sampled_from([1e-9, 1e-12]))
+@example((np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 19.0, 0.0, 0.0, 0.0]]),
+          np.array([1.0, 100.0]) / 101.0,
+          np.array([1.0, 10.0 ** 0.75, 1.0, 1.0, 10.0 ** 0.5])
+          / (3.0 + 10.0 ** 0.75 + 10.0 ** 0.5),
+          1.0, None), 1e-9)
+@example((np.array([[8.876024508881082, 9.527899053507072, 11.231810614558565],
+                    [5.623841398102854, 25.297022600227585, 13.898422506090881],
+                    [18.392252937901414, 15.53356728828811, 21.936632632782942],
+                    [23.2740994448745, 14.217895114676782, 7.877821733564908],
+                    [4.884425942479189, 19.679595899598183, 4.411715539969393],
+                    [15.447746615210491, 13.266271839817064, 6.714218483027587]]),
+          np.array([0.40580116497762436, 0.17473292165843254, 0.003203946512902543,
+                    0.01865810338047169, 0.35106377738923283, 0.04654008608133616]),
+          np.array([0.871931361411754, 0.03480654755648364, 0.09326209103176246]),
+          55.793212808913445,
+          np.array([252.9344615783043, 452.54332634959565, 164.2569287168327,
+                    -564.5769250746541, 463.7335382276726, -316.5192773328318])), 1e-9)
 def test_overrelaxed_solve_takes_at_most_the_plain_sweeps(problem, tol):
-    """Where lam C stays below 100, over-relaxation never costs more than a
-    tenth of the plain sweeps, plus the one sweep a fallback drops."""
+    """Over-relaxation never costs more than a tenth of the plain sweeps, plus
+    the one sweep a fallback drops. The examples sit on plateaus far from the
+    solution, where three plain contractions agree before the linear regime:
+    with omega taken there they took 14 sweeps against 10 plain ones (found by
+    hypothesis, shrunk) and 409 against 233 (the worst of 20 000 random
+    draws)."""
     C, mu, nu, lam, log_left_init = problem
     ref = plain_sinkhorn(C, mu, nu, lam, tol=tol, max_iters=2000, log_left_init=log_left_init)
     event("plain solve ends" if ref is not None else "plain solve does not end")
