@@ -11,8 +11,11 @@ one hyperplane step for the unit sum, which as an affine set needs no
 correction. Most triangles never carry a correction, so each cycle sweeps
 only a working set: the triangles with a positive correction and those
 violated when the cycle starts ("project and forget", Sonthalia & Gilbert
-2020). A side needs at least three individuals to have a triangle, so the
-fit rejects smaller sides.
+2020). Dykstra's method is coordinate ascent on the dual of the projection,
+so it reaches the same projection from any nonnegative start of its
+corrections; the fit's step projections, each of a point near the last one,
+start from the corrections the last step left. A side needs at least three
+individuals to have a triangle, so the fit rejects smaller sides.
 """
 
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ def _triangle_table(d):
     return table + (tuple(zip(*(e.tolist() for e in table))),)
 
 
-def project_metric_simplex(matrix):
+def project_metric_simplex(matrix, duals=None):
     """Project onto distance matrices with entries summing to one.
 
     The input is symmetrized, then Dykstra cycles run over its upper-triangle
@@ -78,6 +81,14 @@ def project_metric_simplex(matrix):
     Parameters
     ----------
     matrix : array, shape (d, d), d >= 3
+    duals : float64 array, shape (d (d - 1) (d - 2) / 2,), optional
+        Nonnegative start α of the corrections, one per triangle table row;
+        the cycles then start on the hyperplane projection of the
+        symmetrized input minus Aᵀα. Any start reaches the same projection,
+        but only the corrections that a nearby input's projection left save
+        cycles: a distant input's can cost more than a cold start, up to the
+        whole budget. Holds the final corrections on return; unchanged when
+        the projection raises.
 
     Returns
     -------
@@ -90,7 +101,8 @@ def project_metric_simplex(matrix):
     ValidationError
         When the input is not square, has fewer than three rows, has a
         non-finite entry, or is so large that its symmetrized projection
-        onto the hyperplane overflows.
+        onto the hyperplane overflows; or when ``duals`` is not a writable
+        float64 array of that shape, or has a negative or non-finite entry.
     ProjectionError
         When the cycles have not stopped after 5000 of them; carries the
         worst remaining violation.
@@ -103,9 +115,22 @@ def project_metric_simplex(matrix):
     d = M.shape[0]
     if d < 3:
         raise ValidationError("projection needs dimension >= 3")
+    size = d * (d - 1) // 2
+    alpha = np.zeros(size * (d - 2))
+    if duals is not None:
+        if not (isinstance(duals, np.ndarray) and duals.dtype == float
+                and duals.shape == alpha.shape and duals.flags.writeable):
+            raise ValidationError(f"duals must be a writable float array of shape {alpha.shape}")
+        if not np.all(np.isfinite(duals) & (duals >= 0.0)):
+            raise ValidationError("duals must be finite and nonnegative")
+        alpha[:] = duals
     iu = np.triu_indices(d, k=1)
     with np.errstate(over="ignore", invalid="ignore"):
         xv = 0.5 * (M + M.T)[iu]
+        if alpha.any():
+            e0, e1, e2, _ = _triangle_table(d)
+            xv -= (np.bincount(e0, alpha, size) - np.bincount(e1, alpha, size)
+                   - np.bincount(e2, alpha, size))
         xv -= (xv.sum() - 0.5) / xv.size
     if not np.all(np.isfinite(xv)):
         raise ValidationError("projection input is too large: its symmetrized "
@@ -113,7 +138,6 @@ def project_metric_simplex(matrix):
     x = xv.tolist()
 
     e0, e1, e2, triples = _triangle_table(d)
-    alpha = np.zeros(len(triples))
     viol = xv[e0] - xv[e1] - xv[e2]
 
     worst = np.inf
@@ -147,6 +171,8 @@ def project_metric_simplex(matrix):
             f"projection not feasible after {_MAX_CYCLES} cycles "
             f"(worst violation {worst:.3e})", worst_violation=float(worst))
 
+    if duals is not None:
+        duals[...] = alpha
     out = np.zeros((d, d))
     out[iu] = x
     out = out + out.T
@@ -173,7 +199,9 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     projected-gradient step keeps them feasible. A ``side_step`` of zero
     freezes the side costs, reducing the trajectory to the fixed-side-cost
     solver run on the projected initial matrices. Each side needs at least
-    three individuals.
+    three individuals. Each step's projection starts from the Dykstra
+    corrections of the last step on its side. The first step starts cold:
+    the corrections of the far-off start's projection cost it more cycles.
     """
     m, n = as_array(pi_hat).shape
     if min(m, n) < 3:
@@ -186,13 +214,16 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     C_u0 = _initial_side_cost(C_u_init, m)
     C_v0 = _initial_side_cost(C_v_init, n)
 
+    duals_u = np.zeros(m * (m - 1) * (m - 2) // 2)
+    duals_v = np.zeros(n * (n - 1) * (n - 2) // 2)
+
     def side_block(c_u, c_v, plan_u, plan_v):
         # By the envelope theorem a relaxation term's gradient in its cost is
         # delta times its plan.
         g_u = params.delta * plan_u
         g_v = params.delta * plan_v
-        c_u = project_metric_simplex(c_u - side_step * g_u).entries
-        c_v = project_metric_simplex(c_v - side_step * g_v).entries
+        c_u = project_metric_simplex(c_u - side_step * g_u, duals_u).entries
+        c_v = project_metric_simplex(c_v - side_step * g_v, duals_v).entries
         return c_u, c_v
 
     (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(

@@ -156,7 +156,10 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
         Regularization strength (> 0); larger values sharpen the plan.
     tol : float
         Bound on the column l1 error after the row update, checked after
-        every sweep.
+        every sweep. On a nearly degenerate plan the error can stall at a
+        rounding floor a few 1e-12 above zero whose level depends on the
+        sweep path, so at a ``tol`` of 1e-12 or below such a solve may
+        converge on one path and raise on another.
     max_iters : int
         Sweep budget before giving up.
     log_left_init : array, optional

@@ -119,6 +119,88 @@ def test_large_scale_metric_projects(rng, scale, d):
     assert all_triangle_violations(out) <= 1e-7
 
 
+def triangle_count(d):
+    return d * (d - 1) * (d - 2) // 2
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 8), st.floats(-6.0, 0.0), st.floats(-10.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_warm_start_chain_matches_full_sweep(d, log_start, log_jump, seed):
+    """Project y0, then y1 = x0 + eps * noise from the corrections x0 left: the
+    result is the projection of y1 however far it jumps. y0 stays within a
+    unit noise of the set, as a projected-gradient step does; the corrections
+    of a far input can cost more cycles than the budget."""
+    rng = np.random.default_rng(seed)
+    n0, n1 = rng.normal(size=(2, d, d))
+    y0 = feasible_metric_simplex_point(rng, d) + 10.0 ** log_start * (n0 + n0.T)
+    duals = np.zeros(triangle_count(d))
+    x0 = project_metric_simplex(y0, duals).entries
+    y1 = x0 + 10.0 ** log_jump * (n1 + n1.T)
+    x1 = project_metric_simplex(y1, duals).entries
+    np.testing.assert_allclose(x1, full_sweep_projection(y1), rtol=0, atol=1e-9)
+
+
+def test_returned_duals_are_the_final_corrections(rng):
+    # the output is the hyperplane projection of the input minus A'alpha, and
+    # only tight triangles carry a correction
+    d = 6
+    raw = rng.normal(0.0, 1.0, (d, d))
+    duals = np.zeros(triangle_count(d))
+    out = project_metric_simplex(raw, duals).entries
+    e0, e1, e2, _ = _triangle_table(d)
+    iu = np.triu_indices(d, k=1)
+    start = 0.5 * (raw + raw.T)[iu]
+    for e, sign in ((e0, 1.0), (e1, -1.0), (e2, -1.0)):
+        start -= sign * np.bincount(e, duals, iu[0].size)
+    start -= (start.sum() - 0.5) / start.size
+    np.testing.assert_allclose(out[iu], start, rtol=0, atol=1e-12)
+    assert np.all(duals >= 0.0) and duals.any()
+    xv = out[iu]
+    assert np.abs((xv[e0] - xv[e1] - xv[e2])[duals > 0.0]).max() <= 1e-9
+
+
+def test_warm_step_finishes_where_cold_exhausts_budget(monkeypatch):
+    # Projected steps from the grid distances along a product coupling, the
+    # shape of the joint fit's side-cost gradient: at d = 8 a cold step
+    # projection takes 13 cycles and a warm one 1.
+    mu = random_marginal(np.random.default_rng(0), 8)
+    step = 1e-3 * np.outer(mu, mu)
+    duals = np.zeros(triangle_count(8))
+    x = project_metric_simplex(unit_grid_distances(8)).entries
+    for _ in range(2):
+        x = project_metric_simplex(x - step, duals).entries
+    y = x - step
+    before = duals.copy()
+    monkeypatch.setattr(joint, "_MAX_CYCLES", 5)
+    with pytest.raises(ProjectionError):
+        project_metric_simplex(y)
+    with pytest.raises(ProjectionError):
+        project_metric_simplex(10.0 * y, duals)
+    np.testing.assert_array_equal(duals, before)
+    out = project_metric_simplex(y, duals).entries
+    np.testing.assert_allclose(out, full_sweep_projection(y), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("duals,match", [
+    (np.zeros(triangle_count(5) - 1), "shape"),
+    (np.zeros((triangle_count(5), 1)), "shape"),
+    (np.zeros(triangle_count(5), dtype=int), "float"),
+    (list(np.zeros(triangle_count(5))), "float"),
+    (np.broadcast_to(0.0, (triangle_count(5),)), "writable"),
+    (np.full(triangle_count(5), np.nan), "finite and nonnegative"),
+    (np.full(triangle_count(5), np.inf), "finite and nonnegative"),
+    (np.r_[-1e-300, np.zeros(triangle_count(5) - 1)], "finite and nonnegative"),
+])
+def test_bad_duals_rejected_before_any_cycle(monkeypatch, rng, duals, match):
+    def no_cycle(d):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(joint, "_triangle_table", no_cycle)
+    with pytest.raises(ValidationError, match=match):
+        project_metric_simplex(euclidean_cost(rng, 5), duals)
+
+
 class TestProjectMetricSimplex:
     def test_fixed_point(self, rng):
         x = feasible_metric_simplex_point(rng, 4)
@@ -296,6 +378,38 @@ class TestJointFit:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="at least 3"):
                 joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
+
+    def test_warm_fit_matches_cold_fit(self, monkeypatch):
+        inst = forward_instance(36, m=6, n=5, p=2, q=2)
+        pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
+        params = HyperParams(delta=0.01, step_size=5.0, outer_iters=20)
+
+        def fit():
+            return joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
+                             C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.5)
+
+        warm = fit()
+        project = joint.project_metric_simplex
+        monkeypatch.setattr(joint, "project_metric_simplex",
+                            lambda matrix, duals=None: project(matrix))
+        cold = fit()
+        for name in ("A", "objective_trace"):
+            np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
+                                       rtol=0, atol=1e-9)
+        for name in ("C_u", "C_v", "fitted_plan"):
+            np.testing.assert_allclose(getattr(warm, name).entries,
+                                       getattr(cold, name).entries, rtol=0, atol=1e-9)
+
+    def test_first_step_starts_cold(self, monkeypatch):
+        # The grid guesses' projections take 382 cycles each. On this market
+        # the first step's projections take 24 and 29 cycles cold, and 640
+        # and 568 when started from the guesses' corrections.
+        inst = forward_instance(0, m=12, n=12, p=3, q=2)
+        pi_hat = noised(inst["pi0"], inst["rng"], 8e-3 / 12)
+        monkeypatch.setattr(joint, "_MAX_CYCLES", 450)
+        jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], HyperParams(outer_iters=1),
+                       C_u_init=unit_grid_distances(12), C_v_init=unit_grid_distances(12))
+        assert all_triangle_violations(jf.C_u.entries) <= 1e-7
 
     def test_default_init_is_uniform_hollow(self):
         inst, pi_hat, params = self._setup(33)
