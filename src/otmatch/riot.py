@@ -25,9 +25,10 @@ inner solve starts from the scalings of the last evaluation's inner solve,
 rescaled onto the constraint, and its first roots from that solve's
 multipliers; it starts cold, from uniform scalings, at the first iterate or
 when that rescaling overflows or underflows. Each later root starts from its
-side's previous multiplier, and each relaxation solve from the last
-refreshed potentials (z, w). The likelihood is read from log xi, log eta and
-C(A), never from the log of the plan.
+side's previous multiplier. Each relaxation solve starts from a potential
+predicted from the last four solves of its side (:func:`_predicted_start`),
+and the first from the blocks' potentials (z, w). The likelihood is read from
+log xi, log eta and C(A), never from the log of the plan.
 
 :func:`_alternating_fit` runs the steps through the shared driver
 :func:`~otmatch.iot.descend`: :func:`_evaluate_at` does step 1 and the
@@ -221,26 +222,55 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
     return res.log_left / lam_side, float(value), plan
 
 
-def _relaxed_objective(likelihood, plan, mu_hat, nu_hat, C_u, C_v, params, z=None, w=None):
+def _predicted_start(history):
+    """Start potential of a relaxation solve, from the potentials of the last
+    solves of its side, oldest first.
+
+    With x0 the newest, the start is x0 + x1 - x2 when that rule one solve
+    back, x1 + x2 - x3, predicted x0 more closely than x1 did, and else x0;
+    with fewer than four solutions it is x0. The descent alternates two
+    moves, a trial step in A and a refresh of (z, w) at the same A, and each
+    moves the plan's marginals about as far as the last move of its kind, so
+    the solutions' increments nearly repeat with period two. Where the solves
+    stop far from their solutions, extrapolation amplifies that error, which
+    the test on the last prediction catches. Closeness is the oscillation
+    max v - min v, the Hilbert-metric distance in which Sinkhorn contracts
+    (Franklin & Lorenz 1989), so the potentials' additive gauge does not count.
+    """
+    if len(history) < 4:
+        return history[-1]
+    x3, x2, x1, x0 = history[-4:]
+    miss, move = x1 + x2 - x3 - x0, x1 - x0
+    if _max(miss) - _min(miss) < _max(move) - _min(move):
+        return x0 + x1 - x2
+    return x0
+
+
+def _relaxed_objective(likelihood, plan, mu_hat, nu_hat, C_u, C_v, params,
+                       start_u=None, start_v=None):
     """likelihood + delta (d_u + d_v) at a plan, where d_u, d_v relax its
     marginals towards (mu_hat, nu_hat), with the relaxation potentials and
-    plans (z, w, plan_u, plan_v), or None when delta is 0. The relaxation
-    solves start from ``z``, ``w`` if given."""
+    plans (z, w, plan_u, plan_v), or None when delta is 0. The two solves
+    start from the potentials ``start_u``, ``start_v`` if given, else cold."""
     if params.delta == 0:
         return likelihood, None
-    z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), mu_hat, params.lam_u, params, z)
-    w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), nu_hat, params.lam_v, params, w)
+    z, d_u, plan_u = _relaxation_dual(C_u, plan.sum(axis=1), mu_hat, params.lam_u, params,
+                                      start_u)
+    w, d_v, plan_v = _relaxation_dual(C_v, plan.sum(axis=0), nu_hat, params.lam_v, params,
+                                      start_v)
     return likelihood + params.delta * (d_u + d_v), (z, w, plan_u, plan_v)
 
 
-def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, start=None):
+def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, start=None,
+                 relax_start=None):
     """Inner solve at A and the blocks (c_u, c_v, z, w), plus the relaxed
     objective of its plan: (objective, (inner, plan, relaxation, blocks)),
     with ``relaxation`` as :func:`_relaxed_objective` returns it.
 
     The inner problem has Z = exp(-lam C(A)) and M_ij = delta (z_i + w_j) Z_ij;
     its solve starts from the inner result ``start`` if given. The relaxation
-    solves start from the potentials (z, w) of the blocks.
+    solves start from the pair of potentials ``relax_start`` if given, else
+    from the blocks' (z, w).
     """
     c_u, c_v, z, w = blocks
     C = kernel_cost(U, V, A, kernel)
@@ -252,7 +282,8 @@ def _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, start=
     pi = inner.xi[:, None] * Z * inner.eta[None, :]
     likelihood = _neg_log_likelihood(pi_hat, mu_hat, nu_hat, C, np.log(inner.xi),
                                      np.log(inner.eta), params.lam)
-    obj, rel = _relaxed_objective(likelihood, pi, mu_hat, nu_hat, c_u, c_v, params, z, w)
+    obj, rel = _relaxed_objective(likelihood, pi, mu_hat, nu_hat, c_u, c_v, params,
+                                  *((z, w) if relax_start is None else relax_start))
     return obj, (inner, pi, rel, blocks)
 
 
@@ -269,9 +300,11 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
     Runs :func:`~otmatch.iot.descend` on A; every evaluation's inner solve
-    starts from that of the last evaluation. ``side_block``, when given, is
-    called once per iteration with the current side costs and the two
-    relaxation plans of the pre-step point, and returns updated side costs.
+    starts from that of the last evaluation, and its relaxation solves from
+    the :func:`_predicted_start` of the last evaluations' potentials.
+    ``side_block``, when given, is called once per iteration with the current
+    side costs and the two relaxation plans of the pre-step point, and
+    returns updated side costs.
     Returns ``descend``'s (objective, A, point) of the best iterate, whose
     point is (inner, plan, relaxation, (c_u, c_v, z, w)) as
     :func:`_evaluate_at` gives it, and the objective trace.
@@ -288,11 +321,20 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     # when a step is tried, and the accepted trial, at the same A, when a
     # refresh re-evaluates it.
     last = None
+    # The relaxation potentials (u side, v side) of the last four evaluations
+    # that returned, oldest first; the first evaluation starts from the blocks.
+    history = ([], [])
 
     def evaluate(A):
         nonlocal last
-        obj, point = _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, last)
-        last = point[0]
+        relax_start = [_predicted_start(h) for h in history] if history[0] else None
+        obj, point = _evaluate_at(A, pi_hat, mu_hat, nu_hat, U, V, kernel, blocks, params, last,
+                                  relax_start=relax_start)
+        last, rel = point[0], point[2]
+        if rel is not None:
+            for h, potential in zip(history, rel[:2]):
+                h.append(potential)
+                del h[:-4]
         return obj, point
 
     def after_step(A, point):

@@ -136,6 +136,15 @@ def forward_instance(seed, m=6, n=5, p=3, q=2, lam=1.0, conc=5.0):
     }
 
 
+def unit_grid_distances(d, largest=10.0):
+    """Distances between d points of a unit grid scaled to a largest entry,
+    the shape of a side cost built from individuals on a grid."""
+    cols = int(np.ceil(np.sqrt(d)))
+    pts = np.array([(k // cols, k % cols) for k in range(d)], dtype=float)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    return dist * (largest / dist.max())
+
+
 def noised(pi0, rng, sigma):
     p = pi0.entries if isinstance(pi0, CouplingMatrix) else pi0
     noisy = p + np.abs(rng.normal(0.0, sigma, p.shape))

@@ -14,7 +14,7 @@ from otmatch.riot import _relaxation_dual, riot_fit
 from otmatch.sinkhorn import sinkhorn
 
 from conftest import (euclidean_cost, forward_instance, full_sweep_projection, noised,
-                      random_marginal, regularized_value)
+                      random_marginal, regularized_value, unit_grid_distances)
 
 
 def all_triangle_violations(d):
@@ -46,15 +46,6 @@ def test_triangle_table_matches_oracle_in_order(d):
     assert list(zip(e0.tolist(), e1.tolist(), e2.tolist())) == triangle_oracle(d)
     assert list(triples) == triangle_oracle(d)
     assert not any(e.flags.writeable for e in (e0, e1, e2))
-
-
-def unit_grid_distances(d, largest=10.0):
-    """Distances between d points of a unit grid scaled to a largest entry,
-    the shape of a side cost built from individuals on a grid."""
-    cols = int(np.ceil(np.sqrt(d)))
-    pts = np.array([(k // cols, k % cols) for k in range(d)], dtype=float)
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-    return dist * (largest / dist.max())
 
 
 @pytest.mark.parametrize("kind", ["grid", "euclidean", "uniform"])
