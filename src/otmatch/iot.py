@@ -15,8 +15,8 @@ This module also holds :func:`descend`, the driver that every fit runs:
 :func:`iot_fit` here, and the relaxed and joint fits through
 ``otmatch.riot._alternating_fit``. It is L-BFGS (Liu & Nocedal 1989) with a
 step-halving search while the function stays fixed, as in :func:`iot_fit`,
-and steepest descent with the same search while a refresh changes it between
-steps, as in the relaxed fits at delta > 0.
+and steepest descent with the same search while a refresh changes it before
+each step's search, as in the relaxed fits at delta > 0.
 """
 
 from collections import deque
@@ -111,7 +111,7 @@ def _two_loop(grad, memory):
     return q
 
 
-def descend(A, evaluate, gradient, params, after_step=None):
+def descend(A, evaluate, gradient, params, refresh=None):
     """L-BFGS descent on A, the loop of every fit.
 
     ``evaluate(A)`` returns ``(objective, point)``, with ``point`` whatever
@@ -123,13 +123,15 @@ def descend(A, evaluate, gradient, params, after_step=None):
     raises an :class:`~otmatch.errors.OtmatchError` counts as an increase;
     before that the error propagates. A failed search clears the memory and
     keeps the current iterate; one that fails with an empty memory ends the
-    loop, unless ``after_step(A_next, point)`` is given. That callback
-    refreshes the caller's other blocks from the pre-step point and returns
-    ``A_next`` re-evaluated; the refresh changes the function, so no curvature
-    pair is stored and the fit runs steepest descent with halving. The loop
-    ends at a gradient norm of at most ``_GRAD_NORM_EXIT``
-    (``_REFRESHED_GRAD_NORM_EXIT`` with ``after_step``) or after
-    ``params.outer_iters`` steps.
+    loop, unless ``refresh(point)`` is given. That callback runs once per
+    step, after the gradient test and before the search, and updates the
+    caller's other blocks from the current point, so the trials are evaluated
+    under the refreshed blocks and the accepted one is the next iterate as it
+    stands; a failed search re-evaluates the current A under them. The refresh
+    changes the function, so no curvature pair is stored and the fit runs
+    steepest descent with halving. The loop ends at a gradient norm of at
+    most ``_GRAD_NORM_EXIT`` (``_REFRESHED_GRAD_NORM_EXIT`` with ``refresh``)
+    or after ``params.outer_iters`` steps.
 
     Returns ``((objective, A, point) of the best iterate, trace, steps)``.
     Raises :class:`DivergenceError`, carrying the trace so far, on a
@@ -144,7 +146,7 @@ def descend(A, evaluate, gradient, params, after_step=None):
     # Whether a quasi-Newton step has been tried: from then on the iterates
     # leave the steepest-descent path.
     quasi_newton = False
-    grad_exit = _GRAD_NORM_EXIT if after_step is None else _REFRESHED_GRAD_NORM_EXIT
+    grad_exit = _GRAD_NORM_EXIT if refresh is None else _REFRESHED_GRAD_NORM_EXIT
     while True:
         if not np.isfinite(obj):
             raise DivergenceError("objective became non-finite", trace=trace)
@@ -157,7 +159,11 @@ def descend(A, evaluate, gradient, params, after_step=None):
         grad = gradient(A, point)
         if np.linalg.norm(grad) <= grad_exit:
             break
-        if previous is not None:
+        if refresh is not None:
+            # The refresh changes the function, so no pair spans it and the
+            # memory stays empty.
+            refresh(point)
+        elif previous is not None:
             s, y = A - previous[0], grad - previous[1]
             sy = np.vdot(s, y)
             if sy > 0:
@@ -185,18 +191,14 @@ def descend(A, evaluate, gradient, params, after_step=None):
             step *= 0.5
         else:
             # No halving found a decrease: keep the current iterate (s = 0
-            # then stores no pair). The same search from an unchanged
-            # function would fail again.
-            if after_step is None and not memory:
+            # then stores no pair), re-evaluated if the blocks were refreshed.
+            # The same search from an unchanged function would fail again.
+            if refresh is None and not memory:
                 break
-            A_next, obj_next, point_next = A, obj, point
+            A_next = A
+            obj_next, point_next = (obj, point) if refresh is None else evaluate(A)
             memory.clear()
-        if after_step is None:
-            previous = (A, grad)
-        else:
-            # The refresh changes the function, so no pair spans it and the
-            # memory stays empty.
-            obj_next, point_next = after_step(A_next, point)
+        previous = (A, grad)
         A, obj, point = A_next, obj_next, point_next
         steps += 1
     return best, trace, steps

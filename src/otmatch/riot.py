@@ -13,10 +13,11 @@ is defined up to an additive constant, which the multiplier theta below
 absorbs (a shift t of z moves theta by delta t and leaves the plan and the
 gradient unchanged). Each outer iteration alternates:
 
-  1. inner scaling solve for (xi, eta, theta) at fixed (A, z, w), run until
-     the scalings settle,
+  1. potentials (z, w) refreshed to those of the current plan's two
+     Sinkhorn solves on C_u and C_v,
   2. an envelope-theorem gradient step on A,
-  3. refreshed potentials (z, w) from two Sinkhorn solves on C_u and C_v.
+  3. inner scaling solve for (xi, eta, theta) at fixed (A, z, w), run until
+     the scalings settle, for each trial of the step.
 
 The inner problem constrains the scalings by xi' Z eta = 1 (Z = exp(-lam C));
 each half-update requires the Lagrange multiplier theta solving the
@@ -26,13 +27,14 @@ rescaled onto the constraint, and its first roots from that solve's
 multipliers; it starts cold, from uniform scalings, at the first iterate or
 when that rescaling overflows or underflows. Each later root starts from its
 side's previous multiplier. Each relaxation solve starts from a potential
-predicted from the last four solves of its side (:func:`_predicted_start`),
+predicted from the last three solves of its side (:func:`_predicted_start`),
 and the first from the blocks' potentials (z, w). The likelihood is read from
 log xi, log eta and C(A), never from the log of the plan.
 
 :func:`_alternating_fit` runs the steps through the shared driver
-:func:`~otmatch.iot.descend`: :func:`_evaluate_at` does step 1 and the
-objective, :func:`_gradient_at` step 2, and :func:`_relaxation_dual` step 3.
+:func:`~otmatch.iot.descend`: its refresh does step 1 with the potentials
+of :func:`_relaxation_dual` at the current point, :func:`_gradient_at` gives
+step 2, and :func:`_evaluate_at` does step 3 and the objective.
 """
 
 from dataclasses import dataclass
@@ -61,7 +63,8 @@ def _theta_root(weights, r, s, guess=None):
     theta_max - max(1, |theta_max|), and shrink the bracket lo < theta < hi.
     A step leaving it is replaced by the midpoint or, while lo is unknown, a
     point 8 times as far below theta_max. Returns once |p - 1| <= 1e-13, or
-    lo when no float lies between lo and hi.
+    lo when no float lies between lo and hi. Either way min(r - theta s) > 0
+    at the returned theta, so its half-update is defined.
 
     A NaN in r or s, an infinite s_i, or r_i = -inf (as scalings that
     overflowed give them) leaves no root to find, so RootFindingError is raised
@@ -128,13 +131,10 @@ def _half_update(weights, M, Z, other, guess):
     r = M @ other
     s = Z @ other
     theta = _theta_root(weights, r, s, guess)
-    denom = r - theta * s
-    if _min(denom) <= 0:
-        raise ValidationError("half-update produced a non-positive scaling")
-    return weights / denom, theta
+    return weights / (r - theta * s), theta
 
 
-def _inner_solve_raw(mu_hat, nu_hat, M, Z, max_pairs=_INNER_MAX_PAIRS, start=None):
+def _inner_solve_raw(mu_hat, nu_hat, M, Z, start=None):
     """Alternating half-updates for the constrained scaling problem.
 
     Runs xi/eta half-update pairs on
@@ -147,16 +147,15 @@ def _inner_solve_raw(mu_hat, nu_hat, M, Z, max_pairs=_INNER_MAX_PAIRS, start=Non
     loop stops after the first pair whose change
     sum_i muhat_i |xi_i / xi_i^- - 1| + sum_j nuhat_j |eta_j / eta_j^- - 1|
     is at most ``_INNER_TOL`` (1e-12), and otherwise returns the last iterate
-    after ``max_pairs`` pairs. With ``max_pairs == 0`` both multipliers are 0.
+    after ``_INNER_MAX_PAIRS`` pairs.
     """
-    theta1 = theta2 = 0.0
     # At an A far out the scalings can leave the float range; the start then
     # falls back to the cold one, the multiplier root fails with a
     # RootFindingError, and an overflowing change only means the pair has not
     # settled, so none of them also warns.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi, eta, guess1, guess2 = _inner_start(Z, start)
-        for k in range(max_pairs):
+        for k in range(_INNER_MAX_PAIRS):
             xi_new, theta1 = _half_update(mu_hat, M, Z, eta, theta1 if k else guess1)
             eta_new, theta2 = _half_update(nu_hat, M.T, Z.T, xi_new, theta2 if k else guess2)
             change = mu_hat @ np.abs(xi_new / xi - 1.0) + nu_hat @ np.abs(eta_new / eta - 1.0)
@@ -224,26 +223,17 @@ def _relaxation_dual(C_side, plan_marginal, empirical_marginal, lam_side, params
 
 def _predicted_start(history):
     """Start potential of a relaxation solve, from the potentials of the last
-    solves of its side, oldest first.
+    solves of its side, oldest first: x0 + x1 - x2, with x0 the newest, or x0
+    with fewer than three solutions.
 
-    With x0 the newest, the start is x0 + x1 - x2 when that rule one solve
-    back, x1 + x2 - x3, predicted x0 more closely than x1 did, and else x0;
-    with fewer than four solutions it is x0. The descent alternates two
-    moves, a trial step in A and a refresh of (z, w) at the same A, and each
-    moves the plan's marginals about as far as the last move of its kind, so
-    the solutions' increments nearly repeat with period two. Where the solves
-    stop far from their solutions, extrapolation amplifies that error, which
-    the test on the last prediction catches. Closeness is the oscillation
-    max v - min v, the Hilbert-metric distance in which Sinkhorn contracts
-    (Franklin & Lorenz 1989), so the potentials' additive gauge does not count.
+    The rule is exact when the solutions' increments repeat with period one
+    or two, and the potentials' additive gauge shifts the start by the same
+    constant.
     """
-    if len(history) < 4:
+    if len(history) < 3:
         return history[-1]
-    x3, x2, x1, x0 = history[-4:]
-    miss, move = x1 + x2 - x3 - x0, x1 - x0
-    if _max(miss) - _min(miss) < _max(move) - _min(move):
-        return x0 + x1 - x2
-    return x0
+    x2, x1, x0 = history[-3:]
+    return x0 + x1 - x2
 
 
 def _relaxed_objective(likelihood, plan, mu_hat, nu_hat, C_u, C_v, params,
@@ -301,10 +291,11 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
 
     Runs :func:`~otmatch.iot.descend` on A; every evaluation's inner solve
     starts from that of the last evaluation, and its relaxation solves from
-    the :func:`_predicted_start` of the last evaluations' potentials.
-    ``side_block``, when given, is called once per iteration with the current
-    side costs and the two relaxation plans of the pre-step point, and
-    returns updated side costs.
+    the :func:`_predicted_start` of the last evaluations' potentials. Before
+    each step's search the blocks take the current point's potentials.
+    ``side_block``, when given, is called there too, with the current side
+    costs and the two relaxation plans of the current point, and returns
+    updated side costs, on which (z, w) are solved again.
     Returns ``descend``'s (objective, A, point) of the best iterate, whose
     point is (inner, plan, relaxation, (c_u, c_v, z, w)) as
     :func:`_evaluate_at` gives it, and the objective trace.
@@ -318,10 +309,10 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
     blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
     # The inner result of the last evaluation that returned, where the next
     # inner solve starts: the current iterate, or the trial before a halving,
-    # when a step is tried, and the accepted trial, at the same A, when a
-    # refresh re-evaluates it.
+    # when a step is tried, and the last trial when a failed search
+    # re-evaluates the current A.
     last = None
-    # The relaxation potentials (u side, v side) of the last four evaluations
+    # The relaxation potentials (u side, v side) of the last three evaluations
     # that returned, oldest first; the first evaluation starts from the blocks.
     history = ([], [])
 
@@ -334,13 +325,12 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
         if rel is not None:
             for h, potential in zip(history, rel[:2]):
                 h.append(potential)
-                del h[:-4]
+                del h[:-3]
         return obj, point
 
-    def after_step(A, point):
-        # The other blocks use the pre-step point, in block order: side costs
-        # first (joint mode), then the potentials. The accepted A was solved
-        # with the stale blocks, so it is evaluated again.
+    def refresh(point):
+        # The other blocks, in block order: side costs first (joint mode),
+        # then the potentials.
         nonlocal blocks
         _, pi, (z, w, plan_u, plan_v), (c_u, c_v, _, _) = point
         if side_block is not None:
@@ -348,29 +338,28 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
             z = _relaxation_dual(c_u, pi.sum(axis=1), mu_hat, params.lam_u, params, z)[0]
             w = _relaxation_dual(c_v, pi.sum(axis=0), nu_hat, params.lam_v, params, w)[0]
         blocks = (c_u, c_v, z, w)
-        return evaluate(A)
 
     A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
     gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
-                             after_step=after_step if params.delta > 0 else None)
+                             refresh=refresh if params.delta > 0 else None)
     return best, trace
 
 
 def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     """Run the three-block alternation and return the best iterate.
 
-    Each of the ``params.outer_iters`` iterations performs the inner scaling
-    solve (half-update pairs until the scalings settle), one gradient step on A
-    with the step-halving guard every fit shares, and a refresh of the
-    relaxation potentials from the pre-step plan, and stops early only at a
-    gradient norm of 1e-10. At ``delta == 0`` there is nothing to refresh, so
-    the fit runs the quasi-Newton path of :func:`~otmatch.iot.descend`, which
-    rejects a trial whose evaluation fails and stops at a gradient norm of
-    1e-6. The
-    result holds the iterate with the lowest relaxed objective: its A and
-    plan, and the scalings, multiplier and potentials of its inner solve.
+    Each of the ``params.outer_iters`` iterations refreshes the relaxation
+    potentials from the current plan and takes one gradient step on A with
+    the step-halving guard every fit shares, each trial with its inner scaling
+    solve (half-update pairs until the scalings settle), and stops early only
+    at a gradient norm of 1e-10. At ``delta == 0`` there is nothing to
+    refresh, so the fit runs the quasi-Newton path of
+    :func:`~otmatch.iot.descend`, which rejects a trial whose evaluation fails
+    and stops at a gradient norm of 1e-6. The result holds the iterate with
+    the lowest relaxed objective: its A and plan, and the scalings, multiplier
+    and potentials of its inner solve.
 
     Parameters
     ----------

@@ -12,14 +12,10 @@ regularized transport problems"; Peyre & Cuturi 2019, *Computational Optimal
 Transport*, section 4.4).
 
 After its first plain sweeps the loop over-relaxes both half-updates on the
-log-potentials. The factor omega = 2 / (1 + sqrt(1 - theta)) is optimal for a
-plain rate theta (Lehmann, von Renesse, Sambale & Uschmajew 2022, "A note on
-overrelaxation in the Sinkhorn algorithm"); there the slowest error mode
-turns from monotone to rotating decay. The loop measures theta from its plain
-sweeps, which can read above the slow rate, and aims omega at a gap
-1 - theta half as large again, so that the slowest mode keeps decaying from
-one side as in the plain loop and solves from different starts end on the
-same side of the solution. As a safeguard in the spirit of Thibault, Chizat,
+log-potentials with the factor omega = 2 / (1 + sqrt(1 - theta)), optimal for
+the plain rate theta that the loop measures from its plain sweeps (Lehmann,
+von Renesse, Sambale & Uschmajew 2022, "A note on overrelaxation in the
+Sinkhorn algorithm"). As a safeguard in the spirit of Thibault, Chizat,
 Dossal & Papadakis 2021 ("Overrelaxed Sinkhorn-Knopp algorithm for
 regularized optimal transport"), a relaxed sweep that raises the error is
 dropped and the loop goes back to plain sweeps.
@@ -42,8 +38,6 @@ _SCALE_LO = 1e-150
 _PLAIN_SWEEPS = 4
 _STEADY = 0.05
 _OMEGA_MAX = 1.9
-# omega is aimed at a gap 1 - theta this many times the measured one.
-_GAP_MARGIN = 1.5
 # Error reduction after which the first relaxed stretch measures theta again.
 _RECHECK = 1e-2
 # Share of the mass below which the error must be before omega rises: on a
@@ -128,7 +122,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     three successive plain contractions theta = err_k / err_{k-1} agree within
     5% and the error is below a tenth of the mass sum nu: each half-update
     becomes b <- b^(1 - omega) (nu / K' a)^omega, and likewise for a, with
-    omega = min(1.9, 2 / (1 + sqrt(1.5 (1 - theta)))). The stop test still
+    omega = min(1.9, 2 / (1 + sqrt(1 - theta))). The stop test still
     reads the column error after the exact row update mu / (K b), and the
     plan, the potentials and a failed solve's last iterate are formed from
     that exact update, so ``tol`` means what it means for the plain
@@ -266,7 +260,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
                 steady = steady + 1 if abs(contraction - theta) <= _STEADY * contraction else 0
                 theta = contraction
                 if plain <= 0 and steady >= 2 and theta < 1.0 and err <= _RELAX_BELOW * mass:
-                    omega = min(_OMEGA_MAX, 2.0 / (1.0 + (_GAP_MARGIN * (1.0 - theta)) ** 0.5))
+                    omega = min(_OMEGA_MAX, 2.0 / (1.0 + (1.0 - theta) ** 0.5))
                     if recheck:
                         recheck = _RECHECK * err
             prev_err = err

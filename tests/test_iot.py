@@ -324,18 +324,19 @@ class TestDescend:
         return 2.0 * (A - 1.0)
 
     def test_returns_best_iterate(self):
-        # A penalty that grows with every step makes the re-evaluated
-        # objective 1, .35, .2625, .3156, ...: the best is the second step.
-        calls = []
+        # A penalty of 0.1 per refresh makes the objective 1, .35, .2625;
+        # then no trial beats .2625 under the larger penalty, and the
+        # re-evaluated current iterate reads .3625, .4625: the best is the
+        # second step.
+        refreshes = []
 
-        def after_step(A, point):
-            calls.append(A)
-            return self.evaluate(A)[0] + 0.1 * len(calls), None
+        def evaluate(A):
+            return self.evaluate(A)[0] + 0.1 * len(refreshes), None
 
         params = hyper(step_size=0.25, outer_iters=4)
-        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), self.evaluate,
-                                            self.gradient, params, after_step)
-        assert steps == 4 and len(trace) == 5
+        (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate, self.gradient,
+                                            params, refreshes.append)
+        assert steps == 4 and len(trace) == 5 and len(refreshes) == 4
         assert obj == min(trace) == trace[2] < trace[-1]
         np.testing.assert_allclose(A, 0.75)
 
@@ -364,14 +365,16 @@ class TestDescend:
             evaluations.append(A)
             return self.evaluate(A)
 
+        refreshes = []
         params = hyper(step_size=0.25, outer_iters=2)
         (obj, A, _), trace, steps = descend(np.zeros((1, 1)), evaluate,
                                             lambda A, p: -self.gradient(A, p), params,
-                                            lambda A, p: self.evaluate(A))
-        assert steps == 2
+                                            refreshes.append)
+        assert steps == 2 and len(refreshes) == 2
         assert trace == [1.0, 1.0, 1.0] and obj == 1.0
         np.testing.assert_array_equal(A, 0.0)
-        assert len(evaluations) == 1 + 2 * (MAX_HALVINGS + 1)
+        # Each failed search re-evaluates the current iterate once.
+        assert len(evaluations) == 1 + 2 * (MAX_HALVINGS + 2)
 
     def test_failed_search_with_memory_clears_it_and_keeps_the_point(self):
         evaluations = []
@@ -446,17 +449,20 @@ class TestDescend:
         A0 = np.full((1, 1), 1.0 + 1e-8)
         params = hyper(step_size=0.25, outer_iters=3)
         assert descend(A0, self.evaluate, self.gradient, params)[2] == 0
-        refreshed = descend(A0, self.evaluate, self.gradient, params,
-                            lambda A, point: self.evaluate(A))
+        refreshed = descend(A0, self.evaluate, self.gradient, params, lambda point: None)
         assert refreshed[2] == 3
 
     def test_non_finite_objective_raises_with_trace(self):
-        def after_step(A, point):
-            return (np.inf if A[0, 0] > 0.6 else self.evaluate(A)[0]), None
+        # The second refresh makes every objective infinite: its search
+        # fails, and the re-evaluated current iterate is not finite.
+        refreshes = []
+
+        def evaluate(A):
+            return (np.inf if len(refreshes) >= 2 else self.evaluate(A)[0]), None
 
         params = hyper(step_size=0.25, outer_iters=5)
         with pytest.raises(DivergenceError) as err:
-            descend(np.zeros((1, 1)), self.evaluate, self.gradient, params, after_step)
+            descend(np.zeros((1, 1)), evaluate, self.gradient, params, refreshes.append)
         assert err.value.trace == [1.0, 0.25]
 
 
@@ -487,16 +493,16 @@ class TestDescendIllConditioned:
         assert obj == trace[-1] and np.all(np.diff(trace) <= 0)
 
     def test_refresh_keeps_steepest_descent_bit_for_bit(self):
-        # Each refresh clears the memory, so every accepted iterate is
-        # A - step_size 2^-h grad(A) for some number h of halvings.
-        params = hyper(step_size=0.25, outer_iters=20)
-        path = [np.zeros((1, 2))]
+        # A refresh stores no curvature pair, so every accepted iterate is
+        # A - step_size 2^-h grad(A) for some number h of halvings. The point
+        # is the iterate itself, so the refreshes see the path.
+        params = hyper(step_size=0.25, outer_iters=21)
+        path = []
 
-        def after_step(A, point):
-            path.append(A)
-            return self.evaluate(A)
+        def evaluate(A):
+            return self.evaluate(A)[0], A
 
-        descend(path[0], self.evaluate, self.gradient, params, after_step)
+        descend(np.zeros((1, 2)), evaluate, self.gradient, params, path.append)
         assert len(path) == 21
         halvings = set()
         for A, A_next in zip(path, path[1:]):
