@@ -44,11 +44,6 @@ def _load_config(path):
     return cfg
 
 
-def _config_hash(cfg):
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
 def _section(cfg, key, name=None):
     """The JSON object under ``key``, or {} when it is absent."""
     section = cfg.get(key, {})
@@ -71,10 +66,6 @@ def _hyper_section(cfg, name="hyper"):
                                   f"as {first!r} and as {key!r}")
         out[canon] = value
     return out
-
-
-def _hyper_from_config(cfg):
-    return HyperParams(**_hyper_section(cfg))
 
 
 def _kernel_from_config(cfg):
@@ -104,12 +95,9 @@ def _read_marginal(path, flag):
 
 
 def _write_metadata(out_dir, name, seed, cfg, started):
-    meta = {
-        "seed": seed,
-        "config_hash": _config_hash(cfg),
-        "wall_time_s": time.time() - started,
-        "command": name,
-    }
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode())
+    meta = {"seed": seed, "config_hash": digest.hexdigest(),
+            "wall_time_s": time.time() - started, "command": name}
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -118,7 +106,7 @@ def _write_metadata(out_dir, name, seed, cfg, started):
 def _cmd_fit(args):
     started = time.time()
     cfg = _load_config(args.config)
-    hyper = _hyper_from_config(cfg)
+    hyper = HyperParams(**_hyper_section(cfg))
     kernel = _kernel_from_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
@@ -179,7 +167,7 @@ def _cmd_fit(args):
 def _cmd_predict(args):
     cfg = _load_config(args.config)
     kernel = _kernel_from_config(cfg)
-    hyper = _hyper_from_config(cfg)
+    hyper = HyperParams(**_hyper_section(cfg))
 
     A = mio.read_matrix(_require_file(args.interaction, "--interaction"))
     U = mio.read_matrix(_require_file(args.users, "--users"))

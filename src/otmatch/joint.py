@@ -31,8 +31,10 @@ from .riot import _alternating_fit
 from .sinkhorn import sinkhorn  # noqa: F401
 
 _MAX_CYCLES = 5000
+# Stop-test tolerances and the cap of their rise with the input's scale.
 _FEAS_TOL = 1e-9
 _DRIFT_TOL = 1e-12
+_TOL_CAP = 5e-8
 
 
 @lru_cache(maxsize=8)
@@ -74,9 +76,11 @@ def project_metric_simplex(matrix, duals=None):
     whole table are computed once per cycle, and the cycles stop once the
     worst is at most 1e-9 and no correction changed by more than 1e-12 in
     the last cycle; the iterate can stand still while the corrections still
-    drift. Every positive correction is swept in that last cycle, so at exit
-    those triangles are tight, the rest carry no correction, and the whole
-    table is feasible: the KKT conditions of the projection hold.
+    drift. On a large start x0 both tolerances rise to 4 eps max|x0|, which
+    rounding alone can reach, but not above 5e-8. Every positive correction
+    is swept in that last cycle, so at exit those triangles are tight, the
+    rest carry no correction, and the whole table is feasible: the KKT
+    conditions of the projection hold.
 
     Parameters
     ----------
@@ -136,6 +140,8 @@ def project_metric_simplex(matrix, duals=None):
         raise ValidationError("projection input is too large: its symmetrized "
                               "hyperplane projection overflows")
     x = xv.tolist()
+    rounding = 4.0 * np.finfo(float).eps * np.abs(xv).max()
+    feas_tol, drift_tol = np.clip(rounding, [_FEAS_TOL, _DRIFT_TOL], _TOL_CAP)
 
     e0, e1, e2, triples = _triangle_table(d)
     viol = xv[e0] - xv[e1] - xv[e2]
@@ -164,7 +170,7 @@ def project_metric_simplex(matrix, duals=None):
         viol = xv[e0] - xv[e1] - xv[e2]
         worst = viol.max(initial=0.0)
         drift = np.abs(alpha[work] - prev).max(initial=0.0)
-        if worst <= _FEAS_TOL and drift <= _DRIFT_TOL:
+        if worst <= feas_tol and drift <= drift_tol:
             break
     else:
         raise ProjectionError(

@@ -13,7 +13,7 @@ Transport*, section 4.4).
 
 After its first plain sweeps the loop over-relaxes both half-updates on the
 log-potentials with the factor omega = 2 / (1 + sqrt(1 - theta)), optimal for
-the plain rate theta that the loop measures from its plain sweeps (Lehmann,
+the plain rate theta that the loop reads from its last plain sweep (Lehmann,
 von Renesse, Sambale & Uschmajew 2022, "A note on overrelaxation in the
 Sinkhorn algorithm"). As a safeguard in the spirit of Thibault, Chizat,
 Dossal & Papadakis 2021 ("Overrelaxed Sinkhorn-Knopp algorithm for
@@ -33,16 +33,15 @@ _SCALE_HI = 1e150
 _SCALE_LO = 1e-150
 
 # Over-relaxation: the plain sweeps at the start and after each fallback, the
-# relative spread within which three successive plain contractions count as
-# the steady rate, and the largest factor used.
+# largest factor used, and the relative fall of a plain contraction beyond
+# which it is not taken as the rate (see sinkhorn's docstring).
 _PLAIN_SWEEPS = 4
-_STEADY = 0.05
 _OMEGA_MAX = 1.9
+_FALL = 0.05
 # Error reduction after which the first relaxed stretch measures theta again.
 _RECHECK = 1e-2
-# Share of the mass below which the error must be before omega rises: on a
-# plateau far from the solution three plain contractions can agree before the
-# linear regime.
+# Share of the mass the error must be below before omega rises: on a plateau
+# far from the solution a plain contraction can read below 1.
 _RELAX_BELOW = 0.1
 
 # The reductions of each sweep, and of riot's multiplier roots, called as
@@ -118,19 +117,20 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     sweep's error is the column l1 error sum_j |b_j (K' a)_j - nu_j|.
 
     The first four sweeps are plain, so a solve that converges within them is
-    the plain Sinkhorn iteration bit for bit. Over-relaxation starts once
-    three successive plain contractions theta = err_k / err_{k-1} agree within
-    5% and the error is below a tenth of the mass sum nu: each half-update
-    becomes b <- b^(1 - omega) (nu / K' a)^omega, and likewise for a, with
-    omega = min(1.9, 2 / (1 + sqrt(1 - theta))). The stop test still
-    reads the column error after the exact row update mu / (K b), and the
-    plan, the potentials and a failed solve's last iterate are formed from
-    that exact update, so ``tol`` means what it means for the plain
-    iteration; the relaxed row scaling only feeds the next column update. The
-    loop returns to four plain sweeps, and measures theta again, when a
-    relaxed sweep raises the error (that sweep is dropped: the loop resumes
-    from the exact update before it) and once when the first relaxed stretch
-    has cut the error a hundredfold.
+    the plain Sinkhorn iteration bit for bit. From the fourth on, the first
+    plain sweep whose contraction theta = err_k / err_{k-1} is below 1, at
+    most 5% below the last one (a steeper fall marks a plateau's exit, where
+    the rate ahead is faster), and whose error is below a tenth of the mass
+    sum nu sets omega = min(1.9, 2 / (1 + sqrt(1 - theta))); each later
+    half-update becomes b <- b^(1 - omega) (nu / K' a)^omega, and likewise
+    for a. The stop test still reads the column error after the exact row
+    update mu / (K b), and the plan, the potentials and a failed solve's last
+    iterate are formed from that exact update, so ``tol`` means what it means
+    for the plain iteration; the relaxed row scaling only feeds the next
+    column update. The loop returns to four plain sweeps, and measures theta
+    again, when a relaxed sweep raises the error (that sweep is dropped: the
+    loop resumes from the exact update before it) and once when the first
+    relaxed stretch has cut the error a hundredfold.
 
     A sweep that leaves a scaling, plain or relaxed, outside [1e-150, 1e150]
     or non-finite is redone exactly in log space from the pre-sweep left
@@ -197,8 +197,7 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     it = 0
     omega = 1.0
     plain = _PLAIN_SWEEPS  # plain sweeps left before omega may rise
-    theta = np.inf  # the last plain contraction err_k / err_{k-1}
-    steady = 0  # how many plain contractions in a row agreed with the one before
+    prev_theta = np.inf  # the last plain sweep's contraction err_k / err_{k-1}
     last = None  # (row scaling, b, K' row scaling) of the last kept sweep
     recheck = np.inf  # error at which relaxing stops to measure theta again
     # Every scaling is checked for range and finiteness below, so the
@@ -256,13 +255,13 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
             else:
                 Kt_a = Kt_row
                 plain -= 1
-                contraction = err / prev_err
-                steady = steady + 1 if abs(contraction - theta) <= _STEADY * contraction else 0
-                theta = contraction
-                if plain <= 0 and steady >= 2 and theta < 1.0 and err <= _RELAX_BELOW * mass:
+                theta = err / prev_err
+                if (plain <= 0 and (1.0 - _FALL) * prev_theta <= theta < 1.0
+                        and err <= _RELAX_BELOW * mass):
                     omega = min(_OMEGA_MAX, 2.0 / (1.0 + (1.0 - theta) ** 0.5))
                     if recheck:
                         recheck = _RECHECK * err
+                prev_theta = theta
             prev_err = err
         plan = K
         plan *= row[:, None]

@@ -193,21 +193,25 @@ def robustness_sweep(cfg, max_workers=1):
     """Fit both solvers on fresh noise for every (sigma, delta, repetition).
 
     One ground-truth instance is shared by the whole sweep; each cell draws
-    its own noise stream. Cells run in a process pool when ``max_workers``
-    exceeds one; the reduction is ordered, so parallel and serial runs
-    produce identical results.
+    its own noise stream. Cells run in a pool of min(``max_workers``, cells)
+    processes when that exceeds one; the reduction is ordered, so parallel
+    and serial runs produce identical results. Raises ValidationError when
+    ``max_workers`` < 1.
     """
+    if max_workers < 1:
+        raise ValidationError(f"max_workers must be at least 1, got {max_workers}")
     task = partial(_sweep_task, cfg, generate_instance(cfg))
     cells = [(si, sigma, di, delta, rep)
              for si, sigma in enumerate(cfg.sigma_grid)
              for di, delta in enumerate(cfg.delta_grid)
              for rep in range(cfg.repetitions)]
 
-    if max_workers > 1:
+    workers = min(max_workers, len(cells))
+    if workers > 1:
         # Imported here: the process pool pulls in multiprocessing, which a
         # serial run never needs.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(task, cells, chunksize=1))
     else:
         records = [task(cell) for cell in cells]

@@ -406,6 +406,13 @@ class TestSimulateAndEval:
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
         assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
 
+    def test_figure2_rejects_zero_workers(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["simulate", "--figure", "2", "--config", str(self.simulate_config(tmp_path)),
+                "--workers", "0", "--out", str(out)]
+        assert main(args) == EXIT_INPUT
+        assert not out.exists()
+
     def test_figure3_outputs(self, tmp_path):
         cfg = self.simulate_config(tmp_path)
         out = tmp_path / "plans"

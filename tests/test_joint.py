@@ -110,6 +110,20 @@ def test_large_scale_metric_projects(rng, scale, d):
     assert all_triangle_violations(out) <= 1e-7
 
 
+# The stop test's tolerances rise with the input's scale, up to 5e-8: an
+# absolute 1e-9 stalls at 2.1e-9 and 1.0e-8 on these draws. At 1e10 the
+# violation stalls near 1e-6, above the cap, and the projection raises.
+@pytest.mark.parametrize("scale", [1e7, 1e8])
+def test_huge_metric_projects_to_its_rounding_level(scale):
+    out = project_metric_simplex(scale * euclidean_cost(np.random.default_rng(1), 5)).entries
+    assert all_triangle_violations(out) <= 1e-7
+
+
+def test_metric_beyond_the_tolerance_cap_raises():
+    with pytest.raises(ProjectionError):
+        project_metric_simplex(1e10 * euclidean_cost(np.random.default_rng(1), 5))
+
+
 def triangle_count(d):
     return d * (d - 1) * (d - 2) // 2
 

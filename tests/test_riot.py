@@ -478,10 +478,10 @@ class TestDualUpdate:
                 assert np.abs(plan_k - plan_ref).sum() <= tol, seed
 
     def test_relaxation_solve_from_nearby_potential_takes_few_sweeps(self):
-        # The warm start's first plain contractions come from before the
-        # linear regime and give omega = 1.24; measured again after the first
+        # The warm start's last plain contraction comes from before the
+        # linear regime and gives omega = 1.21; measured again after the first
         # hundredfold error drop, omega is 1.69. Measured once, the solve
-        # takes 233 sweeps; the plain loop takes 379 and this one 82.
+        # takes 248 sweeps; the plain loop takes 379 and this one 68.
         inst = forward_instance(19, m=5, n=4)
         params = hyper()
         mu = noised(inst["pi0"], inst["rng"], 4e-3).entries.sum(1)
@@ -491,7 +491,7 @@ class TestDualUpdate:
         args = inst["C_u"], mu, mu_hat, params.lam_u, params.sinkhorn_tol
         plain = plain_sinkhorn(*args, log_left_init=start)
         res = sinkhorn(*args, log_left_init=start)
-        assert res.iterations <= 0.5 * plain[1]
+        assert res.iterations <= 0.2 * plain[1]
         assert np.abs(res.plan.entries - plain[0]).sum() <= params.sinkhorn_tol
 
     def test_costly_row_keeps_the_potential_finite(self, rng):

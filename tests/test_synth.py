@@ -1,9 +1,13 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+import otmatch.synth as synth
 from otmatch.containers import HyperParams
-from otmatch.errors import ValidationError
+from otmatch.errors import SinkhornConvergenceError, ValidationError
 from otmatch.kernels import KernelSpec
+from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import (SynthConfig, add_noise, cost_recovery_experiment,
                            generate_instance, ground_truth_cost, robustness_sweep)
 
@@ -64,6 +68,35 @@ class TestGenerateInstance:
             ground_truth_cost(cfg, inst),
             kernel_cost(inst.U, inst.V, inst.A0, cfg.kernel))
 
+    def test_failed_solve_retries_on_the_next_stream(self, monkeypatch):
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise SinkhornConvergenceError("no convergence", iterations=1)
+            return sinkhorn(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "sinkhorn", fails_once)
+        cfg = small_config()
+        inst = generate_instance(cfg)
+        assert len(calls) == 2
+        rng = synth._stream(cfg.seed, 0, 1)
+        np.testing.assert_array_equal(inst.U, rng.standard_normal((cfg.p, cfg.m)))
+        np.testing.assert_array_equal(inst.V, rng.standard_normal((cfg.q, cfg.n)))
+
+    def test_gives_up_after_five_attempts(self, monkeypatch):
+        calls = []
+
+        def always_fails(*args, **kwargs):
+            calls.append(args)
+            raise SinkhornConvergenceError(f"no convergence on call {len(calls)}")
+
+        monkeypatch.setattr(synth, "sinkhorn", always_fails)
+        with pytest.raises(ValidationError, match="in 5 attempts: no convergence on call 5"):
+            generate_instance(small_config())
+        assert len(calls) == 5
+
 
 class TestAddNoise:
     def test_sigma_zero_identity(self):
@@ -119,6 +152,36 @@ class TestRobustnessSweep:
         parallel = robustness_sweep(cfg, max_workers=2)
         assert serial.records == parallel.records
         assert serial.aggregates == parallel.aggregates
+
+    def test_pool_is_capped_at_the_cell_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config(delta_grid=(0.01, 0.1))
+        assert robustness_sweep(cfg, max_workers=64).records == robustness_sweep(cfg).records
+        assert sizes == [2]
+        robustness_sweep(small_config(), max_workers=8)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValidationError, match="max_workers"):
+            robustness_sweep(small_config(), max_workers=workers)
 
 
 class TestCostRecoveryExperiment:
