@@ -86,15 +86,14 @@ def project_metric_simplex(matrix, duals=None):
     violation; from the first cycle that starts at or below that level it
     sweeps the working set in table order to the end, because near a
     degenerate solution a changing order keeps the corrections moving. The
-    violations of the
-    whole table are computed once per cycle, and the cycles stop once the
-    worst is at most 1e-9 and no correction changed by more than 1e-12 in
-    the last cycle; the iterate can stand still while the corrections still
-    drift. On a large start x0 both tolerances rise to 4 eps max|x0|, which
-    rounding alone can reach, but not above 5e-8. Every positive correction
-    is swept in that last cycle, so at exit those triangles are tight, the
-    rest carry no correction, and the whole table is feasible: the KKT
-    conditions of the projection hold.
+    violations of the whole table are computed once per cycle, and the
+    cycles stop once the worst is at most 1e-9 and no correction changed by
+    more than 1e-12 in the last cycle; the iterate can stand still while
+    the corrections still drift. On a large start x0 both tolerances rise to
+    4 eps max|x0|, which rounding alone can reach, but not above 5e-8. Every
+    positive correction is swept in that last cycle, so at exit those
+    triangles are tight, the rest carry no correction, and the whole table
+    is feasible: the KKT conditions of the projection hold.
 
     Parameters
     ----------
