@@ -23,22 +23,19 @@ from .joint import JointFitResult, joint_fit, project_metric_simplex
 from .kernels import KernelSpec, kernel_cost
 from .riot import RiotFitResult, predict_matching, riot_fit
 from .sinkhorn import SinkhornResult, sinkhorn
-from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig,
-                    SynthInstance, add_noise, cost_recovery_experiment,
-                    generate_instance, ground_truth_cost, plan_comparison_experiment,
-                    robustness_sweep)
+from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig, SynthInstance,
+                    add_noise, cost_recovery_experiment, generate_instance, robustness_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "CostRecoveryResult", "CouplingMatrix", "DivergenceError",
-    "HyperParams", "IotFitResult", "JointFitResult", "KernelSpec", "MetricMatrix",
-    "OtmatchError", "ProjectionError", "RiotFitResult", "RootFindingError",
-    "SinkhornConvergenceError", "SinkhornResult", "SweepRecord", "SweepResult",
-    "SynthConfig", "SynthInstance", "ValidationError", "add_noise", "align_shift",
-    "cost_error_bound_check", "cost_recovery_experiment", "cost_shift_distance",
-    "eval_matching", "generate_instance", "ground_truth_cost", "iot_fit",
-    "joint_fit", "kernel_cost", "kl_divergence", "normalize_counts",
-    "plan_comparison_experiment", "predict_matching", "prediction_error_bound_check",
-    "project_metric_simplex", "riot_fit", "robustness_sweep", "sinkhorn",
+    "BoundReport", "CostRecoveryResult", "CouplingMatrix", "DivergenceError", "HyperParams",
+    "IotFitResult", "JointFitResult", "KernelSpec", "MetricMatrix", "OtmatchError",
+    "ProjectionError", "RiotFitResult", "RootFindingError", "SinkhornConvergenceError",
+    "SinkhornResult", "SweepRecord", "SweepResult", "SynthConfig", "SynthInstance",
+    "ValidationError", "add_noise", "align_shift", "cost_error_bound_check",
+    "cost_recovery_experiment", "cost_shift_distance", "eval_matching", "generate_instance",
+    "iot_fit", "joint_fit", "kernel_cost", "kl_divergence", "normalize_counts",
+    "predict_matching", "prediction_error_bound_check", "project_metric_simplex",
+    "riot_fit", "robustness_sweep", "sinkhorn",
 ]

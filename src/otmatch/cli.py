@@ -1,8 +1,11 @@
 """Command-line entry point: fit, predict, simulate, eval.
 
-All numeric IO is plain CSV (no headers); configuration is a single JSON
-document whose keys are overridden by command-line flags. Exit codes: 0 on
-success, 1 for input/validation problems, 2 for solver failures.
+All numeric IO is plain CSV (no headers). The configuration is one JSON
+document whose sections are each read in one place: ``seed`` (``--seed``
+wins), ``hyper`` (HyperParams), ``kernel`` (KernelSpec), ``side_step`` (the
+joint fit's side-cost step) and ``synth``, which holds only the synthetic
+protocol (SynthConfig's sizes, noise, grids and repetitions). Exit codes: 0
+on success, 1 for input/validation problems, 2 for solver failures.
 """
 
 import argparse
@@ -16,15 +19,14 @@ import numpy as np
 
 from . import io as mio
 from .bounds import (cost_error_bound_check, cost_shift_distance, eval_matching,
-                     kl_divergence, prediction_error_bound_check)
+                     prediction_error_bound_check)
 from .containers import SUM_TOL, CouplingMatrix, HyperParams, normalize_counts
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .joint import joint_fit
-from .kernels import KernelSpec
+from .kernels import DEFAULT_KERNEL, KernelSpec
 from .riot import predict_matching, riot_fit
-from .synth import (SynthConfig, cost_recovery_experiment, plan_comparison_experiment,
-                    robustness_sweep)
+from .synth import SynthConfig, cost_recovery_experiment, robustness_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -44,25 +46,25 @@ def _load_config(path):
     return cfg
 
 
-def _section(cfg, key, name=None):
+def _section(cfg, key):
     """The JSON object under ``key``, or {} when it is absent."""
     section = cfg.get(key, {})
     if not isinstance(section, dict):
-        raise ValidationError(f"config section {name or key!r} must be a JSON object, "
+        raise ValidationError(f"config section {key!r} must be a JSON object, "
                               f"got {section!r}")
     return section
 
 
-def _hyper_section(cfg, name="hyper"):
+def _hyper_section(cfg):
     """The ``hyper`` section under canonical keys; a parameter given under two
     spellings is an input error."""
-    section = _section(cfg, "hyper", name)
+    section = _section(cfg, "hyper")
     out = {}
     for key, value in section.items():
         canon = _HYPER_KEY_ALIASES.get(key, key)
         if canon in out:
             first = next(k for k in section if _HYPER_KEY_ALIASES.get(k, k) == canon)
-            raise ValidationError(f"config section {name!r} sets {canon} twice, "
+            raise ValidationError(f"config section 'hyper' sets {canon} twice, "
                                   f"as {first!r} and as {key!r}")
         out[canon] = value
     return out
@@ -70,9 +72,15 @@ def _hyper_section(cfg, name="hyper"):
 
 def _kernel_from_config(cfg):
     spec = cfg.get("kernel")
-    if spec is None:
-        return KernelSpec("polynomial", gamma=0.05, c0=1.0, degree=2)
-    return KernelSpec.from_dict(spec)
+    return DEFAULT_KERNEL if spec is None else KernelSpec.from_dict(spec)
+
+
+def _seed(args, cfg):
+    """The run's seed: ``--seed``, else the config's ``seed``, else 0."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _require_file(path, flag):
@@ -108,7 +116,7 @@ def _cmd_fit(args):
     cfg = _load_config(args.config)
     hyper = HyperParams(**_hyper_section(cfg))
     kernel = _kernel_from_config(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
 
     if (args.counts is None) == (args.coupling is None):
         raise ValidationError("exactly one of --counts or --coupling is required")
@@ -187,53 +195,40 @@ def _cmd_predict(args):
 
 
 def _synth_config(cfg, seed):
-    synth = dict(_section(cfg, "synth"))
-    synth.setdefault("kernel", cfg.get("kernel"))
-    if synth["kernel"] is None:
-        synth.pop("kernel")
-    else:
-        synth["kernel"] = KernelSpec.from_dict(synth["kernel"])
-    if "hyper" in cfg or "hyper" in synth:
-        synth["hyper"] = HyperParams(**{**_hyper_section(cfg),
-                                        **_hyper_section(synth, "synth.hyper")})
-    for key in ("delta_grid", "sigma_grid"):
-        if key in synth:
-            synth[key] = tuple(synth[key])
-    return SynthConfig(seed=seed, **synth)
+    synth = _section(cfg, "synth")
+    if {"seed", "hyper", "kernel"} & set(synth):
+        raise ValidationError("seed, hyper and kernel are top-level keys, not 'synth' keys")
+    return SynthConfig(seed=seed, kernel=_kernel_from_config(cfg),
+                       hyper=HyperParams(**_hyper_section(cfg)), **synth)
 
 
 def _cmd_simulate(args):
     started = time.time()
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    scfg = _synth_config(cfg, seed)
+    scfg = _synth_config(cfg, _seed(args, cfg))
 
     if args.figure == 2:
         result = robustness_sweep(scfg, max_workers=args.workers)
         rows = [[r.sigma, r.delta, r.rep, r.kl_riot, r.kl_iot, r.kl_hat]
                 for r in result.records]
         matrices = {"sweep.csv": np.asarray(rows)}
-        summary = {"cells": list(result.aggregates), "seed": seed,
+        summary = {"cells": list(result.aggregates), "seed": scfg.seed,
                    "sigma_grid": list(scfg.sigma_grid),
                    "delta_grid": list(scfg.delta_grid),
                    "repetitions": scfg.repetitions}
-    elif args.figure == 3:
-        pi0, pi_hat, pi_riot, pi_iot = plan_comparison_experiment(scfg)
-        matrices = {"pi0.csv": pi0.entries, "pi_hat.csv": pi_hat.entries,
-                    "pi_riot.csv": pi_riot.entries, "pi_iot.csv": pi_iot.entries}
-        summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
-                   "kl_hat": kl_divergence(pi0, pi_hat),
-                   "kl_riot": kl_divergence(pi0, pi_riot),
-                   "kl_iot": kl_divergence(pi0, pi_iot)}
     else:
         result = cost_recovery_experiment(scfg)
-        matrices = {"cost_true.csv": result.C0,
-                    "cost_riot_aligned.csv": result.C_tilde_riot,
-                    "cost_iot_aligned.csv": result.C_tilde_iot}
-        summary = {"seed": seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
-                   "d_riot": result.d_riot, "d_iot": result.d_iot,
+        summary = {"seed": scfg.seed, "sigma": scfg.noise_sigma, "delta": scfg.delta_grid[0],
                    "kl_riot": result.kl_riot, "kl_iot": result.kl_iot,
                    "kl_hat": result.kl_hat}
+        if args.figure == 3:
+            matrices = {f"{name}.csv": getattr(result, name).entries
+                        for name in ("pi0", "pi_hat", "pi_riot", "pi_iot")}
+        else:
+            matrices = {"cost_true.csv": result.C0,
+                        "cost_riot_aligned.csv": result.C_tilde_riot,
+                        "cost_iot_aligned.csv": result.C_tilde_iot}
+            summary.update(d_riot=result.d_riot, d_iot=result.d_iot)
 
     os.makedirs(args.out, exist_ok=True)
     for name, entries in matrices.items():
@@ -241,7 +236,7 @@ def _cmd_simulate(args):
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_metadata(args.out, f"simulate --figure {args.figure}", seed, cfg, started)
+    _write_metadata(args.out, f"simulate --figure {args.figure}", scfg.seed, cfg, started)
     return EXIT_OK
 
 

@@ -25,6 +25,8 @@ from .errors import ValidationError
 
 # Absolute tolerance on mass sums before exact renormalization.
 SUM_TOL = 1e-9
+# Absolute tolerance of every MetricMatrix check.
+METRIC_TOL = 1e-7
 
 
 def _require(condition, message):
@@ -79,11 +81,10 @@ class MetricMatrix:
     """Symmetric hollow nonnegative matrix satisfying all triangle inequalities."""
 
     entries: np.ndarray
-    tol: float = 1e-8
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
-        tol = self.tol
+        tol = METRIC_TOL
         _require(arr.ndim == 2 and arr.shape[0] == arr.shape[1],
                  f"metric matrix must be square, got shape {arr.shape}")
         _require(np.all(np.isfinite(arr)), "metric matrix has non-finite entries")

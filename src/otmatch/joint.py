@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .containers import CouplingMatrix, MetricMatrix, as_array, is_finite_real
+from .containers import METRIC_TOL, CouplingMatrix, MetricMatrix, as_array, is_finite_real
 from .errors import ProjectionError, ValidationError
 from .riot import _alternating_fit
 # perfbench/tracing.py binds otmatch.joint.sinkhorn as its side-gradient span;
@@ -38,10 +38,14 @@ from .riot import _alternating_fit
 from .sinkhorn import sinkhorn  # noqa: F401
 
 _MAX_CYCLES = 5000
-# Stop-test tolerances and the cap of their rise with the input's scale.
+# Stop-test tolerances and the cap of their rise with the input's scale. The
+# cap is half the MetricMatrix gate, which also reads 0 = d_ii <= 2 d_ij: an
+# entry of -e fails it by 2e, and two triangle violations of v bound e by v.
+# A cap of 1e-7 turns ProjectionError (a solver failure) on 1e9 x a d = 5
+# distance matrix into a gate failure, ValidationError (an input error).
 _FEAS_TOL = 1e-9
 _DRIFT_TOL = 1e-12
-_TOL_CAP = 5e-8
+_TOL_CAP = METRIC_TOL / 2
 
 
 @lru_cache(maxsize=8)
@@ -203,7 +207,7 @@ def project_metric_simplex(matrix, duals=None):
     out = np.zeros((d, d))
     out[iu] = x
     out = out + out.T
-    return MetricMatrix(out, tol=1e-7)
+    return MetricMatrix(out)
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,8 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         pi_hat, U, V, kernel, C_u0, C_v0, params,
         side_block=side_block if side_step > 0 else None)
 
-    final_u = MetricMatrix(c_u, tol=1e-7)
-    final_v = MetricMatrix(c_v, tol=1e-7)
+    final_u = MetricMatrix(c_u)
+    final_v = MetricMatrix(c_v)
     _check_unit_sum(final_u.entries, "C_u")
     _check_unit_sum(final_v.entries, "C_v")
     return JointFitResult(
@@ -280,5 +284,5 @@ def _initial_side_cost(init, d):
 
 def _check_unit_sum(entries, name):
     total = entries.sum()
-    if abs(total - 1.0) > 1e-7:
+    if abs(total - 1.0) > METRIC_TOL:
         raise ValidationError(f"{name} drifted off the simplex: sum = {float(total)!r}")

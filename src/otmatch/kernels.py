@@ -109,6 +109,9 @@ class KernelSpec:
         return cls(**d)
 
 
+DEFAULT_KERNEL = KernelSpec("polynomial", gamma=0.05, c0=1.0, degree=2)
+
+
 def gram_products(U, V, A):
     """Inner products u_i' A v_j for all pairs, as an m-by-n matrix."""
     U = as_array(U)

@@ -6,16 +6,16 @@ cell of a sweep is reproducible in isolation and the whole sweep is
 bit-identical regardless of execution order or parallelism.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .bounds import align_shift, cost_shift_distance, kl_divergence
-from .containers import CouplingMatrix, HyperParams, as_array
+from .containers import CouplingMatrix, HyperParams, as_array, is_finite_real
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
-from .kernels import KernelSpec, kernel_cost
+from .kernels import DEFAULT_KERNEL, KernelSpec, kernel_cost
 from .riot import riot_fit
 from .sinkhorn import sinkhorn
 
@@ -24,7 +24,7 @@ DEFAULT_SIGMA_GRID = tuple(1e-4 * s for s in (1, 5, 10, 50, 100, 500, 1000, 5000
 DEFAULT_DELTA_GRID = (0.001, 0.01, 0.05)
 
 # Planar spread of the side-cost anchor points (standard deviation per axis).
-DEFAULT_SIDE_STDDEV = float(np.sqrt(5.0))
+SIDE_STDDEV = float(np.sqrt(5.0))
 
 # Dirichlet concentration of the true marginals. Kept high: the relaxation's
 # marginal smoothing only denoises when the truth itself is smooth, which is
@@ -42,28 +42,25 @@ class SynthConfig:
     n: int = 20
     p: int = 10
     q: int = 8
-    kernel: KernelSpec = field(
-        default_factory=lambda: KernelSpec("polynomial", gamma=0.05, c0=1.0, degree=2))
+    kernel: KernelSpec = DEFAULT_KERNEL
     seed: int = 0
-    side_cost_points_stddev: float = DEFAULT_SIDE_STDDEV
     noise_sigma: float = 8e-3
-    hyper: HyperParams = field(default_factory=HyperParams)
+    hyper: HyperParams = HyperParams()
     delta_grid: tuple = DEFAULT_DELTA_GRID
     sigma_grid: tuple = DEFAULT_SIGMA_GRID
     repetitions: int = 1
 
     def __post_init__(self):
-        for name in ("m", "n", "p", "q"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be a positive integer")
-        if self.side_cost_points_stddev <= 0:
-            raise ValidationError("side_cost_points_stddev must be positive")
+        for name, least in (("m", 1), ("n", 1), ("p", 1), ("q", 1), ("repetitions", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and int(value) == value and value >= least):
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be nonnegative")
         if len(self.delta_grid) == 0 or len(self.sigma_grid) == 0:
             raise ValidationError("grids must be non-empty")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
 
@@ -94,7 +91,7 @@ def generate_instance(cfg):
     Profiles and the interaction matrix are iid standard normal, the true
     marginals come from a symmetric near-uniform Dirichlet (bounded well away
     from zero), and the side costs are Euclidean distance matrices of
-    planar points with the configured spread. Fully deterministic per seed;
+    planar points with spread ``SIDE_STDDEV``. Fully deterministic per seed;
     if the forward transport solve fails, the draw is retried with an
     incremented sub-seed up to five times.
     """
@@ -106,8 +103,8 @@ def generate_instance(cfg):
         A0 = rng.standard_normal((cfg.p, cfg.q))
         mu0 = rng.dirichlet(np.full(cfg.m, MARGINAL_CONCENTRATION))
         nu0 = rng.dirichlet(np.full(cfg.n, MARGINAL_CONCENTRATION))
-        pts_u = cfg.side_cost_points_stddev * rng.standard_normal((cfg.m, 2))
-        pts_v = cfg.side_cost_points_stddev * rng.standard_normal((cfg.n, 2))
+        pts_u = SIDE_STDDEV * rng.standard_normal((cfg.m, 2))
+        pts_v = SIDE_STDDEV * rng.standard_normal((cfg.n, 2))
         try:
             C0 = kernel_cost(U, V, A0, cfg.kernel)
             pi0 = sinkhorn(C0, mu0, nu0, cfg.hyper.lam,
@@ -124,11 +121,6 @@ def generate_instance(cfg):
     raise ValidationError(
         f"could not generate a solvable instance in {_MAX_GENERATE_ATTEMPTS} "
         f"attempts: {last_error}")
-
-
-def ground_truth_cost(cfg, instance):
-    """Kernel cost of the ground-truth interaction matrix."""
-    return kernel_cost(instance.U, instance.V, instance.A0, cfg.kernel)
 
 
 def add_noise(pi0, sigma, seed):
@@ -174,19 +166,16 @@ def _sweep_task(cfg, inst, cell):
     rng = _stream(cfg.seed, 1, sigma_idx, delta_idx, rep)
     # sigma = 0 gives kl_hat = 0 exactly: add_noise returns pi0 itself then.
     pi_hat = add_noise(inst.pi0, sigma, rng)
-    kl_hat = kl_divergence(inst.pi0, pi_hat)
     params = replace(cfg.hyper, delta=delta)
+    record = partial(SweepRecord, sigma=sigma, delta=delta, rep=rep,
+                     kl_hat=kl_divergence(inst.pi0, pi_hat))
     try:
         fit_r = riot_fit(pi_hat, inst.U, inst.V, cfg.kernel, inst.C_u, inst.C_v, params)
         fit_i = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
-        return SweepRecord(sigma=sigma, delta=delta, rep=rep,
-                           kl_riot=kl_divergence(inst.pi0, fit_r.fitted_plan),
-                           kl_iot=kl_divergence(inst.pi0, fit_i.fitted_plan),
-                           kl_hat=kl_hat)
     except OtmatchError:
-        return SweepRecord(sigma=sigma, delta=delta, rep=rep,
-                           kl_riot=float("nan"), kl_iot=float("nan"),
-                           kl_hat=kl_hat, failed=True)
+        return record(kl_riot=float("nan"), kl_iot=float("nan"), failed=True)
+    return record(kl_riot=kl_divergence(inst.pi0, fit_r.fitted_plan),
+                  kl_iot=kl_divergence(inst.pi0, fit_i.fitted_plan))
 
 
 def robustness_sweep(cfg, max_workers=1):
@@ -232,23 +221,10 @@ def robustness_sweep(cfg, max_workers=1):
     return SweepResult(records=tuple(records), aggregates=tuple(aggregates))
 
 
-def plan_comparison_experiment(cfg):
-    """Fit both solvers to one noised instance at the first delta of the grid.
-
-    Returns the true, observed, relaxed-fit and fixed-marginal-fit plans. The
-    noise stream is the one :func:`cost_recovery_experiment` draws.
-    """
-    inst = generate_instance(cfg)
-    pi_hat = add_noise(inst.pi0, cfg.noise_sigma, _stream(cfg.seed, 2))
-    params = replace(cfg.hyper, delta=cfg.delta_grid[0])
-    fit_r = riot_fit(pi_hat, inst.U, inst.V, cfg.kernel, inst.C_u, inst.C_v, params)
-    fit_i = iot_fit(pi_hat, inst.U, inst.V, cfg.kernel, params)
-    return inst.pi0, pi_hat, fit_r.fitted_plan, fit_i.fitted_plan
-
-
 @dataclass(frozen=True)
 class CostRecoveryResult:
-    """Shift-invariant cost distances of both fits plus aligned heatmaps."""
+    """Shift-invariant cost distances of both fits plus aligned heatmaps, and
+    the true, observed, relaxed-fit and fixed-marginal-fit plans."""
 
     d_riot: float
     d_iot: float
@@ -258,6 +234,10 @@ class CostRecoveryResult:
     kl_riot: float
     kl_iot: float
     kl_hat: float
+    pi0: CouplingMatrix
+    pi_hat: CouplingMatrix
+    pi_riot: CouplingMatrix
+    pi_iot: CouplingMatrix
 
 
 # Step size and step cap of the fixed-marginal baseline in cost-recovery
@@ -269,18 +249,15 @@ IOT_CONVERGED_BUDGET = {"step_size": 10.0, "outer_iters": 1000}
 
 
 def cost_recovery_experiment(cfg):
-    """Compare how well both fits recover the ground-truth cost.
-
-    Runs one noised instance at the configured sigma and delta and reports
-    the shift-invariant distance of each learned cost to the truth, together
-    with the shift-aligned matrices for heatmap export. The relaxed fit uses
+    """Compare both fits of one noised instance, at the first delta of the
+    grid, with the truth by plan and by cost. The relaxed fit uses
     ``cfg.hyper`` as given (its limited budget is part of its regularization);
-    the fixed-marginal baseline is the cost that explains the observed
-    matching, so it runs with a convergence-oriented budget.
+    the fixed-marginal baseline, the cost that explains the observed
+    matching, runs with a convergence-oriented budget.
     """
     inst = generate_instance(cfg)
     pi_hat = add_noise(inst.pi0, cfg.noise_sigma, _stream(cfg.seed, 2))
-    C0 = ground_truth_cost(cfg, inst)
+    C0 = kernel_cost(inst.U, inst.V, inst.A0, cfg.kernel)
     params = replace(cfg.hyper, delta=cfg.delta_grid[0])
 
     fit_r = riot_fit(pi_hat, inst.U, inst.V, cfg.kernel, inst.C_u, inst.C_v, params)
@@ -297,4 +274,5 @@ def cost_recovery_experiment(cfg):
         kl_riot=kl_divergence(inst.pi0, fit_r.fitted_plan),
         kl_iot=kl_divergence(inst.pi0, fit_i.fitted_plan),
         kl_hat=kl_divergence(inst.pi0, pi_hat),
+        pi0=inst.pi0, pi_hat=pi_hat, pi_riot=fit_r.fitted_plan, pi_iot=fit_i.fitted_plan,
     )

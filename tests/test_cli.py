@@ -269,6 +269,28 @@ class TestFit:
         for name in ("A.csv", "fitted_plan.csv", "objective_trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True])
+    def test_config_seed_must_be_a_nonnegative_integer(self, workspace, capsys, seed):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["seed"] = seed
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: seed must be a nonnegative integer, got {seed!r}"]
+        assert not (tmp / "nope").exists()
+
+    def test_seed_flag_wins_over_the_config(self, workspace, capsys):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["seed"] = "abc"
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "out", extra=["--seed", "2"])) == EXIT_OK
+        assert json.loads((tmp / "out" / "run.json").read_text())["seed"] == 2
+        assert main(fit_args(paths, tmp / "nope", extra=["--seed", "-1"])) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not (tmp / "nope").exists()
+
 
 class TestPredict:
     def test_round_trip_reproduces_fitted_plan(self, workspace):
@@ -439,8 +461,18 @@ class TestSimulateAndEval:
         assert (out / "cost_true.csv").exists()
         assert (out / "cost_riot_aligned.csv").exists()
 
-    @pytest.mark.parametrize("cfg, name", [
-        ({"synth": [1, 2]}, "synth"), ({"synth": {"hyper": [1, 2]}}, "synth.hyper")])
+    def test_figures_3_and_4_come_from_one_experiment(self, tmp_path):
+        cfg = self.simulate_config(tmp_path)
+        summaries = []
+        for figure in ("3", "4"):
+            out = tmp_path / f"fig{figure}"
+            assert main(["simulate", "--figure", figure, "--seed", "5", "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_OK
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        for key in ("kl_hat", "kl_riot", "kl_iot"):
+            assert summaries[0][key] == summaries[1][key]
+
+    @pytest.mark.parametrize("cfg, name", [({"synth": [1, 2]}, "synth")])
     def test_config_section_not_an_object_is_input_error(self, tmp_path, capsys, cfg, name):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
@@ -450,9 +482,7 @@ class TestSimulateAndEval:
         assert capsys.readouterr().err.startswith(f"error: config section {name!r}")
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("cfg, name", [
-        ({"hyper": {"L": 2, "outer_iters": 3}}, "hyper"),
-        ({"synth": {"hyper": {"s": 5.0, "step_size": 2.0}}}, "synth.hyper")])
+    @pytest.mark.parametrize("cfg, name", [({"hyper": {"L": 2, "outer_iters": 3}}, "hyper")])
     def test_hyper_key_under_two_spellings_is_input_error(self, tmp_path, capsys, cfg,
                                                           name):
         path = tmp_path / "sim.json"
@@ -462,14 +492,62 @@ class TestSimulateAndEval:
         assert main(args) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: config section {name!r}")
-        assert all(repr(key) in err for key in cfg.get("synth", cfg)["hyper"])
+        assert all(repr(key) in err for key in cfg["hyper"])
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("top, inner", [("lambda", "lam"), ("lam", "lambda")])
-    def test_synth_hyper_overrides_top_level_under_any_spelling(self, top, inner):
-        cfg = {"hyper": {top: 1.0, "L": 3}, "synth": {"hyper": {inner: 2.0}}}
-        hyper = _synth_config(cfg, 0).hyper
-        assert (hyper.lam, hyper.outer_iters) == (2.0, 3)
+    @pytest.mark.parametrize("key, value", [
+        ("hyper", {"lam": 2.0}), ("kernel", {"kind": "linear"}), ("seed", 1)])
+    def test_synth_section_holds_only_the_protocol(self, tmp_path, capsys, key, value):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"synth": {"m": 4, key: value}}))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed, hyper and kernel are top-level keys, not 'synth' keys"]
+        assert not (tmp_path / "nope").exists()
+
+    def test_synth_config_reads_the_top_level_sections(self):
+        cfg = {"hyper": {"lambda": 2.0, "L": 3}, "kernel": {"kind": "linear"},
+               "synth": {"m": 4, "delta_grid": [0.5]}}
+        scfg = _synth_config(cfg, 7)
+        assert (scfg.hyper.lam, scfg.hyper.outer_iters, scfg.kernel.kind) == (2.0, 3, "linear")
+        assert (scfg.m, scfg.seed, scfg.delta_grid) == (4, 7, (0.5,))
+        assert _synth_config({}, 0) == SynthConfig()
+
+    @pytest.mark.parametrize("figure", ["2", "3"])
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True])
+    def test_config_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys, figure, seed):
+        cfg = json.loads(self.simulate_config(tmp_path).read_text())
+        cfg["seed"] = seed
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", figure, "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: seed must be a nonnegative integer, got {seed!r}"]
+        assert not (tmp_path / "nope").exists()
+
+    def test_negative_seed_flag_is_input_error(self, tmp_path, capsys):
+        args = ["simulate", "--figure", "3", "--seed", "-1",
+                "--config", str(self.simulate_config(tmp_path)), "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("figure", ["2", "3"])
+    def test_fractional_repetitions_is_input_error(self, tmp_path, capsys, figure):
+        cfg = json.loads(self.simulate_config(tmp_path).read_text())
+        cfg["synth"]["repetitions"] = 1.5
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", figure, "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: repetitions must be an integer >= 1, got 1.5"]
+        assert not (tmp_path / "nope").exists()
 
     def test_cli_import_leaves_multiprocessing_out(self):
         # Only a parallel sweep needs the process pool; importing the CLI

@@ -122,6 +122,16 @@ def test_metric_beyond_the_tolerance_cap_raises():
         project_metric_simplex(1e10 * euclidean_cost(np.random.default_rng(1), 5))
 
 
+def test_stall_between_the_cap_and_the_gate_is_a_solver_failure(rng):
+    # This draw stalls near 8e-8, between the stop test's cap and the
+    # MetricMatrix gate. A cap at the gate would stop it with an entry near
+    # -5.4e-8, which the gate reads as a 1.08e-7 violation and rejects with
+    # ValidationError, blaming the input.
+    with pytest.raises(ProjectionError) as info:
+        project_metric_simplex(1e9 * euclidean_cost(rng, 5))
+    assert joint._TOL_CAP < info.value.worst_violation < 1e-7
+
+
 def triangle_count(d):
     return d * (d - 1) * (d - 2) // 2
 
