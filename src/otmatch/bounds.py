@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import as_array, is_finite_real
+from .containers import as_array, checked
 from .errors import ValidationError
 from .sinkhorn import sinkhorn
 
@@ -90,11 +90,6 @@ class BoundReport:
         return self.observed_value >= self.bound_value - 1e-9
 
 
-def _check_lam(lam):
-    if not (is_finite_real(lam) and lam > 0):
-        raise ValidationError(f"lam must be finite and positive, got {lam!r}")
-
-
 def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     """Check ||C0 - C_learned||_F^2 against its log-plan lower bound.
 
@@ -102,7 +97,7 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     centred form) of dlogpi = log pi0 - log pihat; both couplings must be
     strictly positive, and lam finite and positive.
     """
-    _check_lam(lam)
+    checked("lam", lam, 0, strict=True)
     p0 = as_array(pi0)
     p1 = as_array(pi_hat)
     if p0.shape != p1.shape:
@@ -124,7 +119,7 @@ def prediction_error_bound_check(C0, C_learned, mu, nu, lam):
     shift-fit residual of dC = C0 - C_learned; lam must be finite and
     positive.
     """
-    _check_lam(lam)
+    checked("lam", lam, 0, strict=True)
     res0 = sinkhorn(C0, mu, nu, lam)
     res1 = sinkhorn(C_learned, mu, nu, lam)
     dC = as_array(C0) - as_array(C_learned)

@@ -4,8 +4,9 @@ All numeric IO is plain CSV (no headers). The configuration is one JSON
 document whose sections are each read in one place: ``seed`` (``--seed``
 wins), ``hyper`` (HyperParams), ``kernel`` (KernelSpec), ``side_step`` (the
 joint fit's side-cost step) and ``synth``, which holds only the synthetic
-protocol (SynthConfig's sizes, noise, grids and repetitions). Exit codes: 0
-on success, 1 for input/validation problems, 2 for solver failures.
+protocol (SynthConfig's sizes, noise, grids and repetitions). An unknown key,
+at the top level or in a section, is an input error. Exit codes: 0 on
+success, 1 for input/validation problems, 2 for solver failures.
 """
 
 import argparse
@@ -14,13 +15,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import io as mio
 from .bounds import (cost_error_bound_check, cost_shift_distance, eval_matching,
                      prediction_error_bound_check)
-from .containers import SUM_TOL, CouplingMatrix, HyperParams, normalize_counts
+from .containers import SUM_TOL, CouplingMatrix, HyperParams, checked, normalize_counts
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .joint import joint_fit
@@ -36,6 +38,12 @@ _HYPER_KEY_ALIASES = {"lambda": "lam", "lambda_u": "lam_u", "lambda_v": "lam_v",
                       "L": "outer_iters", "s": "step_size"}
 
 
+def _reject_unknown(keys, known, where):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ValidationError(f"{where} has unknown key {', '.join(map(repr, unknown))}")
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -43,6 +51,7 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    _reject_unknown(cfg, ("seed", "hyper", "kernel", "side_step", "synth"), f"{path}: config")
     return cfg
 
 
@@ -67,6 +76,7 @@ def _hyper_section(cfg):
             raise ValidationError(f"config section 'hyper' sets {canon} twice, "
                                   f"as {first!r} and as {key!r}")
         out[canon] = value
+    _reject_unknown(out, [f.name for f in fields(HyperParams)], "config section 'hyper'")
     return out
 
 
@@ -78,14 +88,10 @@ def _kernel_from_config(cfg):
 def _seed(args, cfg):
     """The run's seed: ``--seed``, else the config's ``seed``, else 0."""
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+    return checked("seed", seed, 0, integer=True)
 
 
 def _require_file(path, flag):
-    if path is None:
-        raise ValidationError(f"missing required flag {flag}")
     if not os.path.exists(path):
         raise ValidationError(f"{flag}: no such file: {path}")
     return path
@@ -120,7 +126,7 @@ def _cmd_fit(args):
 
     if (args.counts is None) == (args.coupling is None):
         raise ValidationError("exactly one of --counts or --coupling is required")
-    if args.counts:
+    if args.counts is not None:
         pi_hat = normalize_counts(mio.read_matrix(_require_file(args.counts, "--counts")))
     else:
         pi_hat = CouplingMatrix(mio.read_matrix(_require_file(args.coupling, "--coupling")))
@@ -198,6 +204,7 @@ def _synth_config(cfg, seed):
     synth = _section(cfg, "synth")
     if {"seed", "hyper", "kernel"} & set(synth):
         raise ValidationError("seed, hyper and kernel are top-level keys, not 'synth' keys")
+    _reject_unknown(synth, [f.name for f in fields(SynthConfig)], "config section 'synth'")
     return SynthConfig(seed=seed, kernel=_kernel_from_config(cfg),
                        hyper=HyperParams(**_hyper_section(cfg)), **synth)
 
@@ -241,8 +248,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_eval(args):
-    if not (np.isfinite(args.lam) and args.lam > 0):
-        raise ValidationError(f"--lambda must be finite and positive, got {args.lam!r}")
+    checked("--lambda", args.lam, 0, strict=True)
     if (args.cost_true is None) != (args.cost_pred is None):
         raise ValidationError("--cost-true and --cost-pred must be given together")
     pred = CouplingMatrix(mio.read_matrix(_require_file(args.pred, "--pred")))
@@ -349,7 +355,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OtmatchError as exc:

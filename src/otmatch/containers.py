@@ -10,12 +10,15 @@ private copies with the writeable flag cleared, so instances can be shared
 freely across threads. Construction validates the container's invariants and
 raises :class:`~otmatch.errors.ValidationError` on violation.
 
+:func:`checked` is the one check of every number a caller or config passes in.
+
 :class:`CouplingMatrix` accepts a total within ``SUM_TOL`` of one and
 renormalizes exactly (divides by the actual sum); totals further off are
 rejected. This absorbs the precision lost by CSV round-trips without letting
 genuinely unnormalized data through.
 """
 
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -34,10 +37,16 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
-def is_finite_real(value):
-    """Whether ``value`` is a finite real number (a string, a bool or None is
-    not)."""
-    return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
+def checked(name, value, low=-np.inf, *, integer=False, strict=False):
+    """``value`` as a float (an int when ``integer``) once it is a finite real
+    number, not a bool, at or above ``low`` (above it when ``strict``) and
+    whole when ``integer``; else a ValidationError that names ``name``."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+            and (value > low if strict else value >= low) and (not integer or value % 1 == 0)):
+        return int(value) if integer else float(value)
+    bound = "" if low == -np.inf else f" {'>' if strict else '>='} {low:g}"
+    kind = "an integer" if integer else "a finite number"
+    raise ValidationError(f"{name} must be {kind}{bound}, got {value!r}")
 
 
 def as_array(x):
@@ -126,14 +135,10 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lam", "lam_u", "lam_v", "step_size", "sinkhorn_tol"):
-            _require(is_finite_real(getattr(self, name)) and getattr(self, name) > 0,
-                     f"{name} must be positive and finite")
-        _require(is_finite_real(self.delta) and self.delta >= 0,
-                 "delta must be nonnegative and finite")
-        for name, least in (("outer_iters", 0), ("sinkhorn_max_iters", 1)):
-            value = getattr(self, name)
-            _require(is_finite_real(value) and int(value) == value and value >= least,
-                     f"{name} must be an integer >= {least}")
+            object.__setattr__(self, name, checked(name, getattr(self, name), 0, strict=True))
+        object.__setattr__(self, "delta", checked("delta", self.delta, 0))
+        for name, low in (("outer_iters", 0), ("sinkhorn_max_iters", 1)):
+            object.__setattr__(self, name, checked(name, getattr(self, name), low, integer=True))
 
 
 def normalize_counts(counts):

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .containers import METRIC_TOL, CouplingMatrix, MetricMatrix, as_array, is_finite_real
+from .containers import METRIC_TOL, CouplingMatrix, MetricMatrix, as_array, checked
 from .errors import ProjectionError, ValidationError
 from .riot import _alternating_fit
 # perfbench/tracing.py binds otmatch.joint.sinkhorn as its side-gradient span;
@@ -239,8 +239,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         raise ValidationError(f"joint fit needs at least 3 individuals per side, got {(m, n)}")
     if side_step is None:
         side_step = 0.1 * params.step_size
-    if not (is_finite_real(side_step) and side_step >= 0):
-        raise ValidationError(f"side_step must be nonnegative and finite, got {side_step!r}")
+    side_step = checked("side_step", side_step, 0)
 
     C_u0 = _initial_side_cost(C_u_init, m)
     C_v0 = _initial_side_cost(C_v_init, n)

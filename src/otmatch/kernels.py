@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import as_array, is_finite_real
+from .containers import as_array, checked
 from .errors import ValidationError
 
 # The parameters each kernel kind reads.
@@ -41,14 +41,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        if not (is_finite_real(self.gamma) and is_finite_real(self.c0)):
-            raise ValidationError("kernel parameters must be finite numbers")
+        object.__setattr__(self, "gamma", checked("kernel gamma", self.gamma))
+        object.__setattr__(self, "c0", checked("kernel c0", self.c0))
         if self.kind == "polynomial":
-            degree = self.degree
-            if not (is_finite_real(degree) and int(degree) == degree and degree >= 1):
-                raise ValidationError(
-                    f"polynomial degree must be a positive integer, got {degree!r}")
-            object.__setattr__(self, "degree", int(degree))
+            object.__setattr__(self, "degree",
+                               checked("polynomial degree", self.degree, 1, integer=True))
 
     def _affine(self, t, out):
         """gamma t + c0, written into ``out`` when it is given."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import CouplingMatrix, as_array
+from .containers import CouplingMatrix, as_array, checked
 from .errors import SinkhornConvergenceError, ValidationError
 
 # Scaling magnitudes beyond which a sweep is absorbed into the potentials.
@@ -105,8 +105,7 @@ def _check_inputs(C, mu, nu, lam, tol):
         raise ValidationError(
             f"marginal masses {float(mu.sum())!r} and {float(nu.sum())!r} differ by more "
             f"than tol={tol:g}")
-    if not lam > 0:
-        raise ValidationError("lam must be positive")
+    checked("lam", lam, 0, strict=True)
 
 
 def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .bounds import align_shift, cost_shift_distance, kl_divergence
-from .containers import CouplingMatrix, HyperParams, as_array, is_finite_real
+from .containers import CouplingMatrix, HyperParams, as_array, checked
 from .errors import OtmatchError, ValidationError
 from .iot import iot_fit
 from .kernels import DEFAULT_KERNEL, KernelSpec, kernel_cost
@@ -51,18 +51,14 @@ class SynthConfig:
     repetitions: int = 1
 
     def __post_init__(self):
-        for name, least in (("m", 1), ("n", 1), ("p", 1), ("q", 1), ("repetitions", 1),
-                            ("seed", 0)):
-            value = getattr(self, name)
-            if not (is_finite_real(value) and int(value) == value and value >= least):
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be nonnegative")
-        if len(self.delta_grid) == 0 or len(self.sigma_grid) == 0:
-            raise ValidationError("grids must be non-empty")
-        object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        for name, low in (("m", 1), ("n", 1), ("p", 1), ("q", 1), ("repetitions", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked(name, getattr(self, name), low, integer=True))
+        object.__setattr__(self, "noise_sigma", checked("noise_sigma", self.noise_sigma, 0))
+        for name in ("delta_grid", "sigma_grid"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (list, tuple)) and grid):
+                raise ValidationError(f"{name} must be a non-empty list, got {grid!r}")
+            object.__setattr__(self, name, tuple(checked(f"{name} entry", v, 0) for v in grid))
 
 
 def _stream(seed, *key):
@@ -126,9 +122,7 @@ def generate_instance(cfg):
 def add_noise(pi0, sigma, seed):
     """Additive folded-Gaussian noise: (pi0 + |eps|) / sum(pi0 + |eps|)."""
     p = as_array(pi0)
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
-    if sigma == 0:
+    if checked("sigma", sigma, 0) == 0:
         return pi0 if isinstance(pi0, CouplingMatrix) else CouplingMatrix(p)
     rng = seed if isinstance(seed, np.random.Generator) else _stream(seed, 3)
     noisy = p + np.abs(rng.normal(0.0, sigma, size=p.shape))
@@ -187,8 +181,7 @@ def robustness_sweep(cfg, max_workers=1):
     and serial runs produce identical results. Raises ValidationError when
     ``max_workers`` < 1.
     """
-    if max_workers < 1:
-        raise ValidationError(f"max_workers must be at least 1, got {max_workers}")
+    max_workers = checked("max_workers", max_workers, 1, integer=True)
     task = partial(_sweep_task, cfg, generate_instance(cfg))
     cells = [(si, sigma, di, delta, rep)
              for si, sigma in enumerate(cfg.sigma_grid)

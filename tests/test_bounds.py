@@ -156,9 +156,9 @@ class TestBoundReports:
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         plan = np.array([[0.4, 0.1], [0.1, 0.4]])
         mu = np.array([0.5, 0.5])
-        with pytest.raises(ValidationError, match="lam must be finite and positive"):
+        with pytest.raises(ValidationError, match="lam must be a finite number > 0"):
             cost_error_bound_check(C, 2 * C, plan, plan, lam)
-        with pytest.raises(ValidationError, match="lam must be finite and positive"):
+        with pytest.raises(ValidationError, match="lam must be a finite number > 0"):
             prediction_error_bound_check(C, 2 * C, mu, mu, lam)
 
 class TestEvalMatching:

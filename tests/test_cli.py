@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestFit:
 
     @pytest.mark.parametrize("section, key, message", [
         ("hyper", "lambda", "lam must"), ("hyper", "L", "outer_iters must"),
-        ("kernel", "degree", "polynomial degree must"), ("kernel", "gamma", "kernel parameters"),
+        ("kernel", "degree", "polynomial degree must"), ("kernel", "gamma", "kernel gamma must"),
         (None, "side_step", "side_step must")])
     def test_boolean_number_is_input_error(self, workspace, capsys, section, key, message):
         # JSON true is not the number 1
@@ -277,7 +278,23 @@ class TestFit:
         paths["config"].write_text(json.dumps(cfg))
         assert main(fit_args(paths, tmp / "nope")) == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: seed must be a nonnegative integer, got {seed!r}"]
+        assert err == [f"error: seed must be an integer >= 0, got {seed!r}"]
+        assert not (tmp / "nope").exists()
+
+    def test_whole_float_seed_reads_as_int(self, workspace):
+        tmp, paths = workspace
+        cfg = json.loads(paths["config"].read_text())
+        cfg["seed"] = 1.0
+        paths["config"].write_text(json.dumps(cfg))
+        assert main(fit_args(paths, tmp / "out", method="iot")) == EXIT_OK
+        assert json.loads((tmp / "out" / "run.json").read_text())["seed"] == 1
+
+    def test_empty_counts_path_is_named(self, workspace, capsys):
+        tmp, paths = workspace
+        args = fit_args(paths, tmp / "nope")
+        args[args.index("--counts") + 1] = ""
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == ["error: --counts: no such file: "]
         assert not (tmp / "nope").exists()
 
     def test_seed_flag_wins_over_the_config(self, workspace, capsys):
@@ -526,7 +543,7 @@ class TestSimulateAndEval:
                 "--out", str(tmp_path / "nope")]
         assert main(args) == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: seed must be a nonnegative integer, got {seed!r}"]
+        assert err == [f"error: seed must be an integer >= 0, got {seed!r}"]
         assert not (tmp_path / "nope").exists()
 
     def test_negative_seed_flag_is_input_error(self, tmp_path, capsys):
@@ -649,6 +666,63 @@ class TestSimulateAndEval:
                      "--cost-pred", str(tmp_path / "c1.csv")]) == EXIT_OK
         bound = json.loads(capsys.readouterr().out)["prediction_error_bound"]
         assert np.isfinite(bound["bound"]) and np.isfinite(bound["observed"])
+
+
+# Every scalar a config sets, as (section, key), with a value out of its range;
+# a grid key stands for one entry of that grid.
+_CONFIG_SCALARS = {
+    ("hyper", "lam"): 0, ("hyper", "lam_u"): 0, ("hyper", "lam_v"): 0, ("hyper", "delta"): -1,
+    ("hyper", "step_size"): 0, ("hyper", "outer_iters"): -1, ("hyper", "sinkhorn_tol"): 0,
+    ("hyper", "sinkhorn_max_iters"): 0,
+    ("kernel", "gamma"): float("inf"), ("kernel", "c0"): float("-inf"), ("kernel", "degree"): 0,
+    (None, "seed"): -1, (None, "side_step"): -1,
+    **{("synth", key): 0 for key in ("m", "n", "p", "q", "repetitions")},
+    ("synth", "noise_sigma"): -1, ("synth", "sigma_grid"): -1, ("synth", "delta_grid"): -1,
+}
+
+
+class TestConfigInput:
+    def test_every_hyper_field_is_tried(self):
+        tried = {key for section, key in _CONFIG_SCALARS if section == "hyper"}
+        assert tried == {f.name for f in fields(HyperParams)}
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "true", "out_of_range"])
+    @pytest.mark.parametrize("section, key", list(_CONFIG_SCALARS))
+    def test_bad_scalar_is_one_input_error(self, workspace, capsys, section, key, bad):
+        tmp, paths = workspace
+        value = {"abc": "abc", "nan": float("nan"), "true": True,
+                 "out_of_range": _CONFIG_SCALARS[section, key]}[bad]
+        cfg = {"kernel": {"kind": "polynomial"}}
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = (
+            [value] if key.endswith("_grid") else value)
+        paths["config"].write_text(json.dumps(cfg))
+        out = tmp / "nope"
+        if key == "side_step":
+            args = fit_args(paths, out, extra=["--joint-side-costs"])
+        else:
+            args = ["simulate", "--figure", "3", "--config", str(paths["config"]),
+                    "--out", str(out)]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg, keys", [
+        ({"hyperr": {"L": 3}, "kernal": {"kind": "linear"}}, ["hyperr", "kernal"]),
+        ({"synth": {"m": 4, "sigma": 0.1}}, ["sigma"]),
+        ({"synth": {"sigma_grid": 0.5}}, ["sigma_grid"]),
+        ({"synth": {"delta_grid": "abc"}}, ["delta_grid"]),
+        ({"synth": {"delta_grid": []}}, ["delta_grid"])])
+    def test_unknown_key_or_bad_grid_is_one_input_error(self, tmp_path, capsys, cfg, keys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(key in err[0] for key in keys), err
+        assert not (tmp_path / "nope").exists()
 
 
 # The flags each command reads a CSV matrix or vector from.

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from otmatch.containers import (CouplingMatrix, HyperParams, MetricMatrix, is_finite_real,
+from otmatch.containers import (CouplingMatrix, HyperParams, MetricMatrix, checked,
                                 normalize_counts)
 from otmatch.errors import ValidationError
 
@@ -86,10 +86,23 @@ class TestHyperParams:
             HyperParams(**kwargs)
 
 
-def test_is_finite_real():
-    assert is_finite_real(2) and is_finite_real(np.float64(0.5)) and is_finite_real(np.int64(3))
-    for value in (True, False, np.bool_(True), None, "1", np.nan, np.inf):
-        assert not is_finite_real(value)
+def test_checked():
+    assert checked("x", np.float64(0.5)) == 0.5 and type(checked("x", 2)) is float
+    for value in (np.int64(3), 5.0):
+        out = checked("x", value, integer=True)
+        assert out == value and type(out) is int
+    assert checked("x", 0, 0) == 0 and checked("x", 1e-300, 0, strict=True) == 1e-300
+    for value in (True, False, np.bool_(True), None, "1", np.nan, np.inf, -np.inf, 10 ** 400):
+        with pytest.raises(ValidationError, match="^x must be a finite number, got "):
+            checked("x", value)
+    with pytest.raises(ValidationError, match=r"^x must be a finite number >= 0, got -1e-300$"):
+        checked("x", -1e-300, 0)
+    with pytest.raises(ValidationError, match=r"^x must be a finite number > 0, got 0$"):
+        checked("x", 0, 0, strict=True)
+    with pytest.raises(ValidationError, match=r"^x must be an integer >= 1, got 0.5$"):
+        checked("x", 0.5, 1, integer=True)
+    with pytest.raises(ValidationError, match=r"^x must be an integer >= 1, got 2.5$"):
+        checked("x", 2.5, 1, integer=True)
 
 
 class TestNormalizeCounts:

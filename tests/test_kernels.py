@@ -30,13 +30,13 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("field", ["gamma", "c0"])
     def test_rejects_non_numeric_parameter(self, field):
-        with pytest.raises(ValidationError, match="kernel parameters"):
+        with pytest.raises(ValidationError, match=f"kernel {field} must be a finite number"):
             KernelSpec.from_dict({"kind": "sigmoid", field: "abc"})
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": True}, {"c0": False}, {"degree": True}, {"gamma": True, "degree": True}])
     def test_rejects_boolean_parameter(self, kwargs):
-        with pytest.raises(ValidationError, match="kernel parameters|degree"):
+        with pytest.raises(ValidationError, match="kernel (gamma|c0) must|polynomial degree must"):
             KernelSpec("polynomial", **kwargs)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
