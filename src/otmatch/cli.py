@@ -6,7 +6,8 @@ wins), ``hyper`` (HyperParams), ``kernel`` (KernelSpec), ``side_step`` (the
 joint fit's side-cost step) and ``synth``, which holds only the synthetic
 protocol (SynthConfig's sizes, noise, grids and repetitions). An unknown key,
 at the top level or in a section, is an input error. Exit codes: 0 on
-success, 1 for input/validation problems, 2 for solver failures.
+success, 1 for input/validation problems, 2 for solver failures, and 3 for
+any other exception, a program fault, whose traceback goes to stderr.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +35,7 @@ from .synth import SynthConfig, cost_recovery_experiment, robustness_sweep
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
+EXIT_INTERNAL = 3
 
 _HYPER_KEY_ALIASES = {"lambda": "lam", "lambda_u": "lam_u", "lambda_v": "lam_v",
                       "L": "outer_iters", "s": "step_size"}
@@ -362,6 +365,9 @@ def main(argv=None):
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
         return EXIT_SOLVER
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -53,6 +53,11 @@ class SynthConfig:
     def __post_init__(self):
         for name, low in (("m", 1), ("n", 1), ("p", 1), ("q", 1), ("repetitions", 1), ("seed", 0)):
             object.__setattr__(self, name, checked(name, getattr(self, name), low, integer=True))
+        # Each array the experiment allocates must be addressable by numpy.
+        limit = np.iinfo(np.intp).max // 8
+        for a, b in (("m", "n"), ("m", "m"), ("n", "n"), ("p", "m"), ("q", "n"), ("p", "q")):
+            if getattr(self, a) * getattr(self, b) > limit:
+                raise ValidationError(f"{a} * {b} must be at most {limit}")
         object.__setattr__(self, "noise_sigma", checked("noise_sigma", self.noise_sigma, 0))
         for name in ("delta_grid", "sigma_grid"):
             grid = getattr(self, name)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import otmatch
-from otmatch import io as mio
+from otmatch import cli, io as mio
 from otmatch.bounds import kl_divergence
-from otmatch.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, _synth_config, main
+from otmatch.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, _synth_config,
+                         main)
 from otmatch.containers import HyperParams
 from otmatch.synth import SynthConfig, generate_instance
 
@@ -724,6 +725,17 @@ class TestConfigInput:
         assert all(key in err[0] for key in keys), err
         assert not (tmp_path / "nope").exists()
 
+    @pytest.mark.parametrize("synth", [{"m": 1e300}, {"p": 2 ** 40, "q": 2 ** 40}])
+    def test_unaddressable_size_is_one_input_error(self, tmp_path, capsys, synth):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"synth": synth}))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "must be at most" in err[0], err
+        assert not (tmp_path / "nope").exists()
+
 
 # The flags each command reads a CSV matrix or vector from.
 _CSV_FLAGS = {
@@ -780,3 +792,13 @@ class TestUsageErrors:
         args = fit_args(paths, tmp / "x", extra=["--coupling", str(paths["counts"])])
         assert main(args) == EXIT_INPUT
         assert "exactly one" in capsys.readouterr().err
+
+    def test_program_fault_is_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_simulate", crash)
+        assert main(["simulate", "--figure", "3", "--out", str(tmp_path / "x")]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\n")
