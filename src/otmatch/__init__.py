@@ -22,9 +22,9 @@ from .iot import IotFitResult, iot_fit
 from .joint import JointFitResult, joint_fit, project_metric_simplex
 from .kernels import KernelSpec, kernel_cost
 from .riot import RiotFitResult, predict_matching, riot_fit
-from .sinkhorn import SinkhornResult, sinkhorn
 from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig, SynthInstance,
                     add_noise, cost_recovery_experiment, generate_instance, robustness_sweep)
+from .transport import SinkhornResult, sinkhorn
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .containers import as_array, checked
 from .errors import ValidationError
-from .sinkhorn import sinkhorn
+from .transport import sinkhorn
 
 
 def kl_divergence(p, q):
@@ -53,17 +53,23 @@ def _shift_fit(M):
     return a, b, M - a[:, None] - b[None, :]
 
 
+def _matrices(what, *arrays):
+    """``arrays`` as float arrays once they are 2-d and of one shape; else a
+    ValidationError that names ``what``."""
+    arrays = [as_array(x) for x in arrays]
+    if any(x.ndim != 2 or x.shape != arrays[0].shape for x in arrays):
+        raise ValidationError(f"{what} must be 2-d of one shape, got "
+                              f"{' and '.join(str(x.shape) for x in arrays)}")
+    return arrays
+
+
 def cost_shift_distance(C1, C2):
     """Frobenius distance between cost matrices modulo the shift family.
 
     Equals min over (a, b) of ||a 1' + 1 b' - M||_F with M = C2 - C1, the
     norm of M doubly centred. Both must be 2-d and of one shape.
     """
-    C1 = as_array(C1)
-    C2 = as_array(C2)
-    if C1.ndim != 2 or C1.shape != C2.shape:
-        raise ValidationError(f"cost matrices must be 2-d of one shape, got {C1.shape} "
-                              f"and {C2.shape}")
+    C1, C2 = _matrices("cost matrices", C1, C2)
     return float(np.linalg.norm(_shift_fit(C2 - C1)[2]))
 
 
@@ -71,9 +77,9 @@ def align_shift(C_learned, C_target):
     """Shift-corrected copy of ``C_learned`` closest to ``C_target``.
 
     Returns the minimizer D = C_learned + a 1' + 1 b' of ||D - C_target||_F.
+    Both must be 2-d and of one shape.
     """
-    Cl = as_array(C_learned)
-    Ct = as_array(C_target)
+    Cl, Ct = _matrices("cost matrices", C_learned, C_target)
     a, b, _ = _shift_fit(Ct - Cl)
     return Cl + a[:, None] + b[None, :]
 
@@ -94,17 +100,15 @@ def cost_error_bound_check(C0, C_learned, pi0, pi_hat, lam):
     """Check ||C0 - C_learned||_F^2 against its log-plan lower bound.
 
     The bound is ||R||_F^2 / lam^2 with R the shift-fit residual (doubly
-    centred form) of dlogpi = log pi0 - log pihat; both couplings must be
-    strictly positive, and lam finite and positive.
+    centred form) of dlogpi = log pi0 - log pihat; the costs and couplings
+    must be 2-d and of one shape, both couplings strictly positive, and lam
+    finite and positive.
     """
     checked("lam", lam, 0, strict=True)
-    p0 = as_array(pi0)
-    p1 = as_array(pi_hat)
-    if p0.shape != p1.shape:
-        raise ValidationError(f"shape mismatch: {p0.shape} vs {p1.shape}")
+    C0, C_learned, p0, p1 = _matrices("costs and couplings", C0, C_learned, pi0, pi_hat)
     if np.any(p0 <= 0) or np.any(p1 <= 0):
         raise ValidationError("couplings must have strictly positive entries")
-    dc = as_array(C0) - as_array(C_learned)
+    dc = C0 - C_learned
     resid = _shift_fit(np.log(p0) - np.log(p1))[2]
     bound = (resid * resid).sum() / lam ** 2
     return BoundReport(float(bound), float((dc * dc).sum()))

@@ -8,6 +8,15 @@ protocol (SynthConfig's sizes, noise, grids and repetitions). An unknown key,
 at the top level or in a section, is an input error. Exit codes: 0 on
 success, 1 for input/validation problems, 2 for solver failures, and 3 for
 any other exception, a program fault, whose traceback goes to stderr.
+
+Each fact about the data is checked once, in the library layer that uses it
+(the fits check the matching and the profiles, the kernel the interaction
+shape, Sinkhorn the marginals, the bound checks their matrices), and the CLI
+passes those errors on. It checks only what names a flag: a missing input
+file, the flag combinations (exactly one of ``--counts`` and ``--coupling``,
+among others), and side costs of the wrong shape (``fit --cost-u``/``--cost-v``,
+``eval --cost-*``); and that the ``predict --mu``/``--nu`` files hold
+nonnegative masses summing to one.
 """
 
 import argparse
@@ -137,9 +146,6 @@ def _cmd_fit(args):
     U = mio.read_matrix(_require_file(args.users, "--users"))
     V = mio.read_matrix(_require_file(args.items, "--items"))
     m, n = pi_hat.shape
-    if U.shape[1] != m or V.shape[1] != n:
-        raise ValidationError(f"profile counts ({U.shape[1]}, {V.shape[1]}) do not match "
-                              f"matching shape ({m}, {n})")
 
     if args.joint_side_costs and args.method != "riot":
         raise ValidationError("--joint-side-costs needs --method riot")
@@ -191,12 +197,6 @@ def _cmd_predict(args):
     V = mio.read_matrix(_require_file(args.items, "--items"))
     mu = _read_marginal(args.mu, "--mu")
     nu = _read_marginal(args.nu, "--nu")
-    if A.shape != (U.shape[0], V.shape[0]):
-        raise ValidationError(f"interaction shape {A.shape} does not match feature dims "
-                              f"({U.shape[0]}, {V.shape[0]})")
-    if mu.size != U.shape[1] or nu.size != V.shape[1]:
-        raise ValidationError("marginal lengths do not match profile counts")
-
     plan = predict_matching(A, U, V, mu, nu, kernel, hyper.lam, tol=hyper.sinkhorn_tol,
                             max_iters=hyper.sinkhorn_max_iters)
     mio.write_matrix(args.out, plan.entries)
@@ -256,8 +256,7 @@ def _cmd_eval(args):
         raise ValidationError("--cost-true and --cost-pred must be given together")
     pred = CouplingMatrix(mio.read_matrix(_require_file(args.pred, "--pred")))
     test = CouplingMatrix(mio.read_matrix(_require_file(args.test, "--test")))
-    if pred.shape != test.shape:
-        raise ValidationError(f"shape mismatch: {pred.shape} vs {test.shape}")
+    report = eval_matching(pred, test)
     costs = {}
     for flag, path in (("--cost-true", args.cost_true), ("--cost-pred", args.cost_pred)):
         if path is not None:
@@ -265,7 +264,6 @@ def _cmd_eval(args):
             if costs[flag].shape != test.shape:
                 raise ValidationError(f"{flag}: cost shape {costs[flag].shape} does not "
                                       f"match plan shape {test.shape}")
-    report = eval_matching(pred, test)
 
     if costs:
         c_true, c_pred = costs["--cost-true"], costs["--cost-pred"]

@@ -26,9 +26,9 @@ from functools import partial
 import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
-from .errors import DivergenceError, OtmatchError
+from .errors import DivergenceError, OtmatchError, ValidationError
 from .kernels import assemble_interaction_grad, kernel_cost
-from .sinkhorn import sinkhorn
+from .transport import sinkhorn
 
 # Backtracking budget: halve the step at most this many times within one
 # iteration before keeping the current iterate.
@@ -204,6 +204,25 @@ def descend(A, evaluate, gradient, params, refresh=None):
     return best, trace, steps
 
 
+def _fit_inputs(pi_hat, U, V):
+    """(pihat, muhat, nuhat, A0) of a fit, checked once before any solve:
+    pihat as an array, 2-d with strictly positive row and column sums (muhat,
+    nuhat), U and V 2-d with one column per row and per column of pihat, and
+    A0 the p-by-q zero interaction matrix. Raises ValidationError otherwise."""
+    pi_hat, U, V = as_array(pi_hat), as_array(U), as_array(V)
+    if pi_hat.ndim != 2 or U.ndim != 2 or V.ndim != 2:
+        raise ValidationError(f"matching and profiles must be 2-d, got shapes {pi_hat.shape}, "
+                              f"{U.shape} and {V.shape}")
+    if (U.shape[1], V.shape[1]) != pi_hat.shape:
+        raise ValidationError(f"profile counts ({U.shape[1]}, {V.shape[1]}) do not match "
+                              f"matching shape {pi_hat.shape}")
+    mu_hat, nu_hat = pi_hat.sum(axis=1), pi_hat.sum(axis=0)
+    # A NaN sum fails the comparison too.
+    if not (np.all(mu_hat > 0) and np.all(nu_hat > 0)):
+        raise ValidationError("empirical marginals must be strictly positive")
+    return pi_hat, mu_hat, nu_hat, np.zeros((U.shape[0], V.shape[0]))
+
+
 def iot_fit(pi_hat, U, V, kernel, params=None):
     """L-BFGS descent on the fixed-marginal likelihood.
 
@@ -215,15 +234,16 @@ def iot_fit(pi_hat, U, V, kernel, params=None):
 
     Raises
     ------
+    ValidationError
+        Before any solve, unless ``pi_hat`` is 2-d with strictly positive
+        marginals and ``U``, ``V`` are 2-d with one column per row and per
+        column of ``pi_hat``; later, on a kernel cost that is not finite.
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
-    pi_hat = as_array(pi_hat)
-    mu_hat = pi_hat.sum(axis=1)
-    nu_hat = pi_hat.sum(axis=0)
+    pi_hat, mu_hat, nu_hat, A0 = _fit_inputs(pi_hat, U, V)
     data = dict(pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
-    A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
     (_, A, pi), trace, steps = descend(
         A0, partial(_evaluate_at, mu_hat=mu_hat, nu_hat=nu_hat, **data),
         partial(_gradient_at, **data), params)

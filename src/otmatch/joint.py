@@ -32,10 +32,11 @@ import numpy as np
 
 from .containers import METRIC_TOL, CouplingMatrix, MetricMatrix, as_array, checked
 from .errors import ProjectionError, ValidationError
+from .iot import _fit_inputs
 from .riot import _alternating_fit
 # perfbench/tracing.py binds otmatch.joint.sinkhorn as its side-gradient span;
 # the side-cost gradient reuses the relaxation plans, so the span reads 0 calls.
-from .sinkhorn import sinkhorn  # noqa: F401
+from .transport import sinkhorn  # noqa: F401
 
 _MAX_CYCLES = 5000
 # Stop-test tolerances and the cap of their rise with the input's scale. The
@@ -229,12 +230,15 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     feasible set (uniform off-diagonal matrices when omitted), and every
     projected-gradient step keeps them feasible. A ``side_step`` of zero
     freezes the side costs, reducing the trajectory to the fixed-side-cost
-    solver run on the projected initial matrices. Each side needs at least
-    three individuals. Each step's projection starts from the Dykstra
-    corrections of the last step on its side. The first step starts cold:
-    the corrections of the far-off start's projection cost it more cycles.
+    solver run on the projected initial matrices. The data are checked as
+    :func:`~otmatch.riot.riot_fit` checks them, and each side needs at least
+    three individuals; both before any solve. Each step's projection starts
+    from the Dykstra corrections of the last step on its side. The first step
+    starts cold: the corrections of the far-off start's projection cost it
+    more cycles.
     """
-    m, n = as_array(pi_hat).shape
+    inputs = _fit_inputs(pi_hat, U, V)
+    m, n = inputs[0].shape
     if min(m, n) < 3:
         raise ValidationError(f"joint fit needs at least 3 individuals per side, got {(m, n)}")
     if side_step is None:
@@ -257,17 +261,13 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         return c_u, c_v
 
     (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(
-        pi_hat, U, V, kernel, C_u0, C_v0, params,
+        inputs, U, V, kernel, C_u0, C_v0, params,
         side_block=side_block if side_step > 0 else None)
 
-    final_u = MetricMatrix(c_u)
-    final_v = MetricMatrix(c_v)
-    _check_unit_sum(final_u.entries, "C_u")
-    _check_unit_sum(final_v.entries, "C_v")
     return JointFitResult(
         A=A,
-        C_u=final_u,
-        C_v=final_v,
+        C_u=MetricMatrix(c_u),
+        C_v=MetricMatrix(c_v),
         fitted_plan=CouplingMatrix(pi),
         objective_trace=np.asarray(trace),
     )
@@ -279,9 +279,3 @@ def _initial_side_cost(init, d):
         np.fill_diagonal(out, 0.0)
         return out
     return project_metric_simplex(as_array(init)).entries
-
-
-def _check_unit_sum(entries, name):
-    total = entries.sum()
-    if abs(total - 1.0) > METRIC_TOL:
-        raise ValidationError(f"{name} drifted off the simplex: sum = {float(total)!r}")

@@ -4,8 +4,8 @@ The cost between user i and item j is C_ij = f(u_i' A v_j), where f is the
 activation of a linear, polynomial, or sigmoid kernel and A is the
 interaction matrix to be learned. Both the entrywise cost and its derivative
 with respect to A are assembled from the Gram products U' A V, and each
-applies its activation in place on that product (``out=``), so an m-by-n
-evaluation allocates one m-by-n array.
+applies its activation in place on that product, so an m-by-n evaluation
+allocates one m-by-n array.
 """
 
 from dataclasses import dataclass
@@ -47,23 +47,17 @@ class KernelSpec:
             object.__setattr__(self, "degree",
                                checked("polynomial degree", self.degree, 1, integer=True))
 
-    def _affine(self, t, out):
-        """gamma t + c0, written into ``out`` when it is given."""
-        inner = np.multiply(t, self.gamma, out=out)
-        inner += self.c0
-        return inner
+    def _affine(self, t):
+        """gamma t + c0, in place on ``t``."""
+        t *= self.gamma
+        t += self.c0
+        return t
 
-    def activation(self, t, out=None):
-        """f(t), written into ``out`` (which may be ``t`` itself) when it is
-        given. Without ``out`` the result is a fresh array, except that the
-        linear kind returns ``t``."""
-        t = np.asarray(t, dtype=float)
+    def activation(self, t):
+        """f(t), in place on the float array ``t``, which it returns."""
         if self.kind == "linear":
-            if out is None:
-                return t
-            np.copyto(out, t)
-            return out
-        inner = self._affine(t, out)
+            return t
+        inner = self._affine(t)
         if self.kind == "polynomial":
             # NaN passes here and fails the caller's finiteness check.
             if max(inner.max(initial=0.0), -inner.min(initial=0.0)) > _POLY_INPUT_LIMIT:
@@ -75,17 +69,13 @@ class KernelSpec:
             return inner
         return np.tanh(inner, out=inner)
 
-    def derivative(self, t, out=None):
-        """f'(t), the scalar chain-rule factor of the cost derivative; written
-        into ``out`` (which may be ``t`` itself) when it is given, else a
-        fresh array."""
-        t = np.asarray(t, dtype=float)
+    def derivative(self, t):
+        """f'(t), the scalar chain-rule factor of the cost derivative, in
+        place on the float array ``t``, which it returns."""
         if self.kind == "linear":
-            if out is None:
-                return np.ones_like(t)
-            out.fill(1.0)
-            return out
-        inner = self._affine(t, out)
+            t.fill(1.0)
+            return t
+        inner = self._affine(t)
         if self.kind == "polynomial":
             inner **= self.degree - 1
             inner *= self.degree * self.gamma
@@ -114,6 +104,9 @@ def gram_products(U, V, A):
     U = as_array(U)
     V = as_array(V)
     A = as_array(A)
+    if U.ndim != 2 or V.ndim != 2 or A.ndim != 2:
+        raise ValidationError(f"features and interaction must be 2-d, got shapes {U.shape}, "
+                              f"{V.shape} and {A.shape}")
     if A.shape != (U.shape[0], V.shape[0]):
         raise ValidationError(
             f"interaction shape {A.shape} does not match feature dims "
@@ -138,11 +131,10 @@ def kernel_cost(U, V, A, kernel):
     Raises
     ------
     ValidationError
-        On dimension mismatch or a non-finite cost entry (the message names
-        the offending entry).
+        On an input that is not 2-d, a dimension mismatch, or a non-finite
+        cost entry (the message names the offending entry).
     """
-    c = gram_products(U, V, A)
-    kernel.activation(c, out=c)
+    c = kernel.activation(gram_products(U, V, A))
     if not np.isfinite((c.max(initial=0.0), c.min(initial=0.0))).all():
         i, j = np.argwhere(~np.isfinite(c))[0]
         raise ValidationError(f"kernel cost is non-finite at entry ({i}, {j})")
@@ -157,7 +149,6 @@ def assemble_interaction_grad(U, V, A, kernel, weights):
     """
     U = as_array(U)
     V = as_array(V)
-    g = gram_products(U, V, A)
-    kernel.derivative(g, out=g)
+    g = kernel.derivative(gram_products(U, V, A))
     g *= as_array(weights)
     return U @ g @ V.T

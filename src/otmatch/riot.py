@@ -44,9 +44,9 @@ import numpy as np
 
 from .containers import CouplingMatrix, HyperParams, as_array
 from .errors import RootFindingError, ValidationError
-from .iot import _neg_log_likelihood, descend
+from .iot import _fit_inputs, _neg_log_likelihood, descend
 from .kernels import assemble_interaction_grad, kernel_cost
-from .sinkhorn import _max, _min, _sum, sinkhorn
+from .transport import _max, _min, _sum, sinkhorn
 
 _ROOT_RESIDUAL_TOL = 1e-13
 _ROOT_MAX_STEPS = 200
@@ -286,25 +286,22 @@ def _gradient_at(A, point, pi_hat, U, V, kernel, params):
     return assemble_interaction_grad(U, V, A, kernel, weights)
 
 
-def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
+def _alternating_fit(inputs, U, V, kernel, C_u, C_v, params, side_block=None):
     """Shared outer loop of the fixed and joint side-cost fits.
 
-    Runs :func:`~otmatch.iot.descend` on A; every evaluation's inner solve
-    starts from that of the last evaluation, and its relaxation solves from
-    the :func:`_predicted_start` of the last evaluations' potentials. Before
-    each step's search the blocks take the current point's potentials.
-    ``side_block``, when given, is called there too, with the current side
-    costs and the two relaxation plans of the current point, and returns
-    updated side costs, on which (z, w) are solved again.
-    Returns ``descend``'s (objective, A, point) of the best iterate, whose
+    ``inputs`` is (pihat, muhat, nuhat, A0) as :func:`~otmatch.iot._fit_inputs`
+    checks them. Runs :func:`~otmatch.iot.descend` on A from A0; every
+    evaluation's inner solve starts from that of the last evaluation, and its
+    relaxation solves from the :func:`_predicted_start` of the last
+    evaluations' potentials. Before each step's search the blocks take the
+    current point's potentials. ``side_block``, when given, is called there
+    too, with the current side costs and the two relaxation plans of the
+    current point, and returns updated side costs, on which (z, w) are solved
+    again. Returns ``descend``'s (objective, A, point) of the best iterate, whose
     point is (inner, plan, relaxation, (c_u, c_v, z, w)) as
     :func:`_evaluate_at` gives it, and the objective trace.
     """
-    pi_hat = as_array(pi_hat)
-    mu_hat = pi_hat.sum(axis=1)
-    nu_hat = pi_hat.sum(axis=0)
-    if np.any(mu_hat <= 0) or np.any(nu_hat <= 0):
-        raise ValidationError("empirical marginals must be strictly positive")
+    pi_hat, mu_hat, nu_hat, A0 = inputs
     # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
     blocks = (as_array(C_u), as_array(C_v), np.zeros(mu_hat.size), np.zeros(nu_hat.size))
     # The inner result of the last evaluation that returned, where the next
@@ -339,7 +336,6 @@ def _alternating_fit(pi_hat, U, V, kernel, C_u, C_v, params, side_block=None):
             w = _relaxation_dual(c_v, pi.sum(axis=0), nu_hat, params.lam_v, params, w)[0]
         blocks = (c_u, c_v, z, w)
 
-    A0 = np.zeros((as_array(U).shape[0], as_array(V).shape[0]))
     gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
     best, trace, _ = descend(A0, evaluate, gradient, params,
@@ -375,13 +371,17 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     Raises
     ------
     ValidationError
-        If ``pi_hat`` has an empty row or column; raised before any solve.
+        Before any solve, unless ``pi_hat`` is 2-d with strictly positive
+        marginals and ``U``, ``V`` are 2-d with one column per row and per
+        column of ``pi_hat``; later, on a kernel cost that is not finite or
+        whose exp(-lam C) underflows, and at ``delta > 0`` on a side cost that
+        is not a 2-d matrix of its side's size.
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
     (_, A, (inner, pi, _, (_, _, z, w))), trace = _alternating_fit(
-        pi_hat, U, V, kernel, C_u, C_v, params)
+        _fit_inputs(pi_hat, U, V), U, V, kernel, C_u, C_v, params)
     return RiotFitResult(
         A=A,
         fitted_plan=CouplingMatrix(pi),

@@ -90,6 +90,8 @@ class SinkhornResult:
 
 
 def _check_inputs(C, mu, nu, lam, tol):
+    if C.ndim != 2:
+        raise ValidationError(f"cost must be 2-d, got shape {C.shape}")
     m, n = C.shape
     if mu.shape != (m,) or nu.shape != (n,):
         raise ValidationError(
@@ -168,9 +170,9 @@ def sinkhorn(C, mu, nu, lam, tol=1e-9, max_iters=10000, log_left_init=None):
     ------
     ValidationError
         On marginal entries that are not finite and positive, a NaN or -inf
-        cost (+inf forbids a pair), a shape mismatch, or marginal masses
-        |sum mu - sum nu| > tol: the column error after a row update is at
-        least that gap, so such a solve can never converge.
+        cost (+inf forbids a pair), a cost that is not 2-d, a shape mismatch,
+        or marginal masses |sum mu - sum nu| > tol: the column error after a
+        row update is at least that gap, so such a solve can never converge.
     SinkhornConvergenceError
         When the tolerance is not reached within ``max_iters``, or the
         potentials stop being finite; the error carries the last iterate and

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 from otmatch.containers import CouplingMatrix, HyperParams, as_array
 from otmatch.joint import _DRIFT_TOL, _FEAS_TOL, _MAX_CYCLES, _triangle_table
 from otmatch.kernels import KernelSpec, gram_products, kernel_cost
-from otmatch.sinkhorn import _logsumexp, sinkhorn
+from otmatch.transport import _logsumexp, sinkhorn
 
 # Property tests run without a wall-clock deadline (a solve may take a while)
 # and without an example database, so a run leaves no files behind.

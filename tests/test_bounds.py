@@ -7,7 +7,7 @@ from otmatch.bounds import (_shift_fit, align_shift, cost_error_bound_check,
                             cost_shift_distance, eval_matching, kl_divergence,
                             prediction_error_bound_check)
 from otmatch.errors import ValidationError
-from otmatch.sinkhorn import sinkhorn
+from otmatch.transport import sinkhorn
 
 from conftest import random_coupling, random_marginal
 

@@ -453,6 +453,18 @@ class TestSimulateAndEval:
         assert main(args) == EXIT_INPUT
         assert not out.exists()
 
+    def test_failed_forward_solve_is_a_solver_error(self, tmp_path, capsys):
+        # the instance is drawn once; its failed solve is not an input error
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"hyper": {"sinkhorn_max_iters": 1}}))
+        out = tmp_path / "plans"
+        args = ["simulate", "--figure", "3", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == EXIT_SOLVER
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SinkhornConvergenceError"
+        assert not out.exists()
+
     def test_figure3_outputs(self, tmp_path):
         cfg = self.simulate_config(tmp_path)
         out = tmp_path / "plans"
@@ -637,7 +649,7 @@ class TestSimulateAndEval:
 
     def test_eval_with_costs_reports_bounds(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
-        from otmatch.sinkhorn import sinkhorn
+        from otmatch.transport import sinkhorn
         C0 = rng.uniform(0, 2, (3, 3))
         C1 = rng.uniform(0, 2, (3, 3))
         mu = np.full(3, 1 / 3)

@@ -11,7 +11,7 @@ from otmatch.errors import (DivergenceError, OtmatchError, RootFindingError,
 import otmatch.iot
 from otmatch.iot import MAX_HALVINGS, _evaluate_at, _gradient_at, descend, iot_fit
 from otmatch.kernels import KernelSpec
-from otmatch.sinkhorn import sinkhorn
+from otmatch.transport import sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 from otmatch.bounds import kl_divergence
 

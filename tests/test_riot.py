@@ -15,7 +15,7 @@ import otmatch.riot as riot
 from otmatch.riot import (InnerSolveResult, _evaluate_at, _gradient_at, _inner_solve_raw,
                           _inner_start, _predicted_start, _relaxation_dual, _relaxed_objective,
                           _theta_root, predict_matching, riot_fit)
-from otmatch.sinkhorn import sinkhorn
+from otmatch.transport import sinkhorn
 from otmatch.synth import SynthConfig, add_noise, generate_instance
 
 from conftest import (conjugate_potential, euclidean_cost, forward_instance, inner_objective,

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from otmatch.containers import HyperParams
 from otmatch.errors import SinkhornConvergenceError, ValidationError
 from otmatch.riot import _relaxation_dual
-from otmatch.sinkhorn import _PLAIN_SWEEPS, _logsumexp, sinkhorn
+from otmatch.transport import _PLAIN_SWEEPS, _logsumexp, sinkhorn
 
 from conftest import (conjugate_potential, plain_sinkhorn, plan_entropy, random_marginal,
                       regularized_value)

@@ -7,7 +7,6 @@ import otmatch.synth as synth
 from otmatch.containers import HyperParams
 from otmatch.errors import SinkhornConvergenceError, ValidationError
 from otmatch.kernels import KernelSpec
-from otmatch.sinkhorn import sinkhorn
 from otmatch.synth import (SynthConfig, add_noise, cost_recovery_experiment,
                            generate_instance, robustness_sweep)
 
@@ -67,34 +66,18 @@ class TestGenerateInstance:
         assert np.abs(np.diag(cu)).max() == 0.0
         np.testing.assert_allclose(cu, cu.T)
 
-    def test_failed_solve_retries_on_the_next_stream(self, monkeypatch):
-        calls = []
-
-        def fails_once(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise SinkhornConvergenceError("no convergence", iterations=1)
-            return sinkhorn(*args, **kwargs)
-
-        monkeypatch.setattr(synth, "sinkhorn", fails_once)
-        cfg = small_config()
-        inst = generate_instance(cfg)
-        assert len(calls) == 2
-        rng = synth._stream(cfg.seed, 0, 1)
-        np.testing.assert_array_equal(inst.U, rng.standard_normal((cfg.p, cfg.m)))
-        np.testing.assert_array_equal(inst.V, rng.standard_normal((cfg.q, cfg.n)))
-
-    def test_gives_up_after_five_attempts(self, monkeypatch):
+    def test_failed_solve_propagates_after_one_call(self, monkeypatch):
+        # one draw, never re-drawn: the forward solve's own error reaches the caller
         calls = []
 
         def always_fails(*args, **kwargs):
             calls.append(args)
-            raise SinkhornConvergenceError(f"no convergence on call {len(calls)}")
+            raise SinkhornConvergenceError("no convergence", iterations=1)
 
         monkeypatch.setattr(synth, "sinkhorn", always_fails)
-        with pytest.raises(ValidationError, match="in 5 attempts: no convergence on call 5"):
+        with pytest.raises(SinkhornConvergenceError, match="no convergence"):
             generate_instance(small_config())
-        assert len(calls) == 5
+        assert len(calls) == 1
 
 
 class TestAddNoise:
