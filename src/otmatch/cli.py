@@ -2,24 +2,26 @@
 
 All numeric IO is plain CSV (no headers). The configuration is one JSON
 document whose sections are each read in one place: ``seed`` (``--seed``
-wins), ``hyper`` (HyperParams), ``kernel`` (KernelSpec), ``side_step`` (the
-joint fit's side-cost step) and ``synth``, which holds only the synthetic
-protocol (SynthConfig's sizes, noise, grids and repetitions). An unknown key,
-at the top level or in a section, is an input error. Exit codes: 0 on
-success, 1 for input/validation problems, 2 for solver failures, and 3 for
-any other exception, a program fault, whose traceback goes to stderr.
+wins), ``hyper`` (HyperParams) and ``kernel`` (KernelSpec) by ``_settings``,
+``side_step`` (the joint fit's side-cost step) and ``synth``, which holds only
+the synthetic protocol (SynthConfig's sizes, noise, grids and repetitions). An
+unknown key, at the top level or in a section, is an input error. Exit codes:
+0 on success, 1 for input/validation problems, 2 for solver failures, and 3
+for any other exception, a program fault, whose traceback goes to stderr.
 
 Each fact about the data is checked once, in the library layer that uses it
 (the fits check the matching and the profiles, the kernel the interaction
 shape, Sinkhorn the marginals, the bound checks their matrices), and the CLI
-passes those errors on. It checks only what names a flag: a missing input
-file, the flag combinations (exactly one of ``--counts`` and ``--coupling``,
-among others), and side costs of the wrong shape (``fit --cost-u``/``--cost-v``,
-``eval --cost-*``); and that the ``predict --mu``/``--nu`` files hold
-nonnegative masses summing to one.
+passes those errors on. It checks only what names a flag: the flag
+combinations (exactly one of ``--counts`` and ``--coupling``, among others),
+and, in the one reader ``_read`` that every input file goes through, a missing
+file, side costs of the wrong shape (``fit --cost-u``/``--cost-v``, ``eval
+--cost-*``) and ``predict --mu``/``--nu`` masses that are negative or do not
+sum to one.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -76,25 +78,22 @@ def _section(cfg, key):
     return section
 
 
-def _hyper_section(cfg):
-    """The ``hyper`` section under canonical keys; a parameter given under two
-    spellings is an input error."""
+def _settings(cfg):
+    """The ``hyper`` and ``kernel`` sections as (HyperParams, KernelSpec); a
+    hyper parameter given under two spellings is an input error."""
     section = _section(cfg, "hyper")
-    out = {}
+    hyper = {}
     for key, value in section.items():
         canon = _HYPER_KEY_ALIASES.get(key, key)
-        if canon in out:
+        if canon in hyper:
             first = next(k for k in section if _HYPER_KEY_ALIASES.get(k, k) == canon)
             raise ValidationError(f"config section 'hyper' sets {canon} twice, "
                                   f"as {first!r} and as {key!r}")
-        out[canon] = value
-    _reject_unknown(out, [f.name for f in fields(HyperParams)], "config section 'hyper'")
-    return out
-
-
-def _kernel_from_config(cfg):
-    spec = cfg.get("kernel")
-    return DEFAULT_KERNEL if spec is None else KernelSpec.from_dict(spec)
+        hyper[canon] = value
+    _reject_unknown(hyper, [f.name for f in fields(HyperParams)], "config section 'hyper'")
+    kernel = cfg.get("kernel")
+    return (HyperParams(**hyper),
+            DEFAULT_KERNEL if kernel is None else KernelSpec.from_dict(kernel))
 
 
 def _seed(args, cfg):
@@ -103,14 +102,18 @@ def _seed(args, cfg):
     return checked("seed", seed, 0, integer=True)
 
 
-def _require_file(path, flag):
+def _read(flag, path, shape=None):
+    """The CSV file that ``flag`` names: a marginal vector for ``--mu`` and
+    ``--nu``, else a matrix, of ``shape`` when one is given. ``mio`` is looked
+    up on each call, so a stand-in for the module sees every read."""
     if not os.path.exists(path):
         raise ValidationError(f"{flag}: no such file: {path}")
-    return path
-
-
-def _read_marginal(path, flag):
-    values = mio.read_vector(_require_file(path, flag))
+    if flag not in ("--mu", "--nu"):
+        values = mio.read_matrix(path)
+        if shape is not None and values.shape != shape:
+            raise ValidationError(f"{flag}: cost shape {values.shape} does not match {shape}")
+        return values
+    values = mio.read_vector(path)
     if not np.all(values >= 0):
         raise ValidationError(f"{flag}: marginal masses must be nonnegative")
     total = float(values.sum())
@@ -120,31 +123,39 @@ def _read_marginal(path, flag):
     return values
 
 
+def _write_json(path, document):
+    """Write ``document`` as sorted, indented JSON to ``path``, or to stdout
+    when ``path`` is None."""
+    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_metadata(out_dir, name, seed, cfg, started):
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode())
-    meta = {"seed": seed, "config_hash": digest.hexdigest(),
-            "wall_time_s": time.time() - started, "command": name}
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run.json"),
+                {"seed": seed, "config_hash": digest.hexdigest(),
+                 "wall_time_s": time.time() - started, "command": name})
 
 
 def _cmd_fit(args):
     started = time.time()
     cfg = _load_config(args.config)
-    hyper = HyperParams(**_hyper_section(cfg))
-    kernel = _kernel_from_config(cfg)
+    hyper, kernel = _settings(cfg)
     seed = _seed(args, cfg)
 
     if (args.counts is None) == (args.coupling is None):
         raise ValidationError("exactly one of --counts or --coupling is required")
     if args.counts is not None:
-        pi_hat = normalize_counts(mio.read_matrix(_require_file(args.counts, "--counts")))
+        pi_hat = normalize_counts(_read("--counts", args.counts))
     else:
-        pi_hat = CouplingMatrix(mio.read_matrix(_require_file(args.coupling, "--coupling")))
+        pi_hat = CouplingMatrix(_read("--coupling", args.coupling))
 
-    U = mio.read_matrix(_require_file(args.users, "--users"))
-    V = mio.read_matrix(_require_file(args.items, "--items"))
+    U = _read("--users", args.users)
+    V = _read("--items", args.items)
     m, n = pi_hat.shape
 
     if args.joint_side_costs and args.method != "riot":
@@ -155,16 +166,11 @@ def _cmd_fit(args):
     side_costs = {}
     if args.method == "riot":
         for flag, path, size in (("--cost-u", args.cost_u, m), ("--cost-v", args.cost_v, n)):
-            if path is None:
-                if not args.joint_side_costs:
-                    raise ValidationError(
-                        f"{flag} is required (or pass --joint-side-costs to learn "
-                        f"the side costs)")
-                continue
-            side_costs[flag] = mio.read_matrix(_require_file(path, flag))
-            if side_costs[flag].shape != (size, size):
-                raise ValidationError(f"{flag}: side cost shape {side_costs[flag].shape} "
-                                      f"does not match ({size}, {size})")
+            if path is not None:
+                side_costs[flag] = _read(flag, path, (size, size))
+            elif not args.joint_side_costs:
+                raise ValidationError(f"{flag} is required (or pass --joint-side-costs to "
+                                      f"learn the side costs)")
     cost_u, cost_v = side_costs.get("--cost-u"), side_costs.get("--cost-v")
 
     if args.method == "iot":
@@ -188,16 +194,11 @@ def _cmd_fit(args):
 
 
 def _cmd_predict(args):
-    cfg = _load_config(args.config)
-    kernel = _kernel_from_config(cfg)
-    hyper = HyperParams(**_hyper_section(cfg))
-
-    A = mio.read_matrix(_require_file(args.interaction, "--interaction"))
-    U = mio.read_matrix(_require_file(args.users, "--users"))
-    V = mio.read_matrix(_require_file(args.items, "--items"))
-    mu = _read_marginal(args.mu, "--mu")
-    nu = _read_marginal(args.nu, "--nu")
-    plan = predict_matching(A, U, V, mu, nu, kernel, hyper.lam, tol=hyper.sinkhorn_tol,
+    hyper, kernel = _settings(_load_config(args.config))
+    plan = predict_matching(_read("--interaction", args.interaction),
+                            _read("--users", args.users), _read("--items", args.items),
+                            _read("--mu", args.mu), _read("--nu", args.nu), kernel,
+                            hyper.lam, tol=hyper.sinkhorn_tol,
                             max_iters=hyper.sinkhorn_max_iters)
     mio.write_matrix(args.out, plan.entries)
     return EXIT_OK
@@ -208,8 +209,8 @@ def _synth_config(cfg, seed):
     if {"seed", "hyper", "kernel"} & set(synth):
         raise ValidationError("seed, hyper and kernel are top-level keys, not 'synth' keys")
     _reject_unknown(synth, [f.name for f in fields(SynthConfig)], "config section 'synth'")
-    return SynthConfig(seed=seed, kernel=_kernel_from_config(cfg),
-                       hyper=HyperParams(**_hyper_section(cfg)), **synth)
+    hyper, kernel = _settings(cfg)
+    return SynthConfig(seed=seed, kernel=kernel, hyper=hyper, **synth)
 
 
 def _cmd_simulate(args):
@@ -243,9 +244,7 @@ def _cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     for name, entries in matrices.items():
         mio.write_matrix(os.path.join(args.out, name), entries)
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     _write_metadata(args.out, f"simulate --figure {args.figure}", scfg.seed, cfg, started)
     return EXIT_OK
 
@@ -254,19 +253,13 @@ def _cmd_eval(args):
     checked("--lambda", args.lam, 0, strict=True)
     if (args.cost_true is None) != (args.cost_pred is None):
         raise ValidationError("--cost-true and --cost-pred must be given together")
-    pred = CouplingMatrix(mio.read_matrix(_require_file(args.pred, "--pred")))
-    test = CouplingMatrix(mio.read_matrix(_require_file(args.test, "--test")))
+    pred = CouplingMatrix(_read("--pred", args.pred))
+    test = CouplingMatrix(_read("--test", args.test))
     report = eval_matching(pred, test)
-    costs = {}
-    for flag, path in (("--cost-true", args.cost_true), ("--cost-pred", args.cost_pred)):
-        if path is not None:
-            costs[flag] = mio.read_matrix(_require_file(path, flag))
-            if costs[flag].shape != test.shape:
-                raise ValidationError(f"{flag}: cost shape {costs[flag].shape} does not "
-                                      f"match plan shape {test.shape}")
 
-    if costs:
-        c_true, c_pred = costs["--cost-true"], costs["--cost-pred"]
+    if args.cost_true is not None:
+        c_true = _read("--cost-true", args.cost_true, test.shape)
+        c_pred = _read("--cost-pred", args.cost_pred, test.shape)
         report["cost_shift_distance"] = cost_shift_distance(c_pred, c_true)
         checks = {}
         if np.all(pred.entries > 0) and np.all(test.entries > 0):
@@ -278,12 +271,7 @@ def _cmd_eval(args):
             report[key] = {"bound": check.bound_value, "observed": check.observed_value,
                            "satisfied": check.satisfied}
 
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -295,7 +283,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on first use and then shared by every call."""
     parser = _Parser(
         prog="otmatch",
         description="Learn matching costs from empirical matchings by inverse "
@@ -317,7 +307,6 @@ def build_parser():
                             "starting from --cost-u/--cost-v if given")
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.set_defaults(func=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict a matching for new profiles")
     p_pred.add_argument("--interaction", required=True, help="learned A CSV")
@@ -325,9 +314,9 @@ def build_parser():
     p_pred.add_argument("--items", required=True)
     p_pred.add_argument("--mu", required=True, help="row-marginal CSV (single row)")
     p_pred.add_argument("--nu", required=True, help="column-marginal CSV (single row)")
-    p_pred.add_argument("--config", help="JSON config (kernel, lambda)")
+    p_pred.add_argument("--config", help="JSON config (kernel; hyper lambda, sinkhorn_tol "
+                                         "and sinkhorn_max_iters)")
     p_pred.add_argument("--out", required=True, help="output CSV path")
-    p_pred.set_defaults(func=_cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a synthetic experiment")
     p_sim.add_argument("--figure", type=int, required=True, choices=(2, 3, 4),
@@ -338,7 +327,6 @@ def build_parser():
     p_sim.add_argument("--workers", type=int, default=1,
                        help="parallel sweep cells (default: 1)")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_eval = sub.add_parser("eval", help="compare predicted and reference matchings")
     p_eval.add_argument("--pred", required=True)
@@ -347,15 +335,16 @@ def build_parser():
     p_eval.add_argument("--cost-pred", dest="cost_pred")
     p_eval.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_eval.add_argument("--out", help="write the report here instead of stdout")
-    p_eval.set_defaults(func=_cmd_eval)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up on each call, so a replaced command function is the one run.
+    command = {"fit": _cmd_fit, "predict": _cmd_predict, "simulate": _cmd_simulate,
+               "eval": _cmd_eval}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -192,19 +192,20 @@ def robustness_sweep(cfg, max_workers=1):
     else:
         records = [task(cell) for cell in cells]
 
+    # The records come in (sigma, delta, rep) order, so each cell is one slice
+    # of them, even where a grid repeats a value.
     aggregates = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        for di, delta in enumerate(cfg.delta_grid):
-            cell = [r for r in records if r.sigma == sigma and r.delta == delta]
-            ok = [r for r in cell if not r.failed]
-            agg = {"sigma": sigma, "delta": delta,
-                   "n": len(cell), "n_failed": len(cell) - len(ok),
-                   "incomplete": (len(cell) - len(ok)) > 0.2 * len(cell)}
-            for name in ("kl_riot", "kl_iot", "kl_hat"):
-                vals = np.asarray([getattr(r, name) for r in ok], dtype=float)
-                agg[f"mean_{name}"] = float(vals.mean()) if vals.size else float("nan")
-                agg[f"std_{name}"] = float(vals.std()) if vals.size else float("nan")
-            aggregates.append(agg)
+    for start in range(0, len(records), cfg.repetitions):
+        cell = records[start:start + cfg.repetitions]
+        ok = [r for r in cell if not r.failed]
+        agg = {"sigma": cell[0].sigma, "delta": cell[0].delta,
+               "n": len(cell), "n_failed": len(cell) - len(ok),
+               "incomplete": (len(cell) - len(ok)) > 0.2 * len(cell)}
+        for name in ("kl_riot", "kl_iot", "kl_hat"):
+            vals = np.asarray([getattr(r, name) for r in ok], dtype=float)
+            agg[f"mean_{name}"] = float(vals.mean()) if vals.size else float("nan")
+            agg[f"std_{name}"] = float(vals.std()) if vals.size else float("nan")
+        aggregates.append(agg)
     return SweepResult(records=tuple(records), aggregates=tuple(aggregates))
 
 

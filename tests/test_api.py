@@ -1,4 +1,5 @@
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 import otmatch
 from otmatch import (HyperParams, KernelSpec, ValidationError, align_shift,
-                     cost_error_bound_check, iot_fit, joint_fit, kernel_cost, riot_fit)
+                     cost_error_bound_check, iot_fit, joint_fit, kernel_cost, kl_divergence,
+                     project_metric_simplex, riot_fit)
+from otmatch.io import write_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,6 +70,21 @@ def _malformed_calls():
             "costs and couplings must be 2-d"),
         "kernel_cost-1d-profiles": (
             lambda: kernel_cost(U[:, 0], V, A, kern), "features and interaction must be 2-d"),
+        "project-non-square": (
+            lambda: project_metric_simplex(np.ones((3, 4))), "projection input must be square"),
+        "project-non-finite": (
+            lambda: project_metric_simplex(np.where(np.eye(3) > 0, 0.0, np.inf)),
+            "projection input has non-finite entries"),
+        "project-2x2": (
+            lambda: project_metric_simplex(1.0 - np.eye(2)), "projection needs dimension >= 3"),
+        "write_matrix-3d": (
+            lambda: write_matrix(os.devnull, np.zeros((2, 2, 2))), "expected a matrix"),
+        "kl_divergence-shapes": (
+            lambda: kl_divergence(pi, pi.T), "shape mismatch"),
+        "cost_error_bound-zero-plan-entry": (
+            lambda: cost_error_bound_check(np.ones((5, 6)), np.ones((5, 6)),
+                                           np.where(pi == pi.max(), 0.0, pi), pi, 1.0),
+            "couplings must have strictly positive entries"),
     }
 
 

@@ -380,6 +380,22 @@ class TestPredict:
             assert err.startswith(f"error: {flag}: ")
         assert not (tmp / "p.csv").exists()
 
+    def test_marginal_of_the_wrong_length_is_input_error(self, workspace, capsys):
+        # the transport solve, not the CLI, checks the marginals' lengths
+        tmp, paths = workspace
+        mio.write_matrix(tmp / "A0.csv", np.zeros((3, 2)))
+        mio.write_vector(tmp / "mu.csv", np.full(4, 0.25))
+        mio.write_vector(tmp / "nu.csv", np.full(4, 0.25))
+        args = ["predict", "--interaction", str(tmp / "A0.csv"),
+                "--users", str(paths["users"]), "--items", str(paths["items"]),
+                "--mu", str(tmp / "mu.csv"), "--nu", str(tmp / "nu.csv"),
+                "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: marginal shapes (4,)/(4,) "), err
+        assert "cost shape (5, 4)" in err[0]
+        assert not (tmp / "p.csv").exists()
+
     def test_config_sinkhorn_settings_reach_the_solve(self, workspace, capsys):
         tmp, paths = workspace
         mio.write_matrix(tmp / "A.csv", np.random.default_rng(1).normal(0, 1, (3, 2)))
@@ -626,6 +642,23 @@ class TestSimulateAndEval:
         report = json.loads(capsys.readouterr().out)
         assert report == {"rmse": 0.0, "mae": 0.0, "kl": 0.0}
 
+    def test_eval_cost_true_needs_cost_pred(self, tmp_path, capsys):
+        mio.write_matrix(tmp_path / "a.csv", np.full((2, 2), 0.25))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(tmp_path / "a.csv"), "--test", str(tmp_path / "a.csv"),
+                     "--cost-true", str(tmp_path / "a.csv"), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --cost-true and --cost-pred must be given together"]
+        assert not out.exists()
+
+    def test_eval_out_writes_the_report(self, tmp_path, capsys):
+        mio.write_matrix(tmp_path / "a.csv", np.full((2, 2), 0.25))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(tmp_path / "a.csv"), "--test", str(tmp_path / "a.csv"),
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == '{\n  "kl": 0.0,\n  "mae": 0.0,\n  "rmse": 0.0\n}\n'
+
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         mio.write_matrix(tmp_path / "a.csv", np.full((2, 2), 0.25))
         mio.write_matrix(tmp_path / "b.csv", np.full((1, 4), 0.25))
@@ -737,6 +770,16 @@ class TestConfigInput:
         assert all(key in err[0] for key in keys), err
         assert not (tmp_path / "nope").exists()
 
+    def test_config_holding_a_list_is_one_input_error(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps([{"seed": 1}]))
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: config must be a JSON object"]
+        assert not (tmp_path / "nope").exists()
+
     @pytest.mark.parametrize("synth", [{"m": 1e300}, {"p": 2 ** 40, "q": 2 ** 40}])
     def test_unaddressable_size_is_one_input_error(self, tmp_path, capsys, synth):
         path = tmp_path / "sim.json"
@@ -814,3 +857,64 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("Traceback (most recent call last):\n")
         assert err.endswith("RuntimeError: boom\n")
+
+
+class _CountingIO:
+    """Stand-in for ``otmatch.cli.mio`` that records each path it reads,
+    as a tracer's proxy would, and defers to the module for the rest."""
+
+    def __init__(self):
+        self.read = []
+
+    def __getattr__(self, name):
+        return getattr(mio, name)
+
+    def read_matrix(self, path):
+        self.read.append(str(path))
+        return mio.read_matrix(path)
+
+    def read_vector(self, path):
+        self.read.append(str(path))
+        return mio.read_vector(path)
+
+
+class TestEntryPoint:
+    def test_two_calls_build_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        mio.write_matrix(tmp_path / "a.csv", np.full((2, 2), 0.25))
+        argv = ["eval", "--pred", str(tmp_path / "a.csv"), "--test", str(tmp_path / "a.csv")]
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli.build_parser.cache_clear()
+        try:
+            assert main(argv) == EXIT_OK and main(argv) == EXIT_OK
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("otmatch") == 1
+
+    def test_every_input_file_is_read_through_the_module_alias(self, workspace,
+                                                              monkeypatch):
+        tmp, paths = workspace
+        counting = _CountingIO()
+        monkeypatch.setattr(cli, "mio", counting)
+        out = tmp / "fit"
+        assert main(fit_args(paths, out)) == EXIT_OK
+        assert sorted(counting.read) == sorted(
+            str(paths[key]) for key in ("counts", "users", "items", "cost_u", "cost_v"))
+
+        plan = mio.read_matrix(out / "fitted_plan.csv")
+        mio.write_vector(tmp / "mu.csv", plan.sum(axis=1))
+        mio.write_vector(tmp / "nu.csv", plan.sum(axis=0))
+        predict = {"--interaction": out / "A.csv", "--users": paths["users"],
+                   "--items": paths["items"], "--mu": tmp / "mu.csv", "--nu": tmp / "nu.csv"}
+        counting.read.clear()
+        args = ["predict", "--config", str(paths["config"]), "--out", str(tmp / "p.csv")]
+        for flag, path in predict.items():
+            args += [flag, str(path)]
+        assert main(args) == EXIT_OK
+        assert sorted(counting.read) == sorted(map(str, predict.values()))

@@ -160,6 +160,37 @@ class TestRobustnessSweep:
         robustness_sweep(small_config(), max_workers=8)
         assert sizes == [2]
 
+    def test_repeated_grid_value_is_counted_once_per_cell(self):
+        cfg = SynthConfig(m=5, n=5, p=3, q=2, sigma_grid=(1e-3, 1e-3), delta_grid=(0.01,),
+                          hyper=HyperParams(outer_iters=2))
+        res = robustness_sweep(cfg)
+        assert len(res.records) == 2
+        assert [agg["n"] for agg in res.aggregates] == [1, 1]
+        for agg, rec in zip(res.aggregates, res.records):
+            assert agg["mean_kl_hat"] == rec.kl_hat and agg["std_kl_hat"] == 0.0
+
+    def test_failed_fit_marks_only_its_cell(self, monkeypatch):
+        cfg = small_config(delta_grid=(0.01, 0.1), repetitions=2)
+        baseline = robustness_sweep(cfg)
+        fit = synth.riot_fit
+
+        def fails_at_large_delta(pi_hat, U, V, kernel, C_u, C_v, params):
+            if params.delta == 0.1:
+                raise SinkhornConvergenceError("no convergence", iterations=1)
+            return fit(pi_hat, U, V, kernel, C_u, C_v, params)
+
+        monkeypatch.setattr(synth, "riot_fit", fails_at_large_delta)
+        res = robustness_sweep(cfg)
+        for rec, base in zip(res.records, baseline.records):
+            if rec.delta == 0.1:
+                assert rec.failed and np.isnan(rec.kl_riot) and np.isnan(rec.kl_iot)
+            else:
+                assert rec == base
+        ok, failed = res.aggregates
+        assert ok == baseline.aggregates[0]
+        assert failed["n_failed"] == failed["n"] == 2 and failed["incomplete"]
+        assert np.isnan(failed["mean_kl_riot"]) and np.isnan(failed["mean_kl_hat"])
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):
         with pytest.raises(ValidationError, match="max_workers"):
