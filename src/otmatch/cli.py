@@ -61,8 +61,13 @@ def _reject_unknown(keys, known, where):
 def _load_config(path):
     if path is None:
         return {}
+    if not os.path.exists(path):
+        raise ValidationError(f"--config: no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"--config: {path}: not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     _reject_unknown(cfg, ("seed", "hyper", "kernel", "side_step", "synth"), f"{path}: config")
@@ -345,7 +350,7 @@ def main(argv=None):
                "eval": _cmd_eval}[args.command]
     try:
         return command(args)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OtmatchError as exc:

@@ -115,8 +115,9 @@ def _scaled_round(mant, E, step):
     return prod.astype(np.int64) + np.rint(err + mant * lo).astype(np.int64)
 
 
-def _format(values, ends):
-    """The CSV bytes of a 1-d chunk; ``ends`` marks the values that end a row."""
+def _format(values, seps):
+    """The CSV bytes of a 1-d chunk, each value followed by its byte of ``seps``.
+    D's digits come off its two 32-bit halves by ``//`` and ``-``, far cheaper than int64."""
     mag = np.abs(values)
     finite = mag < np.inf
     nonzero = finite & (mag > 0)
@@ -137,20 +138,23 @@ def _format(values, ends):
     text = np.empty((25, values.size), np.uint8)
     keep = np.empty(text.shape, bool)
     tail = np.zeros(values.size, bool)
-    for row in (*range(18, 2, -1), 1):
-        D, digit = np.divmod(D, 10)
-        text[row] = digit + 48
-        tail |= digit != 0
-        keep[row] = tail
+    high, low = np.array(np.divmod(D, 10 ** 8), np.uint32)
+    for half, rows in ((low, range(18, 10, -1)), (high, (*range(10, 2, -1), 1))):
+        for row in rows:
+            rest = half // 10
+            np.add(half - rest * 10, 48, out=text[row], casting="unsafe")
+            tail |= text[row] != 48
+            keep[row] = tail
+            half = rest
     keep[1] = True
     text[0], keep[0] = ord("-"), np.signbit(values) & ~np.isnan(values)
     text[2], keep[2] = ord("."), keep[3]
-    mag10 = np.abs(exp10)
+    mag10 = np.abs(exp10).astype(np.uint32)
     text[19], text[20] = ord("e"), np.where(exp10 < 0, ord("-"), ord("+"))
     text[21], text[22], text[23] = mag10 // 100 + 48, mag10 // 10 % 10 + 48, mag10 % 10 + 48
     keep[19:24] = exp10 != 0
     keep[21] &= mag10 >= 100
-    text[24], keep[24] = np.where(ends, ord("\n"), ord(",")), True
+    text[24], keep[24] = seps, True
     bad = np.flatnonzero(~finite)
     text[1:4, bad] = np.where(np.isnan(values[bad]), _NAN, _INF)
     keep[2:4, bad] = True
@@ -163,16 +167,22 @@ def write_matrix(path, matrix):
     Each finite |x| is printed as D * 10**-k, where D = round(|x| * 10**k) is
     the 17-digit integer. ``_scaled_round`` finds D to within 1e-3 of a unit,
     and a decimal within 0.501 units of its 17th digit lies inside half an ulp
-    of x, so any correctly rounding parser reads back the same double.
+    of x, so any correctly rounding parser reads back the same double. Each
+    pass formats whole rows, or a piece of a row longer than ``_CHUNK``, and
+    takes its separators from one array that the write builds once.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
         raise ValidationError(f"{path}: expected a matrix, got {arr.ndim} dimensions")
+    width = max(arr.shape[1], 1)
+    rows = max(_CHUNK // width, 1)
+    seps = np.tile(np.frombuffer(b"," * (width - 1) + b"\n", np.uint8), rows)
     with open(path, "wb") as fh:
-        for start in range(0, arr.size, _CHUNK):
-            values = arr.flat[start:start + _CHUNK]
-            ends = np.arange(start + 1, start + 1 + values.size) % arr.shape[1] == 0
-            fh.write(_format(values, ends))
+        for top in range(0, arr.shape[0], rows):
+            block = arr[top:top + rows]
+            for start in range(0, block.size, _CHUNK):
+                values = block.flat[start:start + _CHUNK]
+                fh.write(_format(values, seps[start:start + values.size]))
 
 
 def write_vector(path, vector):

@@ -780,6 +780,30 @@ class TestConfigInput:
         assert err == [f"error: {path}: config must be a JSON object"]
         assert not (tmp_path / "nope").exists()
 
+    def test_missing_config_names_the_flag_and_the_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --config: no such file: {path}"]
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b'\xff{"seed": 1}', "'utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte")])
+    def test_config_that_is_not_json_names_the_flag_and_the_file(self, tmp_path, capsys,
+                                                                 content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        args = ["simulate", "--figure", "3", "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --config: {path}: not valid JSON: {reason}"]
+        assert not (tmp_path / "nope").exists()
+
     @pytest.mark.parametrize("synth", [{"m": 1e300}, {"p": 2 ** 40, "q": 2 ** 40}])
     def test_unaddressable_size_is_one_input_error(self, tmp_path, capsys, synth):
         path = tmp_path / "sim.json"

@@ -1,3 +1,5 @@
+import math
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -59,6 +61,24 @@ def edge_doubles():
     return np.concatenate([x, -x])
 
 
+def oracle_token(x):
+    """The writer's text for one double, from Python's correctly rounded
+    17-digit form: mantissa zeros and a bare point trimmed, ``e+00`` dropped,
+    at least two exponent digits."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    mantissa, exponent = format(x, ".16e").split("e")
+    mantissa = mantissa.rstrip("0").rstrip(".")
+    exponent = int(exponent)
+    return mantissa if exponent == 0 else f"{mantissa}e{exponent:+03d}"
+
+
+def oracle_text(arr):
+    return "".join(",".join(map(oracle_token, row)) + "\n" for row in np.atleast_2d(arr))
+
+
 class TestMatrixWriter:
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -88,6 +108,43 @@ class TestMatrixWriter:
         mio.write_vector(path, [1.0, 0.5, -0.0, 10.0, 1e22, -0.1, -5e-324])
         assert path.read_text() == ("1,5e-01,-0,1e+01,1e+22,-1.0000000000000001e-01,"
                                     "-4.9406564584124654e-324\n")
+
+    def test_edge_doubles_match_the_oracle(self, tmp_path):
+        x = edge_doubles()
+        path = tmp_path / "v.csv"
+        mio.write_vector(path, x)
+        assert path.read_text() == oracle_text(x)
+
+    @pytest.mark.parametrize("x, token", [
+        (1234567890123456.75, "1.2345678901234568e+15"),  # an exact tie rounds to even
+        (1e16 + 1e8, "1.00000001e+16"),  # digits on both sides of the 10**8 split
+        (1e8, "1e+08"),
+        (99999999.0, "9.9999999e+07"),
+        (123456789.0, "1.23456789e+08"),
+        (np.nan, "nan"),
+        (np.inf, "inf"),
+        (-np.inf, "-inf")])
+    def test_single_values_match_the_oracle(self, tmp_path, x, token):
+        assert oracle_token(x) == token
+        path = tmp_path / "v.csv"
+        mio.write_vector(path, [x, -x])
+        assert path.read_text() == oracle_text([x, -x])
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0,)])
+    def test_empty_shapes_write_an_empty_file(self, tmp_path, shape):
+        path = tmp_path / "m.csv"
+        (mio.write_vector if len(shape) == 1 else mio.write_matrix)(path, np.zeros(shape))
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("shape", [(2, 20001), (777, 13)])
+    def test_rows_across_pass_edges_match_the_oracle(self, tmp_path, shape):
+        # rows longer than one formatting pass, and a width that does not divide it
+        x = np.random.default_rng(11).choice(edge_doubles(), shape)
+        path = tmp_path / "m.csv"
+        mio.write_matrix(path, x)
+        assert path.read_text() == oracle_text(x)
+        mio.write_matrix(path, np.asfortranarray(x))
+        assert path.read_text() == oracle_text(x)
 
     def test_rewriting_a_written_file_gives_the_same_bytes(self, rng, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
