@@ -9,13 +9,13 @@ provided: a fixed-marginal likelihood fit (IOT), a marginal-relaxed fit
 RIOT fit that also learns the two side costs. Supporting modules supply the
 forward transport solver, shift-invariant cost comparison with two
 identifiability bound checks, the synthetic experiment protocol, and a
-CSV/JSON command-line interface. Costs, feature sets and interaction matrices
-are plain arrays; couplings and side-cost metrics are validated containers.
+CSV/JSON command-line interface. Costs, side costs, feature sets and
+interaction matrices are plain arrays; couplings are validated containers.
 """
 
 from .bounds import (BoundReport, align_shift, cost_error_bound_check, cost_shift_distance,
                      eval_matching, kl_divergence, prediction_error_bound_check)
-from .containers import CouplingMatrix, HyperParams, MetricMatrix, normalize_counts
+from .containers import CouplingMatrix, HyperParams, normalize_counts
 from .errors import (DivergenceError, OtmatchError, ProjectionError,
                      RootFindingError, SinkhornConvergenceError, ValidationError)
 from .iot import IotFitResult, iot_fit
@@ -30,12 +30,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CostRecoveryResult", "CouplingMatrix", "DivergenceError", "HyperParams",
-    "IotFitResult", "JointFitResult", "KernelSpec", "MetricMatrix", "OtmatchError",
-    "ProjectionError", "RiotFitResult", "RootFindingError", "SinkhornConvergenceError",
-    "SinkhornResult", "SweepRecord", "SweepResult", "SynthConfig", "SynthInstance",
-    "ValidationError", "add_noise", "align_shift", "cost_error_bound_check",
-    "cost_recovery_experiment", "cost_shift_distance", "eval_matching", "generate_instance",
-    "iot_fit", "joint_fit", "kernel_cost", "kl_divergence", "normalize_counts",
-    "predict_matching", "prediction_error_bound_check", "project_metric_simplex",
-    "riot_fit", "robustness_sweep", "sinkhorn",
+    "IotFitResult", "JointFitResult", "KernelSpec", "OtmatchError", "ProjectionError",
+    "RiotFitResult", "RootFindingError", "SinkhornConvergenceError", "SinkhornResult",
+    "SweepRecord", "SweepResult", "SynthConfig", "SynthInstance", "ValidationError",
+    "add_noise", "align_shift", "cost_error_bound_check", "cost_recovery_experiment",
+    "cost_shift_distance", "eval_matching", "generate_instance", "iot_fit", "joint_fit",
+    "kernel_cost", "kl_divergence", "normalize_counts", "predict_matching",
+    "prediction_error_bound_check", "project_metric_simplex", "riot_fit",
+    "robustness_sweep", "sinkhorn",
 ]

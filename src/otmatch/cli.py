@@ -189,8 +189,8 @@ def _cmd_fit(args):
 
     os.makedirs(args.out, exist_ok=True)
     if args.joint_side_costs:
-        mio.write_matrix(os.path.join(args.out, "cost_u.csv"), result.C_u.entries)
-        mio.write_matrix(os.path.join(args.out, "cost_v.csv"), result.C_v.entries)
+        mio.write_matrix(os.path.join(args.out, "cost_u.csv"), result.C_u)
+        mio.write_matrix(os.path.join(args.out, "cost_v.csv"), result.C_v)
     mio.write_matrix(os.path.join(args.out, "A.csv"), result.A)
     mio.write_matrix(os.path.join(args.out, "fitted_plan.csv"), result.fitted_plan.entries)
     mio.write_vector(os.path.join(args.out, "objective_trace.csv"), result.objective_trace)

@@ -1,14 +1,14 @@
 """Validated numerical containers shared by every solver.
 
-Only matrices with an invariant beyond "finite and 2-d" get a container: a
-coupling (unit mass) and a metric (triangle inequalities). Costs, feature
-sets and interaction matrices travel as plain arrays; the CSV reader rejects
-non-finite input where it enters.
+Only a matrix with an invariant beyond "finite and 2-d" gets a container: a
+coupling (unit mass). Costs, side costs, feature sets and interaction
+matrices travel as plain arrays; the CSV reader rejects non-finite input
+where it enters.
 
-All containers are immutable after construction: the wrapped arrays are
-private copies with the writeable flag cleared, so instances can be shared
-freely across threads. Construction validates the container's invariants and
-raises :class:`~otmatch.errors.ValidationError` on violation.
+Containers are immutable after construction: the wrapped array is a private
+copy with the writeable flag cleared, so instances can be shared freely
+across threads. Construction validates the container's invariants and raises
+:class:`~otmatch.errors.ValidationError` on violation.
 
 :func:`checked` is the one check of every number a caller or config passes in.
 
@@ -28,8 +28,6 @@ from .errors import ValidationError
 
 # Absolute tolerance on mass sums before exact renormalization.
 SUM_TOL = 1e-9
-# Absolute tolerance of every MetricMatrix check.
-METRIC_TOL = 1e-7
 
 
 def _require(condition, message):
@@ -83,33 +81,6 @@ class CouplingMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-
-@dataclass(frozen=True)
-class MetricMatrix:
-    """Symmetric hollow nonnegative matrix satisfying all triangle inequalities."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        tol = METRIC_TOL
-        _require(arr.ndim == 2 and arr.shape[0] == arr.shape[1],
-                 f"metric matrix must be square, got shape {arr.shape}")
-        _require(np.all(np.isfinite(arr)), "metric matrix has non-finite entries")
-        _require(np.all(arr >= -tol), "metric matrix has negative entries")
-        _require(np.max(np.abs(np.diag(arr))) <= tol, "metric matrix diagonal is not zero")
-        _require(np.max(np.abs(arr - arr.T)) <= tol, "metric matrix is not symmetric")
-        # d_ij <= min_k (d_ik + d_kj): running minimum over the intermediate
-        # index, so memory stays O(d^2).
-        through = np.full_like(arr, np.inf)
-        for k in range(arr.shape[0]):
-            np.minimum(through, np.add.outer(arr[:, k], arr[k]), out=through)
-        worst = np.max(arr - through)
-        _require(worst <= tol,
-                 f"metric matrix violates a triangle inequality by {worst:.3e}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,8 @@ def _format(values, seps):
     text[2], keep[2] = ord("."), keep[3]
     mag10 = np.abs(exp10).astype(np.uint32)
     text[19], text[20] = ord("e"), np.where(exp10 < 0, ord("-"), ord("+"))
-    text[21], text[22], text[23] = mag10 // 100 + 48, mag10 // 10 % 10 + 48, mag10 % 10 + 48
+    hundreds, tens = mag10 // 100, mag10 // 10
+    text[21], text[22], text[23] = hundreds + 48, tens - hundreds * 10 + 48, mag10 - tens * 10 + 48
     keep[19:24] = exp10 != 0
     keep[21] &= mag10 >= 100
     text[24], keep[24] = seps, True

@@ -4,23 +4,15 @@ When the user-user and item-item costs of the relaxation terms are unknown,
 they can be learned together with the interaction matrix. To keep the
 problem well posed each side cost is constrained to the cone of distance
 matrices intersected with the simplex (symmetric, hollow, nonnegative,
-triangle inequalities, entries summing to one). The triangle inequalities
-already imply nonnegativity, so the projection onto that intersection runs
-Dykstra cycles over the triangle half-spaces, held as one index table, and
-one hyperplane step for the unit sum, which as an affine set needs no
-correction. Most triangles never carry a correction, so each cycle sweeps
-only a working set: the triangles with a positive correction and those
-violated when the cycle starts ("project and forget", Sonthalia & Gilbert
-2020). Dykstra's method is coordinate ascent on the dual of the projection,
-so it reaches the same projection from any nonnegative start of its
-corrections and in any sweep order. Far from the set a cycle sweeps the
-violated triangles last, most violated first (the greedy Gauss-Southwell
-choice of coordinates, Nutini et al. 2015), which cuts the cycles of a cold
-projection from a far-off start severalfold. Near the solution many
-triangles are tight and the dual is degenerate, so the corrections' limit
-depends on the order; a reordering in every cycle keeps moving them, so the
-sweeps switch to table order once and stay there. The fit's step
-projections, each of a point near the last one, start from the corrections
+triangle inequalities, entries summing to one), onto which
+:func:`project_metric_simplex` projects by Dykstra cycles. Most triangles
+never carry a correction, so each cycle sweeps only a working set ("project
+and forget", Sonthalia & Gilbert 2020), and far from the set it sweeps the
+violated triangles most violated first (the greedy Gauss-Southwell choice of
+coordinates, Nutini et al. 2015), which cuts the cycles of a far-off start
+severalfold. Dykstra's method is coordinate ascent on the dual of the
+projection, so it reaches the same projection from any nonnegative start of
+its corrections, and the fit's step projections start from the corrections
 the last step left. A side needs at least three individuals to have a
 triangle, so the fit rejects smaller sides.
 """
@@ -30,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .containers import METRIC_TOL, CouplingMatrix, MetricMatrix, as_array, checked
+from .containers import CouplingMatrix, as_array, checked
 from .errors import ProjectionError, ValidationError
 from .iot import _fit_inputs
 from .riot import _alternating_fit
@@ -40,13 +32,12 @@ from .transport import sinkhorn  # noqa: F401
 
 _MAX_CYCLES = 5000
 # Stop-test tolerances and the cap of their rise with the input's scale. The
-# cap is half the MetricMatrix gate, which also reads 0 = d_ii <= 2 d_ij: an
-# entry of -e fails it by 2e, and two triangle violations of v bound e by v.
-# A cap of 1e-7 turns ProjectionError (a solver failure) on 1e9 x a d = 5
-# distance matrix into a gate failure, ValidationError (an input error).
+# stop test is the output's only check: at exit no triangle is violated by more
+# than the cap, nor (two triangles through it, d >= 3) is an entry below -cap.
+# 5e-8 keeps the hollow triangle 0 = d_ii <= 2 d_ij within 1e-7 too.
 _FEAS_TOL = 1e-9
 _DRIFT_TOL = 1e-12
-_TOL_CAP = METRIC_TOL / 2
+_TOL_CAP = 5e-8
 
 
 @lru_cache(maxsize=8)
@@ -114,9 +105,10 @@ def project_metric_simplex(matrix, duals=None):
 
     Returns
     -------
-    MetricMatrix
-        Nearest point of the intersection in Frobenius distance; residual
-        constraint violations are below 1e-7.
+    ndarray, shape (d, d)
+        Nearest point of the intersection in Frobenius distance: finite,
+        exactly symmetric with an exact zero diagonal, entries summing to one
+        and at least -5e-8, and every triangle violation at most 5e-8.
 
     Raises
     ------
@@ -207,8 +199,7 @@ def project_metric_simplex(matrix, duals=None):
         duals[...] = alpha
     out = np.zeros((d, d))
     out[iu] = x
-    out = out + out.T
-    return MetricMatrix(out)
+    return out + out.T
 
 
 @dataclass(frozen=True)
@@ -216,8 +207,8 @@ class JointFitResult:
     """Best iterate of the joint fit over (A, C_u, C_v)."""
 
     A: np.ndarray
-    C_u: MetricMatrix
-    C_v: MetricMatrix
+    C_u: np.ndarray
+    C_v: np.ndarray
     fitted_plan: CouplingMatrix
     objective_trace: np.ndarray
 
@@ -230,12 +221,36 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     feasible set (uniform off-diagonal matrices when omitted), and every
     projected-gradient step keeps them feasible. A ``side_step`` of zero
     freezes the side costs, reducing the trajectory to the fixed-side-cost
-    solver run on the projected initial matrices. The data are checked as
-    :func:`~otmatch.riot.riot_fit` checks them, and each side needs at least
-    three individuals; both before any solve. Each step's projection starts
-    from the Dykstra corrections of the last step on its side. The first step
-    starts cold: the corrections of the far-off start's projection cost it
-    more cycles.
+    solver run on the projected initial matrices. Each step's projection
+    starts from the Dykstra corrections of the last step on its side. The
+    first step starts cold: the corrections of the far-off start's projection
+    cost it more cycles.
+
+    Parameters
+    ----------
+    pi_hat, U, V, kernel, params
+        As for :func:`~otmatch.riot.riot_fit`, with at least three per side.
+    C_u_init, C_v_init : array, optional
+        Starting side costs, m-by-m and n-by-n.
+    side_step : float >= 0, optional
+        Side-cost gradient step; ``0.1 * params.step_size`` when omitted.
+
+    Returns
+    -------
+    JointFitResult
+        The best iterate; its ``C_u`` and ``C_v`` are plain arrays that meet
+        the contract of :func:`project_metric_simplex`'s return.
+
+    Raises
+    ------
+    ValidationError
+        Before any solve, on data that :func:`~otmatch.riot.riot_fit` rejects,
+        a side of fewer than three individuals, a negative ``side_step``, or a
+        start that is not a finite square matrix of its side's size.
+    ProjectionError
+        When the projection of a start or of a step runs out of cycles.
+    DivergenceError
+        If the objective becomes non-finite; carries the trace so far.
     """
     inputs = _fit_inputs(pi_hat, U, V)
     m, n = inputs[0].shape
@@ -247,30 +262,21 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
 
     C_u0 = _initial_side_cost(C_u_init, m)
     C_v0 = _initial_side_cost(C_v_init, n)
-
     duals_u = np.zeros(m * (m - 1) * (m - 2) // 2)
     duals_v = np.zeros(n * (n - 1) * (n - 2) // 2)
 
     def side_block(c_u, c_v, plan_u, plan_v):
         # By the envelope theorem a relaxation term's gradient in its cost is
         # delta times its plan.
-        g_u = params.delta * plan_u
-        g_v = params.delta * plan_v
-        c_u = project_metric_simplex(c_u - side_step * g_u, duals_u).entries
-        c_v = project_metric_simplex(c_v - side_step * g_v, duals_v).entries
-        return c_u, c_v
+        return (project_metric_simplex(c_u - side_step * (params.delta * plan_u), duals_u),
+                project_metric_simplex(c_v - side_step * (params.delta * plan_v), duals_v))
 
     (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(
         inputs, U, V, kernel, C_u0, C_v0, params,
         side_block=side_block if side_step > 0 else None)
 
-    return JointFitResult(
-        A=A,
-        C_u=MetricMatrix(c_u),
-        C_v=MetricMatrix(c_v),
-        fitted_plan=CouplingMatrix(pi),
-        objective_trace=np.asarray(trace),
-    )
+    return JointFitResult(A=A, C_u=c_u, C_v=c_v, fitted_plan=CouplingMatrix(pi),
+                          objective_trace=np.asarray(trace))
 
 
 def _initial_side_cost(init, d):
@@ -278,4 +284,7 @@ def _initial_side_cost(init, d):
         out = np.full((d, d), 1.0 / (d * (d - 1)))
         np.fill_diagonal(out, 0.0)
         return out
-    return project_metric_simplex(as_array(init)).entries
+    init = as_array(init)
+    if init.shape != (d, d):
+        raise ValidationError(f"side cost start must be {d}x{d}, got shape {init.shape}")
+    return project_metric_simplex(init)

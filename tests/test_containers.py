@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from otmatch.containers import (CouplingMatrix, HyperParams, MetricMatrix, checked,
-                                normalize_counts)
+from otmatch.containers import CouplingMatrix, HyperParams, checked, normalize_counts
 from otmatch.errors import ValidationError
 
 
@@ -42,30 +41,6 @@ class TestCouplingMatrix:
         assert c.entries is not src and not c.entries.flags.writeable
         assert c.entries.sum() == 1.0
         np.testing.assert_array_equal(src, np.array([[0.5, 0.25], [0.25, 0.0]]) * (1 + 1e-10))
-
-
-class TestMetricMatrix:
-    def test_accepts_euclidean_distances(self, rng):
-        pts = rng.normal(0, 1, (5, 2))
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        MetricMatrix(d)
-
-    def test_rejects_triangle_violation(self, rng):
-        hand = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        pts = rng.normal(0, 1, (40, 2))
-        random = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        random[0, 1] = random[1, 0] = random[0, 2] + random[2, 1] + 0.5
-        for d in (hand, random):
-            # The reported violation equals the O(d^3) broadcast over all triples.
-            worst = np.max(d - np.min(d[:, :, None] + d[None, :, :], axis=1))
-            with pytest.raises(ValidationError, match=re.escape(f"triangle inequality by {worst:.3e}")):
-                MetricMatrix(d)
-
-    def test_rejects_asymmetry_and_diagonal(self):
-        with pytest.raises(ValidationError):
-            MetricMatrix([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValidationError):
-            MetricMatrix([[1.0, 1.0], [1.0, 0.0]])
 
 
 class TestHyperParams:

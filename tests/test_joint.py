@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import warnings
 
@@ -55,7 +56,7 @@ def test_working_set_matches_full_sweep(d, kind):
     raw = {"grid": lambda: unit_grid_distances(d),
            "euclidean": lambda: euclidean_cost(rng, d),
            "uniform": lambda: rng.uniform(-1.0, 1.0, (d, d))}[kind]()
-    out = project_metric_simplex(raw).entries
+    out = project_metric_simplex(raw)
     np.testing.assert_allclose(out, full_sweep_projection(raw), rtol=0, atol=1e-9)
     assert all_triangle_violations(out) <= 1e-7
 
@@ -67,7 +68,7 @@ def test_working_set_matches_full_sweep(d, kind):
 def test_projection_feasible_and_nearest(raw, seed):
     """The output is feasible and satisfies the projection's variational
     inequality <x0 - x*, y - x*> <= 0 for feasible y (up to 1e-7)."""
-    out = project_metric_simplex(raw).entries
+    out = project_metric_simplex(raw)
     assert all_triangle_violations(out) <= 1e-7
     assert out.sum() == pytest.approx(1.0, abs=1e-7)
     np.testing.assert_array_equal(out, out.T)
@@ -80,7 +81,7 @@ def test_projection_feasible_and_nearest(raw, seed):
 
 def test_negative_constant_projects_to_uniform():
     # the unique projection of a permutation-invariant input is invariant
-    out = project_metric_simplex(np.full((3, 3), -3.0)).entries
+    out = project_metric_simplex(np.full((3, 3), -3.0))
     expected = np.full((3, 3), 1.0 / 6.0)
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_allclose(out, expected, atol=1e-7)
@@ -94,7 +95,7 @@ def test_three_by_three_projection_pinned(edges, expected):
     # edge order (01, 02, 12); each answer is checked by its KKT multipliers
     raw = np.zeros((3, 3))
     raw[np.triu_indices(3, k=1)] = edges
-    out = project_metric_simplex(raw + raw.T).entries
+    out = project_metric_simplex(raw + raw.T)
     np.testing.assert_allclose(out[np.triu_indices(3, k=1)], expected, atol=1e-9)
 
 
@@ -104,7 +105,7 @@ def test_three_by_three_projection_pinned(edges, expected):
 # from feasible projects each in 36-39 cycles.
 @pytest.mark.parametrize("scale,d", [(1000.0, 5), (100.0, 12), (1e6, 5), (1e7, 5), (1e8, 5)])
 def test_large_scale_metric_projects(rng, scale, d):
-    out = project_metric_simplex(scale * euclidean_cost(rng, d)).entries
+    out = project_metric_simplex(scale * euclidean_cost(rng, d))
     assert all_triangle_violations(out) <= 1e-7
 
 
@@ -113,7 +114,7 @@ def test_large_scale_metric_projects(rng, scale, d):
 # violation stalls near 1e-6, above the cap, and the projection raises.
 @pytest.mark.parametrize("scale", [1e7, 1e8])
 def test_huge_metric_projects_to_its_rounding_level(scale):
-    out = project_metric_simplex(scale * euclidean_cost(np.random.default_rng(1), 5)).entries
+    out = project_metric_simplex(scale * euclidean_cost(np.random.default_rng(1), 5))
     assert all_triangle_violations(out) <= 1e-7
 
 
@@ -123,13 +124,43 @@ def test_metric_beyond_the_tolerance_cap_raises():
 
 
 def test_stall_between_the_cap_and_the_gate_is_a_solver_failure(rng):
-    # This draw stalls near 8e-8, between the stop test's cap and the
-    # MetricMatrix gate. A cap at the gate would stop it with an entry near
-    # -5.4e-8, which the gate reads as a 1.08e-7 violation and rejects with
-    # ValidationError, blaming the input.
+    # This draw stalls near 8e-8, above the stop test's cap of 5e-8 and below
+    # 1e-7. A cap of 1e-7 would return it with an entry near -5.4e-8, which
+    # breaks the hollow triangle 0 = d_ii <= 2 d_ij by 1.08e-7.
     with pytest.raises(ProjectionError) as info:
         project_metric_simplex(1e9 * euclidean_cost(rng, 5))
     assert joint._TOL_CAP < info.value.worst_violation < 1e-7
+
+
+@settings(max_examples=150)
+@given(st.integers(3, 7), st.floats(-3.0, 6.0), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_projection_meets_its_contract_or_raises(d, log_scale, symmetric, warm, seed):
+    """The stop test is the only check of the output: a projection raises
+    ProjectionError or returns a finite, exactly symmetric, hollow matrix
+    summing to one, with no entry below -cap and no triangle violated by more
+    than the cap. A warm call starts from the corrections that the projection
+    of a nearby input left."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    raw = scale * rng.normal(size=(d, d))
+    if symmetric:
+        raw = raw + raw.T
+    duals = None
+    if warm:
+        duals = np.zeros(triangle_count(d))
+        with contextlib.suppress(ProjectionError):
+            project_metric_simplex(raw + 1e-2 * scale * rng.normal(size=(d, d)), duals)
+    try:
+        out = project_metric_simplex(raw, duals)
+    except ProjectionError:
+        return
+    assert np.all(np.isfinite(out))
+    np.testing.assert_array_equal(out, out.T)
+    np.testing.assert_array_equal(np.diag(out), 0.0)
+    assert out.min() >= -joint._TOL_CAP
+    assert all_triangle_violations(out) <= joint._TOL_CAP
+    assert abs(out.sum() - 1.0) <= 1e-9
 
 
 def triangle_count(d):
@@ -148,9 +179,9 @@ def test_warm_start_chain_matches_full_sweep(d, log_start, log_jump, seed):
     n0, n1 = rng.normal(size=(2, d, d))
     y0 = feasible_metric_simplex_point(rng, d) + 10.0 ** log_start * (n0 + n0.T)
     duals = np.zeros(triangle_count(d))
-    x0 = project_metric_simplex(y0, duals).entries
+    x0 = project_metric_simplex(y0, duals)
     y1 = x0 + 10.0 ** log_jump * (n1 + n1.T)
-    x1 = project_metric_simplex(y1, duals).entries
+    x1 = project_metric_simplex(y1, duals)
     np.testing.assert_allclose(x1, full_sweep_projection(y1), rtol=0, atol=1e-9)
 
 
@@ -160,7 +191,7 @@ def test_returned_duals_are_the_final_corrections(rng):
     d = 6
     raw = rng.normal(0.0, 1.0, (d, d))
     duals = np.zeros(triangle_count(d))
-    out = project_metric_simplex(raw, duals).entries
+    out = project_metric_simplex(raw, duals)
     e0, e1, e2, _ = _triangle_table(d)
     iu = np.triu_indices(d, k=1)
     start = 0.5 * (raw + raw.T)[iu]
@@ -180,9 +211,9 @@ def test_warm_step_finishes_where_cold_exhausts_budget(monkeypatch):
     mu = random_marginal(np.random.default_rng(0), 8)
     step = 1e-3 * np.outer(mu, mu)
     duals = np.zeros(triangle_count(8))
-    x = project_metric_simplex(unit_grid_distances(8)).entries
+    x = project_metric_simplex(unit_grid_distances(8))
     for _ in range(2):
-        x = project_metric_simplex(x - step, duals).entries
+        x = project_metric_simplex(x - step, duals)
     y = x - step
     before = duals.copy()
     monkeypatch.setattr(joint, "_MAX_CYCLES", 5)
@@ -191,7 +222,7 @@ def test_warm_step_finishes_where_cold_exhausts_budget(monkeypatch):
     with pytest.raises(ProjectionError):
         project_metric_simplex(10.0 * y, duals)
     np.testing.assert_array_equal(duals, before)
-    out = project_metric_simplex(y, duals).entries
+    out = project_metric_simplex(y, duals)
     np.testing.assert_allclose(out, full_sweep_projection(y), rtol=0, atol=1e-9)
 
 
@@ -200,7 +231,7 @@ def test_far_start_projects_within_a_hundred_cycles(monkeypatch):
     # sweeps take 382 cycles, most violated first while far from it 29.
     raw = unit_grid_distances(12)
     monkeypatch.setattr(joint, "_MAX_CYCLES", 100)
-    out = project_metric_simplex(raw).entries
+    out = project_metric_simplex(raw)
     np.testing.assert_allclose(out, full_sweep_projection(raw), rtol=0, atol=1e-9)
 
 
@@ -226,11 +257,11 @@ def test_bad_duals_rejected_before_any_cycle(monkeypatch, rng, duals, match):
 class TestProjectMetricSimplex:
     def test_fixed_point(self, rng):
         x = feasible_metric_simplex_point(rng, 4)
-        out = project_metric_simplex(x).entries
+        out = project_metric_simplex(x)
         np.testing.assert_allclose(out, x, atol=1e-10)
 
     def test_zeros_project_to_uniform(self):
-        out = project_metric_simplex(np.zeros((3, 3))).entries
+        out = project_metric_simplex(np.zeros((3, 3)))
         expected = np.full((3, 3), 1.0 / 6.0)
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_allclose(out, expected, atol=1e-9)
@@ -239,7 +270,7 @@ class TestProjectMetricSimplex:
         raw = np.abs(rng.normal(0, 1, (4, 4)))
         raw = 0.5 * (raw + raw.T)
         np.fill_diagonal(raw, 0.0)
-        out = project_metric_simplex(raw).entries
+        out = project_metric_simplex(raw)
         assert all_triangle_violations(out) <= 1e-7
         assert out.sum() == pytest.approx(1.0, abs=1e-7)
         assert np.abs(out - out.T).max() <= 1e-12
@@ -247,8 +278,8 @@ class TestProjectMetricSimplex:
 
     def test_idempotence(self, rng):
         raw = np.abs(rng.normal(0, 1, (5, 5)))
-        once = project_metric_simplex(raw).entries
-        twice = project_metric_simplex(once).entries
+        once = project_metric_simplex(raw)
+        twice = project_metric_simplex(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
     def test_sum_only_violation_matches_simplex_projection(self, rng):
@@ -256,7 +287,7 @@ class TestProjectMetricSimplex:
         # uniform shift, which stays a metric, so the simplex projection of
         # the off-diagonals is the full projection
         x = 0.5 * feasible_metric_simplex_point(rng, 4)
-        out = project_metric_simplex(x).entries
+        out = project_metric_simplex(x)
         iu = np.triu_indices(4, k=1)
         vec = x[iu]
         tau = (vec.sum() - 0.5) / vec.size
@@ -268,8 +299,8 @@ class TestProjectMetricSimplex:
 
     def test_asymmetric_input_symmetrized(self, rng):
         raw = np.abs(rng.normal(0, 1, (4, 4)))
-        out = project_metric_simplex(raw).entries
-        sym = project_metric_simplex(0.5 * (raw + raw.T)).entries
+        out = project_metric_simplex(raw)
+        sym = project_metric_simplex(0.5 * (raw + raw.T))
         np.testing.assert_allclose(out, sym, atol=1e-12)
 
     @pytest.mark.parametrize("raw", [
@@ -315,9 +346,9 @@ class TestSideCostGradient:
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.5)
         np.testing.assert_array_equal(
-            jf.C_u.entries, project_metric_simplex(inst["C_u"]).entries)
+            jf.C_u, project_metric_simplex(inst["C_u"]))
         np.testing.assert_array_equal(
-            jf.C_v.entries, project_metric_simplex(inst["C_v"]).entries)
+            jf.C_v, project_metric_simplex(inst["C_v"]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
@@ -354,8 +385,8 @@ class TestJointFit:
         inst, pi_hat, params = self._setup(30)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.0)
-        cu_p = project_metric_simplex(inst["C_u"]).entries
-        cv_p = project_metric_simplex(inst["C_v"]).entries
+        cu_p = project_metric_simplex(inst["C_u"])
+        cv_p = project_metric_simplex(inst["C_v"])
         rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], cu_p, cv_p, params)
         np.testing.assert_allclose(jf.A, rf.A, atol=1e-8)
         np.testing.assert_allclose(jf.fitted_plan.entries, rf.fitted_plan.entries,
@@ -367,8 +398,8 @@ class TestJointFit:
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        C_u_init=inst["C_u"], C_v_init=inst["C_v"], side_step=0.01)
         rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"],
-                      project_metric_simplex(inst["C_u"]).entries,
-                      project_metric_simplex(inst["C_v"]).entries,
+                      project_metric_simplex(inst["C_u"]),
+                      project_metric_simplex(inst["C_v"]),
                       params)
         assert jf.objective_trace.min() <= rf.objective_trace.min() + 1e-6
 
@@ -376,7 +407,7 @@ class TestJointFit:
         inst, pi_hat, params = self._setup(32)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params,
                        side_step=0.02)
-        for mat in (jf.C_u.entries, jf.C_v.entries):
+        for mat in (jf.C_u, jf.C_v):
             assert all_triangle_violations(mat) <= 1e-7
             assert mat.sum() == pytest.approx(1.0, abs=1e-7)
             assert np.abs(np.diag(mat)).max() <= 1e-7
@@ -396,6 +427,21 @@ class TestJointFit:
             with pytest.raises(ValidationError, match="at least 3"):
                 joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], params)
 
+    @pytest.mark.parametrize("side", ["C_u_init", "C_v_init"])
+    def test_side_cost_start_of_wrong_size_rejected_before_any_solve(self, monkeypatch, side):
+        # At delta = 0 no relaxation solve reads the side costs, so only this
+        # check keeps a 5x5 start out of a 4x4 market's result.
+        inst, pi_hat, _ = self._setup(35)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(joint, "_alternating_fit", no_solve)
+        monkeypatch.setattr(joint, "project_metric_simplex", no_solve)
+        with pytest.raises(ValidationError, match=r"must be 4x4, got shape \(5, 5\)"):
+            joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], HyperParams(delta=0.0),
+                      **{side: unit_grid_distances(5)})
+
     def test_warm_fit_matches_cold_fit(self, monkeypatch):
         inst = forward_instance(36, m=6, n=5, p=2, q=2)
         pi_hat = noised(inst["pi0"], inst["rng"], 4e-3)
@@ -413,9 +459,11 @@ class TestJointFit:
         for name in ("A", "objective_trace"):
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
                                        rtol=0, atol=1e-9)
-        for name in ("C_u", "C_v", "fitted_plan"):
-            np.testing.assert_allclose(getattr(warm, name).entries,
-                                       getattr(cold, name).entries, rtol=0, atol=1e-9)
+        for name in ("C_u", "C_v"):
+            np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
+                                       rtol=0, atol=1e-9)
+        np.testing.assert_allclose(warm.fitted_plan.entries, cold.fitted_plan.entries,
+                                   rtol=0, atol=1e-9)
 
     def test_first_step_starts_cold(self, monkeypatch):
         # The grid guesses' projections take 29 cycles each. On this market
@@ -426,7 +474,7 @@ class TestJointFit:
         monkeypatch.setattr(joint, "_MAX_CYCLES", 100)
         jf = joint_fit(pi_hat, inst["U"], inst["V"], inst["kern"], HyperParams(outer_iters=1),
                        C_u_init=unit_grid_distances(12), C_v_init=unit_grid_distances(12))
-        assert all_triangle_violations(jf.C_u.entries) <= 1e-7
+        assert all_triangle_violations(jf.C_u) <= 1e-7
 
     def test_default_init_is_uniform_hollow(self):
         inst, pi_hat, params = self._setup(33)
@@ -434,4 +482,4 @@ class TestJointFit:
                        HyperParams(delta=0.01, step_size=5.0, outer_iters=0))
         expected = np.full((4, 4), 1.0 / 12.0)
         np.fill_diagonal(expected, 0.0)
-        np.testing.assert_allclose(jf.C_u.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(jf.C_u, expected, atol=1e-12)

@@ -108,6 +108,18 @@ class TestThetaRoots:
         _theta_root(weights, np.array([0.5, 1.0, 1.0]).view(_Counted), np.ones(3))
         assert _Counted.subtractions > 0
 
+    def test_step_budget_exhausted_raises_with_its_bracket(self, monkeypatch):
+        # p(theta) = 0.5 / (1 - theta) + 0.5 / (3 - theta) = 1 at (3 - sqrt 5) / 2
+        args = np.array([0.5, 0.5]), np.array([1.0, 3.0]), np.array([1.0, 1.0])
+        monkeypatch.setattr(riot, "_ROOT_MAX_STEPS", 1)
+        with pytest.raises(RootFindingError, match="did not converge in 1 steps") as info:
+            _theta_root(*args)
+        assert info.value.bracket == (0.0, 1.0)
+        monkeypatch.undo()
+        root = _theta_root(*args)
+        assert root == pytest.approx(0.381966011250105, abs=1e-12)
+        assert info.value.bracket[0] < root < info.value.bracket[1]
+
 
 @st.composite
 def theta_problems(draw):

@@ -184,6 +184,16 @@ class TestSinkhorn:
         assert res.iterations <= 0.7 * plain[1]
         assert np.abs(res.plan.entries - plain[0]).sum() <= 1e-8
 
+    def test_forbidden_row_degenerates_the_potentials(self):
+        # A row of +inf costs allows no pair: its scaling overflows and its
+        # log-domain potential is +inf.
+        C = np.zeros((3, 3))
+        C[0] = np.inf
+        mu = np.full(3, 1.0 / 3.0)
+        with pytest.raises(SinkhornConvergenceError,
+                           match="scaling potentials degenerated to non-finite values"):
+            sinkhorn(C, mu, mu, 1.0)
+
     def test_relaxed_nonconvergence_carries_the_exact_row_update(self):
         # 20 sweeps end in the relaxed phase; the carried plan has exact rows
         # and the column error that the error reports.
