@@ -19,7 +19,7 @@ from .containers import CouplingMatrix, HyperParams, normalize_counts
 from .errors import (DivergenceError, OtmatchError, ProjectionError,
                      RootFindingError, SinkhornConvergenceError, ValidationError)
 from .iot import IotFitResult, iot_fit
-from .joint import JointFitResult, joint_fit, project_metric_simplex
+from .joint import joint_fit, project_metric_simplex
 from .kernels import KernelSpec, kernel_cost
 from .riot import RiotFitResult, predict_matching, riot_fit
 from .synth import (CostRecoveryResult, SweepRecord, SweepResult, SynthConfig, SynthInstance,
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CostRecoveryResult", "CouplingMatrix", "DivergenceError", "HyperParams",
-    "IotFitResult", "JointFitResult", "KernelSpec", "OtmatchError", "ProjectionError",
-    "RiotFitResult", "RootFindingError", "SinkhornConvergenceError", "SinkhornResult",
-    "SweepRecord", "SweepResult", "SynthConfig", "SynthInstance", "ValidationError",
+    "IotFitResult", "KernelSpec", "OtmatchError", "ProjectionError", "RiotFitResult",
+    "RootFindingError", "SinkhornConvergenceError", "SinkhornResult", "SweepRecord",
+    "SweepResult", "SynthConfig", "SynthInstance", "ValidationError",
     "add_noise", "align_shift", "cost_error_bound_check", "cost_recovery_experiment",
     "cost_shift_distance", "eval_matching", "generate_instance", "iot_fit", "joint_fit",
     "kernel_cost", "kl_divergence", "normalize_counts", "predict_matching",

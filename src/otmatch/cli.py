@@ -5,9 +5,11 @@ document whose sections are each read in one place: ``seed`` (``--seed``
 wins), ``hyper`` (HyperParams) and ``kernel`` (KernelSpec) by ``_settings``,
 ``side_step`` (the joint fit's side-cost step) and ``synth``, which holds only
 the synthetic protocol (SynthConfig's sizes, noise, grids and repetitions). An
-unknown key, at the top level or in a section, is an input error. Exit codes:
-0 on success, 1 for input/validation problems, 2 for solver failures, and 3
-for any other exception, a program fault, whose traceback goes to stderr.
+unknown key, at the top level or in a section, is an input error, and so is a
+``hyper`` delta for ``simulate``, which reads delta from ``synth.delta_grid``.
+Exit codes: 0 on success, 1 for input/validation problems, 2 for solver
+failures, and 3 for any other exception, a program fault, whose traceback goes
+to stderr.
 
 Each fact about the data is checked once, in the library layer that uses it
 (the fits check the matching and the profiles, the kernel the interaction
@@ -214,6 +216,8 @@ def _synth_config(cfg, seed):
     if {"seed", "hyper", "kernel"} & set(synth):
         raise ValidationError("seed, hyper and kernel are top-level keys, not 'synth' keys")
     _reject_unknown(synth, [f.name for f in fields(SynthConfig)], "config section 'synth'")
+    if "delta" in _section(cfg, "hyper"):
+        raise ValidationError("simulate takes delta from synth.delta_grid, not hyper.delta")
     hyper, kernel = _settings(cfg)
     return SynthConfig(seed=seed, kernel=kernel, hyper=hyper, **synth)
 

@@ -206,21 +206,23 @@ def descend(A, evaluate, gradient, params, refresh=None):
 
 def _fit_inputs(pi_hat, U, V):
     """(pihat, muhat, nuhat, A0) of a fit, checked once before any solve:
-    pihat as an array, 2-d with strictly positive row and column sums (muhat,
+    pihat as an array, 2-d, a coupling (as :class:`CouplingMatrix` checks it,
+    unless it is one) with strictly positive row and column sums (muhat,
     nuhat), U and V 2-d with one column per row and per column of pihat, and
     A0 the p-by-q zero interaction matrix. Raises ValidationError otherwise."""
-    pi_hat, U, V = as_array(pi_hat), as_array(U), as_array(V)
-    if pi_hat.ndim != 2 or U.ndim != 2 or V.ndim != 2:
-        raise ValidationError(f"matching and profiles must be 2-d, got shapes {pi_hat.shape}, "
+    entries, U, V = as_array(pi_hat), as_array(U), as_array(V)
+    if entries.ndim != 2 or U.ndim != 2 or V.ndim != 2:
+        raise ValidationError(f"matching and profiles must be 2-d, got shapes {entries.shape}, "
                               f"{U.shape} and {V.shape}")
-    if (U.shape[1], V.shape[1]) != pi_hat.shape:
+    if not isinstance(pi_hat, CouplingMatrix):
+        entries = CouplingMatrix(entries).entries
+    if (U.shape[1], V.shape[1]) != entries.shape:
         raise ValidationError(f"profile counts ({U.shape[1]}, {V.shape[1]}) do not match "
-                              f"matching shape {pi_hat.shape}")
-    mu_hat, nu_hat = pi_hat.sum(axis=1), pi_hat.sum(axis=0)
-    # A NaN sum fails the comparison too.
+                              f"matching shape {entries.shape}")
+    mu_hat, nu_hat = entries.sum(axis=1), entries.sum(axis=0)
     if not (np.all(mu_hat > 0) and np.all(nu_hat > 0)):
         raise ValidationError("empirical marginals must be strictly positive")
-    return pi_hat, mu_hat, nu_hat, np.zeros((U.shape[0], V.shape[0]))
+    return entries, mu_hat, nu_hat, np.zeros((U.shape[0], V.shape[0]))
 
 
 def iot_fit(pi_hat, U, V, kernel, params=None):
@@ -235,9 +237,9 @@ def iot_fit(pi_hat, U, V, kernel, params=None):
     Raises
     ------
     ValidationError
-        Before any solve, unless ``pi_hat`` is 2-d with strictly positive
-        marginals and ``U``, ``V`` are 2-d with one column per row and per
-        column of ``pi_hat``; later, on a kernel cost that is not finite.
+        Before any solve, unless ``pi_hat`` is a 2-d coupling with strictly
+        positive marginals and ``U``, ``V`` are 2-d with one column per row and
+        per column of ``pi_hat``; later, on a kernel cost that is not finite.
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """

@@ -17,12 +17,11 @@ the last step left. A side needs at least three individuals to have a
 triangle, so the fit rejects smaller sides.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .containers import CouplingMatrix, as_array, checked
+from .containers import HyperParams, as_array, checked
 from .errors import ProjectionError, ValidationError
 from .iot import _fit_inputs
 from .riot import _alternating_fit
@@ -202,18 +201,7 @@ def project_metric_simplex(matrix, duals=None):
     return out + out.T
 
 
-@dataclass(frozen=True)
-class JointFitResult:
-    """Best iterate of the joint fit over (A, C_u, C_v)."""
-
-    A: np.ndarray
-    C_u: np.ndarray
-    C_v: np.ndarray
-    fitted_plan: CouplingMatrix
-    objective_trace: np.ndarray
-
-
-def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
+def joint_fit(pi_hat, U, V, kernel, params=None, C_u_init=None, C_v_init=None,
               side_step=None):
     """Alternate the interaction, side-cost, and potential blocks.
 
@@ -229,7 +217,8 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     Parameters
     ----------
     pi_hat, U, V, kernel, params
-        As for :func:`~otmatch.riot.riot_fit`, with at least three per side.
+        As for :func:`~otmatch.riot.riot_fit`, with at least three per side;
+        ``params`` defaults to ``HyperParams()``.
     C_u_init, C_v_init : array, optional
         Starting side costs, m-by-m and n-by-n.
     side_step : float >= 0, optional
@@ -237,9 +226,10 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
 
     Returns
     -------
-    JointFitResult
-        The best iterate; its ``C_u`` and ``C_v`` are plain arrays that meet
-        the contract of :func:`project_metric_simplex`'s return.
+    RiotFitResult
+        The best iterate, as :func:`~otmatch.riot.riot_fit` gives it, with the
+        learned side costs as ``C_u`` and ``C_v``: arrays that meet the
+        contract of :func:`project_metric_simplex`'s return.
 
     Raises
     ------
@@ -252,6 +242,7 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """
+    params = params or HyperParams()
     inputs = _fit_inputs(pi_hat, U, V)
     m, n = inputs[0].shape
     if min(m, n) < 3:
@@ -271,12 +262,8 @@ def joint_fit(pi_hat, U, V, kernel, params, C_u_init=None, C_v_init=None,
         return (project_metric_simplex(c_u - side_step * (params.delta * plan_u), duals_u),
                 project_metric_simplex(c_v - side_step * (params.delta * plan_v), duals_v))
 
-    (_, A, (_, pi, _, (c_u, c_v, _, _))), trace = _alternating_fit(
-        inputs, U, V, kernel, C_u0, C_v0, params,
-        side_block=side_block if side_step > 0 else None)
-
-    return JointFitResult(A=A, C_u=c_u, C_v=c_v, fitted_plan=CouplingMatrix(pi),
-                          objective_trace=np.asarray(trace))
+    return _alternating_fit(inputs, U, V, kernel, C_u0, C_v0, params,
+                            side_block=side_block if side_step > 0 else None)
 
 
 def _initial_side_cost(init, d):

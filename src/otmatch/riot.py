@@ -34,7 +34,8 @@ log xi, log eta and C(A), never from the log of the plan.
 :func:`_alternating_fit` runs the steps through the shared driver
 :func:`~otmatch.iot.descend`: its refresh does step 1 with the potentials
 of :func:`_relaxation_dual` at the current point, :func:`_gradient_at` gives
-step 2, and :func:`_evaluate_at` does step 3 and the objective.
+step 2, and :func:`_evaluate_at` does step 3 and the objective. It returns the
+:class:`RiotFitResult` of both :func:`riot_fit` and the joint fit.
 """
 
 from dataclasses import dataclass
@@ -188,12 +189,16 @@ class RiotFitResult:
     ``objective_trace`` holds the relaxed objective per outer iteration, and
     ``A`` attains its minimum. ``fitted_plan`` is xi_i exp(-lam C_ij(A)) eta_j
     with the scalings ``xi``, ``eta`` of the inner solve at ``A``; ``theta``
-    is its final xi multiplier and ``z``, ``w`` the potentials it used.
+    is its final xi multiplier and ``z``, ``w`` the potentials it used, solved
+    on the side costs ``C_u``, ``C_v``: those :func:`riot_fit` was given, or
+    those :func:`~otmatch.joint.joint_fit` learned.
     """
 
     A: np.ndarray
     fitted_plan: CouplingMatrix
     objective_trace: np.ndarray
+    C_u: np.ndarray
+    C_v: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     theta: float
@@ -297,9 +302,7 @@ def _alternating_fit(inputs, U, V, kernel, C_u, C_v, params, side_block=None):
     current point's potentials. ``side_block``, when given, is called there
     too, with the current side costs and the two relaxation plans of the
     current point, and returns updated side costs, on which (z, w) are solved
-    again. Returns ``descend``'s (objective, A, point) of the best iterate, whose
-    point is (inner, plan, relaxation, (c_u, c_v, z, w)) as
-    :func:`_evaluate_at` gives it, and the objective trace.
+    again. Returns the :class:`RiotFitResult` of the best iterate.
     """
     pi_hat, mu_hat, nu_hat, A0 = inputs
     # Side costs and potentials (c_u, c_v, z, w) every evaluation uses.
@@ -338,9 +341,11 @@ def _alternating_fit(inputs, U, V, kernel, C_u, C_v, params, side_block=None):
 
     gradient = partial(_gradient_at, pi_hat=pi_hat, U=U, V=V, kernel=kernel, params=params)
     # delta == 0 leaves the potentials untouched since they have no effect.
-    best, trace, _ = descend(A0, evaluate, gradient, params,
-                             refresh=refresh if params.delta > 0 else None)
-    return best, trace
+    (_, A, (inner, pi, _, (c_u, c_v, z, w))), trace, _ = descend(
+        A0, evaluate, gradient, params, refresh=refresh if params.delta > 0 else None)
+    return RiotFitResult(A=A, fitted_plan=CouplingMatrix(pi), objective_trace=np.asarray(trace),
+                         C_u=c_u, C_v=c_v, xi=inner.xi, eta=inner.eta, theta=inner.theta,
+                         z=z, w=w)
 
 
 def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
@@ -354,13 +359,14 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     refresh, so the fit runs the quasi-Newton path of
     :func:`~otmatch.iot.descend`, which rejects a trial whose evaluation fails
     and stops at a gradient norm of 1e-6. The result holds the iterate with
-    the lowest relaxed objective: its A and plan, and the scalings, multiplier
-    and potentials of its inner solve.
+    the lowest relaxed objective: its A and plan, the scalings, multiplier
+    and potentials of its inner solve, and the side costs as given.
 
     Parameters
     ----------
-    pi_hat : CouplingMatrix
-        Observed matching matrix with strictly positive marginals.
+    pi_hat : CouplingMatrix or array
+        Observed matching matrix with strictly positive marginals; an array
+        is checked as a :class:`~otmatch.containers.CouplingMatrix` is.
     U, V : array
         Feature matrices (p-by-m and q-by-n).
     kernel : KernelSpec
@@ -371,23 +377,16 @@ def riot_fit(pi_hat, U, V, kernel, C_u, C_v, params=None):
     Raises
     ------
     ValidationError
-        Before any solve, unless ``pi_hat`` is 2-d with strictly positive
-        marginals and ``U``, ``V`` are 2-d with one column per row and per
-        column of ``pi_hat``; later, on a kernel cost that is not finite or
+        Before any solve, unless ``pi_hat`` is a 2-d coupling with strictly
+        positive marginals and ``U``, ``V`` are 2-d with one column per row and
+        per column of ``pi_hat``; later, on a kernel cost that is not finite or
         whose exp(-lam C) underflows, and at ``delta > 0`` on a side cost that
         is not a 2-d matrix of its side's size.
     DivergenceError
         If the objective becomes non-finite; carries the trace so far.
     """
     params = params or HyperParams()
-    (_, A, (inner, pi, _, (_, _, z, w))), trace = _alternating_fit(
-        _fit_inputs(pi_hat, U, V), U, V, kernel, C_u, C_v, params)
-    return RiotFitResult(
-        A=A,
-        fitted_plan=CouplingMatrix(pi),
-        objective_trace=np.asarray(trace),
-        xi=inner.xi, eta=inner.eta, theta=inner.theta, z=z, w=w,
-    )
+    return _alternating_fit(_fit_inputs(pi_hat, U, V), U, V, kernel, C_u, C_v, params)
 
 
 def predict_matching(A, U_new, V_new, mu_new, nu_new, kernel, lam,

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import os
 import sys
@@ -52,7 +53,19 @@ def _malformed_calls():
     C_u, C_v = 1.0 - np.eye(5), 1.0 - np.eye(6)
     kern, params = KernelSpec("linear"), HyperParams(outer_iters=2)
     U4 = U[:, :4]
+    # Unit mass and positive marginals, but one entry at -0.01.
+    negative = pi.copy()
+    negative[0, :2] += (-0.01 - pi[0, 0], 0.01 + pi[0, 0])
+    fits = {"iot_fit": lambda p: iot_fit(p, U, V, kern, params),
+            "riot_fit": lambda p: riot_fit(p, U, V, kern, C_u, C_v, params),
+            "joint_fit": lambda p: joint_fit(p, U, V, kern, params)}
+    not_couplings = {
+        f"{name}-{case}": (functools.partial(fit, p), message)
+        for name, fit in fits.items()
+        for case, p, message in (("negative-coupling", negative, "coupling has negative entries"),
+                                 ("coupling-of-mass-2", 2.0 * pi, "coupling sums to"))}
     return {
+        **not_couplings,
         "riot_fit-profile-count": (
             lambda: riot_fit(pi, U4, V, kern, C_u, C_v, params), "profile counts"),
         "joint_fit-profile-count": (
@@ -90,6 +103,19 @@ def _malformed_calls():
 
 @pytest.mark.parametrize("case", list(_malformed_calls()))
 def test_malformed_input_is_a_validation_error(case):
+    call, message = _malformed_calls()[case]
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("case", [case for case in _malformed_calls() if "coupling" in case])
+def test_matching_that_is_not_a_coupling_is_rejected_before_any_solve(monkeypatch, case):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module in (otmatch.iot, otmatch.riot):
+        monkeypatch.setattr(module, "descend", no_solve)
+    monkeypatch.setattr(otmatch.joint, "project_metric_simplex", no_solve)
     call, message = _malformed_calls()[case]
     with pytest.raises(ValidationError, match=message):
         call()

@@ -595,6 +595,21 @@ class TestSimulateAndEval:
         assert err == ["error: repetitions must be an integer >= 1, got 1.5"]
         assert not (tmp_path / "nope").exists()
 
+    @pytest.mark.parametrize("figure", ["2", "3", "4"])
+    def test_hyper_delta_is_input_error(self, tmp_path, capsys, figure):
+        # Every figure takes delta from synth.delta_grid, so a hyper.delta
+        # would be dropped without notice.
+        cfg = json.loads(self.simulate_config(tmp_path).read_text())
+        cfg["hyper"]["delta"] = 0.7
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        args = ["simulate", "--figure", figure, "--config", str(path),
+                "--out", str(tmp_path / "nope")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "synth.delta_grid" in err[0]
+        assert not (tmp_path / "nope").exists()
+
     def test_cli_import_leaves_multiprocessing_out(self):
         # Only a parallel sweep needs the process pool; importing the CLI
         # must not pay for multiprocessing.
@@ -745,6 +760,9 @@ class TestConfigInput:
         out = tmp / "nope"
         if key == "side_step":
             args = fit_args(paths, out, extra=["--joint-side-costs"])
+        elif key == "delta":
+            # simulate rejects any hyper.delta before HyperParams checks it.
+            args = fit_args(paths, out)
         else:
             args = ["simulate", "--figure", "3", "--config", str(paths["config"]),
                     "--out", str(out)]

@@ -388,10 +388,23 @@ class TestJointFit:
         cu_p = project_metric_simplex(inst["C_u"])
         cv_p = project_metric_simplex(inst["C_v"])
         rf = riot_fit(pi_hat, inst["U"], inst["V"], inst["kern"], cu_p, cv_p, params)
-        np.testing.assert_allclose(jf.A, rf.A, atol=1e-8)
+        for name in ("A", "objective_trace", "xi", "eta", "theta", "z", "w"):
+            np.testing.assert_allclose(getattr(jf, name), getattr(rf, name), atol=1e-8,
+                                       err_msg=name)
         np.testing.assert_allclose(jf.fitted_plan.entries, rf.fitted_plan.entries,
                                    atol=1e-8)
-        np.testing.assert_allclose(jf.objective_trace, rf.objective_trace, atol=1e-8)
+        # Frozen, the joint fit's side costs are its projected starts, and the
+        # fixed fit's those it was given.
+        for fit in (jf, rf):
+            np.testing.assert_array_equal(fit.C_u, cu_p)
+            np.testing.assert_array_equal(fit.C_v, cv_p)
+
+    def test_params_default_to_hyperparams(self):
+        inst, pi_hat, _ = self._setup(37)
+        args = pi_hat, inst["U"], inst["V"], inst["kern"]
+        default, explicit = joint_fit(*args), joint_fit(*args, HyperParams())
+        np.testing.assert_array_equal(default.A, explicit.A)
+        np.testing.assert_array_equal(default.C_u, explicit.C_u)
 
     def test_learning_side_costs_does_not_hurt(self):
         inst, pi_hat, params = self._setup(31)

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -696,17 +697,16 @@ def relaxed_markets(draw):
                                                                outer_iters=10)
 
 
-@settings(max_examples=30)
-@given(relaxed_markets())
-def test_riot_fit_returns_its_best_finite_iterate_or_raises_typed(market):
-    """A fit returns a finite trace and the iterate of its least objective,
-    whose plan is the coupling xi_i Z_ij eta_j on xi' Z eta = 1; or it raises
-    a typed error. Re-evaluated cold at the returned A and potentials, the
-    objective is the trace's minimum up to the solves' tolerances."""
+def check_best_finite_iterate_or_typed_error(fit, market):
+    """A relaxed fit returns a finite trace and the iterate of its least
+    objective, whose plan is the coupling xi_i Z_ij eta_j on xi' Z eta = 1; or
+    it raises a typed error. Re-evaluated cold at the returned A, side costs
+    and potentials, the objective is the trace's minimum up to the solves'
+    tolerances."""
     inst, pi_hat, params = market
     args = inst["U"], inst["V"], inst["kern"]
     try:
-        result = riot_fit(pi_hat, *args, inst["C_u"], inst["C_v"], params)
+        result = fit(pi_hat, *args, params=params)
     except OtmatchError as err:
         event(f"raised {type(err).__name__}")
         return
@@ -714,13 +714,27 @@ def test_riot_fit_returns_its_best_finite_iterate_or_raises_typed(market):
     trace = result.objective_trace
     assert trace.size <= params.outer_iters + 1 and np.all(np.isfinite(trace))
     ph = pi_hat.entries
-    blocks = (inst["C_u"], inst["C_v"], result.z, result.w)
+    blocks = (result.C_u, result.C_v, result.z, result.w)
     obj, (_, plan, _, _) = _evaluate_at(result.A, ph, ph.sum(1), ph.sum(0), *args, blocks,
                                         params)
     assert obj == pytest.approx(trace.min(), rel=1e-7, abs=1e-7)
     np.testing.assert_allclose(result.fitted_plan.entries, plan, rtol=1e-6, atol=1e-12)
     Z = np.exp(-params.lam * kernel_cost(*args[:2], result.A, inst["kern"]))
     assert abs(result.xi @ Z @ result.eta - 1.0) <= 1e-8
+
+
+@settings(max_examples=30)
+@given(relaxed_markets())
+def test_riot_fit_returns_its_best_finite_iterate_or_raises_typed(market):
+    inst = market[0]
+    check_best_finite_iterate_or_typed_error(
+        functools.partial(riot_fit, C_u=inst["C_u"], C_v=inst["C_v"]), market)
+
+
+@settings(max_examples=30)
+@given(relaxed_markets())
+def test_joint_fit_returns_its_best_finite_iterate_or_raises_typed(market):
+    check_best_finite_iterate_or_typed_error(joint_fit, market)
 
 
 def bench_market(seed, m):
